@@ -111,7 +111,7 @@ def apply_attack(spec: AttackSpec, bits: np.ndarray, seed: Entropy) -> np.ndarra
         raise VariantMismatch(
             f"apply_attack handles bit-domain variants only, got {spec.variant}"
         )
-    entropy = (seed,) if isinstance(seed, int) else tuple(seed)
+    entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     rng = make_generator(entropy)
     u = rng.random(arr.size)
     flips = u < np.where(arr == 0, spec.psi0, spec.psi1)

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import AdvisoryWarning, DomainError, InvalidScenario, MissingSensorData
 from .geometry import (
@@ -162,27 +162,45 @@ def detect_sensor(s: ScenarioConfig, cfg: DetectorConfig, data, j: int) -> int:
     return _decide(cfg, circle, ring1, ring2)
 
 
+def _classify(
+    s: ScenarioConfig,
+    cfg: DetectorConfig,
+    secure_estimates: tuple[tuple[int, DistanceEstimate], ...],
+    radii: Sequence[tuple[float, bool]],
+    k: int | None,
+) -> DetectionReport:
+    """Decide every unsecure sensor from its radius against the secure rings.
+
+    ``radii`` holds one (D_hat, clamped) pair per sensor of ``s.unsecure()``,
+    in that order.  Nothing here depends on how the radii were estimated, so
+    one set of estimates can be re-decided at any delta or method.
+    """
+    (_, e1), (_, e2) = secure_estimates
+    clip, ring1, ring2 = _secure_region(s, cfg, (e1.value, e2.value))
+    rows = []
+    for sensor, (d_hat, clamped) in zip(s.unsecure(), radii):
+        circle = ClippedCircle(sensor.position, d_hat, clip)
+        decision = _decide(cfg, circle, ring1, ring2)
+        rows.append(SensorDecision(sensor.id, decision, d_hat, clamped))
+    return DetectionReport(
+        rows=tuple(rows),
+        secure_estimates=secure_estimates,
+        method=cfg.method,
+        delta=cfg.delta,
+        k=k,
+    )
+
+
 def detect_all(s: ScenarioConfig, cfg: DetectorConfig, data) -> DetectionReport:
     """Classify every unsecure sensor against the shared secure rings."""
     _warn_if_inadmissible(s, cfg.delta)
     s1, s2 = s.secure_pair()
-    e1, e2 = _estimate(s, data, s1.id), _estimate(s, data, s2.id)
-    clip, ring1, ring2 = _secure_region(s, cfg, (e1.value, e2.value))
-    rows = []
+    secure = ((s1.id, _estimate(s, data, s1.id)), (s2.id, _estimate(s, data, s2.id)))
+    radii = []
     for sensor in s.unsecure():
         est = _estimate(s, data, sensor.id)
-        circle = ClippedCircle(sensor.position, est.value, clip)
-        decision = _decide(cfg, circle, ring1, ring2)
-        rows.append(
-            SensorDecision(sensor.id, decision, est.value, est.clamped)
-        )
-    return DetectionReport(
-        rows=tuple(rows),
-        secure_estimates=((s1.id, e1), (s2.id, e2)),
-        method=cfg.method,
-        delta=cfg.delta,
-        k=getattr(data, "k", None),
-    )
+        radii.append((est.value, est.clamped))
+    return _classify(s, cfg, secure, radii, getattr(data, "k", None))
 
 
 def detect_from_probabilities(
@@ -200,23 +218,9 @@ def detect_from_probabilities(
             raise MissingSensorData(f"no probability supplied for sensor {sid}")
         value = attacked_distance(s, sid, probs[sid])
         estimates[sid] = DistanceEstimate(value=value, clamped=False, xi_used=probs[sid])
-    clip, ring1, ring2 = _secure_region(
-        s, cfg, (estimates[s1.id].value, estimates[s2.id].value)
-    )
-    rows = []
-    for sensor in s.unsecure():
-        circle = ClippedCircle(sensor.position, estimates[sensor.id].value, clip)
-        decision = _decide(cfg, circle, ring1, ring2)
-        rows.append(
-            SensorDecision(sensor.id, decision, estimates[sensor.id].value, False)
-        )
-    return DetectionReport(
-        rows=tuple(rows),
-        secure_estimates=((s1.id, estimates[s1.id]), (s2.id, estimates[s2.id])),
-        method=cfg.method,
-        delta=cfg.delta,
-        k=None,
-    )
+    secure = ((s1.id, estimates[s1.id]), (s2.id, estimates[s2.id]))
+    radii = [(estimates[sensor.id].value, False) for sensor in s.unsecure()]
+    return _classify(s, cfg, secure, radii, None)
 
 
 # -- distortion floor and admissible delta ---------------------------------

@@ -37,6 +37,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 DATASET_MAGIC = b"QDS1"
+# The magic tag, then four uint64 header fields: K, sensor count, seed, trial.
+_HEADER_END = 4 + 32
 
 _MASK64 = (1 << 64) - 1
 
@@ -406,15 +408,25 @@ def load_dataset(path: str | Path) -> QuantizedDataset:
         raise ParseError(
             f"{path}: not a dataset file (bad magic {raw[:4]!r})"
         )
+    if len(raw) < _HEADER_END:
+        raise ParseError(
+            f"{path}: {len(raw)} bytes, shorter than the {_HEADER_END}-byte header"
+        )
     header = np.frombuffer(raw, dtype="<u8", count=4, offset=4)
     k, n_sensors, seed, trial = (int(v) for v in header)
+    if k == 0:
+        raise ParseError(f"{path}: header field K (byte offset 4) is 0, need K >= 1")
     packed_len = (k + 7) // 8
-    offset = 4 + 32
+    offset = _HEADER_END
     bits: dict[int, np.ndarray] = {}
     for _ in range(n_sensors):
         if offset + 8 + packed_len > len(raw):
             raise ParseError(f"{path}: truncated dataset file")
         sid = int(np.frombuffer(raw, dtype="<i8", count=1, offset=offset)[0])
+        if sid in bits:
+            raise ParseError(
+                f"{path}: sensor id {sid} at byte offset {offset} repeats an earlier record"
+            )
         offset += 8
         packed = np.frombuffer(raw, dtype=np.uint8, count=packed_len, offset=offset)
         offset += packed_len

@@ -90,7 +90,7 @@ def sample_signal(
         raise DomainError(f"need k >= 1, got {k}")
     sensor = s.sensor(j)
     mean = s.signal_mean(j)
-    entropy = (seed,) if isinstance(seed, int) else tuple(seed)
+    entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     rng = make_generator((*entropy, NOISE_STREAM, j))
     # Non-Gaussian models draw through their inverse CDF; the Gaussian path
     # stays on the native generator for speed.

@@ -8,9 +8,13 @@ longer one from the same trial, and runs that differ only in delta (or in
 a bit-domain attack parameter) see common random numbers, so sweep
 comparisons are paired rather than independent.
 
-Trials are independent cells; parallel execution partitions them across a
-thread pool and aggregates integer counts, so serial and parallel runs of
-the same plan produce identical metrics.
+The unit of parallel work is a trial: it is generated once, at the largest
+K of the grid, and every smaller K classifies prefix views of those
+records, which the seeding contract makes identical to a fresh draw at that
+K.  Each (trial, K) estimates its distances once and decides every delta
+from them.  Trials run across a thread pool and only integer counts are
+aggregated, so serial and parallel runs of the same plan produce identical
+metrics.
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ import numpy as np
 
 from .analysis import ExponentParams, RateReport, composite_exponents
 from .attacks import AttackAssignment, Mima, PsiOffset, SpoofBias, apply_attack, post_attack_prob
-from .detector import DetectorConfig, detect_all
+from .detector import (
+    DetectionReport,
+    DetectorConfig,
+    _classify,
+    _warn_if_inadmissible,
+    detect_all,
+)
 from .errors import DomainError
 from .measurement import QuantizedDataset, sample_signal
 from .rng import ATTACK_STREAM
@@ -218,28 +228,46 @@ class _CellCounts:
         self.err_count += other.err_count
 
 
+def _tally(report: DetectionReport, attacked: frozenset[int]) -> _CellCounts:
+    counts = _CellCounts()
+    for row in report.rows:
+        if row.sensor_id in attacked:
+            counts.miss_count += 1 - row.decision
+        else:
+            counts.fa_count += row.decision
+    counts.err_count = counts.fa_count + counts.miss_count
+    return counts
+
+
 def _count_trial(
     plan: ExperimentPlan,
-    deltas: Sequence[float],
-    k: int,
+    configs: Sequence[DetectorConfig],
     trial_index: int,
     attacked: frozenset[int],
-) -> list[_CellCounts]:
-    data = generate_dataset(
-        plan.scenario, plan.assignment, k, plan.base_seed, trial_index
+) -> list[list[_CellCounts]]:
+    """Counts for every (K, delta) of one trial, indexed [K][delta].
+
+    One draw at the largest K serves every K through prefix views; one
+    detect_all per K serves every delta through its radii (module docstring).
+    """
+    full = generate_dataset(
+        plan.scenario, plan.assignment, plan.k_grid[-1], plan.base_seed, trial_index
     )
     out = []
-    for delta in deltas:
-        cfg = replace(plan.detector, delta=delta)
-        report = detect_all(plan.scenario, cfg, data)
-        counts = _CellCounts()
-        for row in report.rows:
-            if row.sensor_id in attacked:
-                counts.miss_count += 1 - row.decision
-            else:
-                counts.fa_count += row.decision
-        counts.err_count = counts.fa_count + counts.miss_count
-        out.append(counts)
+    for k in plan.k_grid:
+        data = QuantizedDataset(
+            bits={j: record[:k] for j, record in full.bits.items()},
+            k=k,
+            rng_seed=plan.base_seed,
+            trial_index=trial_index,
+        )
+        first = detect_all(plan.scenario, configs[0], data)
+        radii = [(row.d_hat, row.clamped) for row in first.rows]
+        reports = [first] + [
+            _classify(plan.scenario, cfg, first.secure_estimates, radii, k)
+            for cfg in configs[1:]
+        ]
+        out.append([_tally(report, attacked) for report in reports])
     return out
 
 
@@ -267,32 +295,36 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
     n_attacked = len(attacked)
     n_unattacked = n_total - n_attacked
 
-    reports: dict[float, RateReport] = {}
-    for delta in deltas:
-        cfg = replace(plan.detector, delta=delta)
-        reports[delta] = composite_exponents(scenario, assignment, cfg, plan.params)
+    configs = [replace(plan.detector, delta=delta) for delta in deltas]
+    reports: dict[float, RateReport] = {
+        cfg.delta: composite_exponents(scenario, assignment, cfg, plan.params)
+        for cfg in configs
+    }
+    # detect_all runs at the first delta only and raises its advisory there;
+    # the other deltas are checked here, once per sweep.
+    for cfg in configs[1:]:
+        _warn_if_inadmissible(scenario, cfg.delta)
 
     totals: dict[tuple[float, int], _CellCounts] = {
         (delta, k): _CellCounts() for delta in deltas for k in plan.k_grid
     }
 
-    def run_cell(args: tuple[int, int]) -> tuple[int, list[_CellCounts]]:
-        k, trial = args
-        return k, _count_trial(plan, deltas, k, trial, attacked)
+    def run_trial_counts(trial: int) -> list[list[_CellCounts]]:
+        return _count_trial(plan, configs, trial, attacked)
 
-    cells = [(k, trial) for k in plan.k_grid for trial in range(plan.trials)]
     workers = _threads(plan)
     if workers == 1:
-        results = map(run_cell, cells)
+        results = map(run_trial_counts, range(plan.trials))
     else:
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            results = list(pool.map(run_cell, cells))
+            results = list(pool.map(run_trial_counts, range(plan.trials)))
         finally:
             pool.shutdown()
-    for k, per_delta in results:
-        for delta, counts in zip(deltas, per_delta):
-            totals[(delta, k)].absorb(counts)
+    for per_k in results:
+        for k, per_delta in zip(plan.k_grid, per_k):
+            for delta, counts in zip(deltas, per_delta):
+                totals[(delta, k)].absorb(counts)
 
     out: dict[float, Metrics] = {}
     for delta in deltas:

@@ -106,6 +106,14 @@ def test_apply_attack_variants_and_determinism():
             apply_attack(bad, bits, seed=1)
 
 
+def test_apply_attack_accepts_numpy_integer_seed():
+    bits = np.array([0, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8)
+    np.testing.assert_array_equal(
+        apply_attack(Mima(0.3, 0.4), bits, seed=np.int64(1)),
+        apply_attack(Mima(0.3, 0.4), bits, seed=1),
+    )
+
+
 def test_apply_attack_flip_rate_matches_probability():
     k = 100_000
     ones = np.ones(k, dtype=np.uint8)

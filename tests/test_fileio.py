@@ -271,3 +271,29 @@ def test_dataset_error_paths(tmp_path):
     trailing.write_bytes(raw + b"\x00")
     with pytest.raises(ParseError, match="trailing"):
         load_dataset(trailing)
+
+
+def test_dataset_shorter_than_header(tmp_path):
+    short = tmp_path / "short.bits"
+    short.write_bytes(b"QDS1\x00\x00")
+    with pytest.raises(ParseError, match="6 bytes, shorter than the 36-byte header"):
+        load_dataset(short)
+
+
+def test_dataset_zero_k_header(tmp_path):
+    path = tmp_path / "zero_k.bits"
+    path.write_bytes(b"QDS1" + np.array([0, 0, 0, 0], dtype="<u8").tobytes())
+    with pytest.raises(ParseError, match=r"field K \(byte offset 4\) is 0"):
+        load_dataset(path)
+
+
+def test_dataset_repeated_sensor_id(tmp_path):
+    bits = {1: np.ones(8, dtype=np.uint8), 2: np.zeros(8, dtype=np.uint8)}
+    path = tmp_path / "trial.bits"
+    save_dataset(QuantizedDataset(bits=bits, k=8, rng_seed=0, trial_index=0), path)
+    raw = bytearray(path.read_bytes())
+    # the second record starts after the header and the first 8 + 1 bytes
+    raw[45:53] = np.array([1], dtype="<i8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="sensor id 1 at byte offset 45 repeats"):
+        load_dataset(path)

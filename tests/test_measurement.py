@@ -82,6 +82,13 @@ def test_sample_signal_reproducible_and_prefix_stable(toy_scenario):
         sample_signal(toy_scenario, 1, 0, seed=7)
 
 
+def test_sample_signal_accepts_numpy_integer_seed(toy_scenario):
+    np.testing.assert_array_equal(
+        sample_signal(toy_scenario, 1, 100, seed=np.int64(7)),
+        sample_signal(toy_scenario, 1, 100, seed=7),
+    )
+
+
 def test_sample_signal_mean_and_spread(toy_scenario):
     k = 200_000
     x = sample_signal(toy_scenario, 1, k, seed=3)

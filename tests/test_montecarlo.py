@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quantloc import (
+    AdvisoryWarning,
     AttackAssignment,
     DetectorConfig,
     DomainError,
@@ -16,6 +17,7 @@ from quantloc import (
     PsiOffset,
     SpoofBias,
     composite_exponents,
+    detect_all,
     estimate_error_probs,
     generate_dataset,
     no_attacks,
@@ -75,11 +77,12 @@ def test_generate_dataset_deterministic(toy_scenario):
 
 def test_generate_dataset_prefix_property(toy_scenario):
     s = toy_scenario
-    assignment = AttackAssignment(specs={1: Mima(0.1, 0.2)})
-    short = generate_dataset(s, assignment, 500, base_seed=7, trial_index=0)
-    long = generate_dataset(s, assignment, 1000, base_seed=7, trial_index=0)
-    for j in long.bits:
-        np.testing.assert_array_equal(long.bits[j][:500], short.bits[j])
+    for spec in (Mima(0.1, 0.2), PsiOffset(0.05), SpoofBias(0.5)):
+        assignment = AttackAssignment(specs={1: spec})
+        short = generate_dataset(s, assignment, 500, base_seed=7, trial_index=0)
+        long = generate_dataset(s, assignment, 1000, base_seed=7, trial_index=0)
+        for j in long.bits:
+            np.testing.assert_array_equal(long.bits[j][:500], short.bits[j])
 
 
 def test_probability_offset_realized_exactly(toy_scenario):
@@ -131,6 +134,40 @@ def test_parallel_equals_serial(toy_scenario):
     serial = estimate_error_probs(_plan(toy_scenario, assignment, threads=1))
     parallel = estimate_error_probs(_plan(toy_scenario, assignment, threads=4))
     assert serial.rows == parallel.rows
+    # five trials over three threads: the pool's share of trials is uneven
+    deltas = [5.0, 2.0, 9.0]
+    serial = sweep_delta(_plan(toy_scenario, assignment, threads=1, trials=5), deltas)
+    parallel = sweep_delta(_plan(toy_scenario, assignment, threads=3, trials=5), deltas)
+    assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [{1: Mima(0.1, 0.2)}, {1: PsiOffset(0.05)}, {2: SpoofBias(0.5)}, {}],
+    ids=["flip", "offset", "spoof", "none"],
+)
+def test_sweep_delta_counts_match_per_k_reference(toy_scenario, specs):
+    """Counts equal a fresh draw at every K, classified by detect_all per delta."""
+    s = toy_scenario
+    assignment = AttackAssignment(specs=specs)
+    deltas = [5.0, 2.0, 9.0]
+    plan = _plan(s, assignment, k_grid=(1, 50, 300), trials=4, threads=2)
+    out = sweep_delta(plan, deltas)
+    attacked = set(assignment.attacked_ids())
+    for k in plan.k_grid:
+        expected = {delta: [0, 0] for delta in deltas}
+        for trial in range(plan.trials):
+            data = generate_dataset(s, assignment, k, plan.base_seed, trial)
+            for delta in deltas:
+                report = detect_all(s, DetectorConfig(delta=delta), data)
+                for row in report.rows:
+                    if row.sensor_id in attacked:
+                        expected[delta][1] += 1 - row.decision
+                    else:
+                        expected[delta][0] += row.decision
+        for delta in deltas:
+            row = out[delta].row_for(k)
+            assert [row.fa_count, row.miss_count] == expected[delta], (k, delta)
 
 
 def test_sweep_delta_validation(toy_scenario):
@@ -153,6 +190,13 @@ def test_sweep_delta_validation(toy_scenario):
     )
     with pytest.raises(DomainError):
         sweep_delta(_plan(bare, no_attacks()), [5.0])
+
+
+def test_sweep_delta_warns_for_an_inadmissible_later_delta(toy_scenario):
+    # the toy scenario's admissible limit is 20; only the second delta exceeds it
+    plan = _plan(toy_scenario, no_attacks(), trials=2)
+    with pytest.warns(AdvisoryWarning, match="delta = 25 exceeds"):
+        sweep_delta(plan, [5.0, 25.0])
 
 
 def test_metrics_rows_and_rendering(toy_scenario):
