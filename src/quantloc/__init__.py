@@ -7,228 +7,52 @@ consistency test expose them.  This package provides the signal and
 quantization model, the attack channels, the distance estimator, the
 detector, large-deviations bounds on its error probabilities, and Monte
 Carlo drivers that check the bounds empirically.
+
+Every module lists its public names in its ``__all__``, and the package
+re-exports exactly those, so an export is added or retired in one place.
 """
 
-from .analysis import (
-    ExponentParams,
-    RateReport,
-    SensorRates,
-    composite_exponents,
-    epsilon_bracket,
-    rate_eps,
-    rate_eta1,
-    rate_eta2,
-    xi_factor,
-    xi_factor_from,
+from . import (
+    analysis,
+    attacks,
+    detector,
+    errors,
+    fileio,
+    geometry,
+    measurement,
+    montecarlo,
+    noise,
+    rng,
+    scenario,
 )
-from .attacks import (
-    AttackAssignment,
-    AttackSpec,
-    Mima,
-    NoAttack,
-    PsiOffset,
-    SpoofBias,
-    apply_attack,
-    apply_spoof,
-    check_significant,
-    check_subtle,
-    no_attacks,
-    post_attack_prob,
-    psi_of,
-)
-from .detector import (
-    DetectionReport,
-    DetectorConfig,
-    SensorDecision,
-    delta_admissible,
-    delta_admissible_from,
-    detect_all,
-    detect_from_probabilities,
-    detect_sensor,
-    lambda_from,
-    lambda_j,
-    lambda_min,
-)
-from .errors import (
-    AdvisoryWarning,
-    AssumptionWarning,
-    DomainError,
-    EmptyData,
-    InvalidScenario,
-    MissingSensorData,
-    NoIntersection,
-    ParseError,
-    QuantLocError,
-    TangentDegenerate,
-    VariantMismatch,
-)
-from .fileio import (
-    build_paper_setup,
-    load_dataset,
-    load_scenario,
-    parse_scenario,
-    render_scenario,
-    save_dataset,
-    save_scenario,
-)
-from .geometry import (
-    Ball,
-    ClippedCircle,
-    HalfSpace,
-    Ring,
-    circle_circle_intersection,
-    circle_meets_region_analytic,
-    circle_meets_region_discretized,
-    containment_oracle,
-    phi_bound,
-    ring_member,
-)
-from .measurement import (
-    DistanceEstimate,
-    EmpiricalFreq,
-    QuantizedDataset,
-    attacked_distance,
-    empirical_freq,
-    nmle_distance,
-    prob_zero,
-    quantize,
-    sample_signal,
-)
-from .montecarlo import (
-    ExperimentPlan,
-    Metrics,
-    MetricsRow,
-    estimate_error_probs,
-    generate_dataset,
-    run_trial,
-    sweep_K,
-    sweep_delta,
-)
-from .noise import GaussianNoise, NoiseModel, standard_gaussian
-from .rng import ATTACK_STREAM, NOISE_STREAM, make_generator
-from .scenario import (
-    AssumptionReport,
-    DistanceBounds,
-    Point,
-    RoiDisc,
-    ScenarioConfig,
-    SensorSpec,
-    compute_distance_bounds,
-    distance,
-    rho_bounds,
-    roi_side,
-    validate_assumptions,
-)
+from .analysis import *  # noqa: F403
+from .attacks import *  # noqa: F403
+from .detector import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fileio import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .measurement import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .noise import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .scenario import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # noise
-    "NoiseModel",
-    "GaussianNoise",
-    "standard_gaussian",
-    # scenario
-    "Point",
-    "SensorSpec",
-    "RoiDisc",
-    "DistanceBounds",
-    "ScenarioConfig",
-    "AssumptionReport",
-    "distance",
-    "compute_distance_bounds",
-    "rho_bounds",
-    "roi_side",
-    "validate_assumptions",
-    # measurement
-    "EmpiricalFreq",
-    "QuantizedDataset",
-    "DistanceEstimate",
-    "sample_signal",
-    "quantize",
-    "prob_zero",
-    "empirical_freq",
-    "nmle_distance",
-    "attacked_distance",
-    # attacks
-    "AttackSpec",
-    "NoAttack",
-    "Mima",
-    "PsiOffset",
-    "SpoofBias",
-    "AttackAssignment",
-    "apply_attack",
-    "apply_spoof",
-    "post_attack_prob",
-    "psi_of",
-    "check_subtle",
-    "check_significant",
-    "no_attacks",
-    # geometry
-    "HalfSpace",
-    "Ball",
-    "ClippedCircle",
-    "Ring",
-    "ring_member",
-    "circle_circle_intersection",
-    "circle_meets_region_analytic",
-    "circle_meets_region_discretized",
-    "containment_oracle",
-    "phi_bound",
-    # detector
-    "DetectorConfig",
-    "SensorDecision",
-    "DetectionReport",
-    "detect_sensor",
-    "detect_all",
-    "detect_from_probabilities",
-    "lambda_from",
-    "lambda_j",
-    "lambda_min",
-    "delta_admissible",
-    "delta_admissible_from",
-    # analysis
-    "ExponentParams",
-    "SensorRates",
-    "RateReport",
-    "epsilon_bracket",
-    "xi_factor",
-    "xi_factor_from",
-    "rate_eta1",
-    "rate_eta2",
-    "rate_eps",
-    "composite_exponents",
-    # montecarlo
-    "ExperimentPlan",
-    "MetricsRow",
-    "Metrics",
-    "generate_dataset",
-    "run_trial",
-    "estimate_error_probs",
-    "sweep_delta",
-    "sweep_K",
-    # fileio
-    "load_scenario",
-    "save_scenario",
-    "parse_scenario",
-    "render_scenario",
-    "build_paper_setup",
-    "save_dataset",
-    "load_dataset",
-    # rng
-    "make_generator",
-    "NOISE_STREAM",
-    "ATTACK_STREAM",
-    # errors
-    "QuantLocError",
-    "DomainError",
-    "InvalidScenario",
-    "EmptyData",
-    "NoIntersection",
-    "ParseError",
-    "VariantMismatch",
-    "MissingSensorData",
-    "TangentDegenerate",
-    "AssumptionWarning",
-    "AdvisoryWarning",
+__all__ = ["__version__"] + [
+    name
+    for module in (
+        noise,
+        scenario,
+        measurement,
+        attacks,
+        geometry,
+        detector,
+        analysis,
+        montecarlo,
+        fileio,
+        rng,
+        errors,
+    )
+    for name in module.__all__
 ]

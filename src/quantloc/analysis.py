@@ -1,19 +1,19 @@
 """Error exponents and exponential bounds for the geometric detector.
 
 False-alarm and miss probabilities decay like 12 e^{-eta K} in the record
-length K.  The exponents come from large-deviations rate functions of the
-per-sensor zero-bit frequency:
+length K.  Every exponent is a Chernoff rate of a sensor's zero-bit
+frequency, and every Chernoff rate of a Bernoulli frequency with mean p
+reaching q is the relative entropy D(q || p), evaluated by one function,
+``bernoulli_kl``.  Per sensor four such rates enter:
 
-  * rate_eta1 / rate_eta2 govern the frequency overshooting or
-    undershooting its mean by t = delta / (2 Xi_j), where Xi_j converts a
-    frequency deviation into a distance deviation;
-  * rate_eps_lower / rate_eps_upper govern the frequency escaping the
-    bracket [eps_L, eps_U] on which that conversion is valid.
+  * q = p + t and q = p - t, the frequency overshooting or undershooting
+    its mean by t = delta / (2 Xi_j), where Xi_j converts a frequency
+    deviation into a distance deviation;
+  * q = eps_L and q = eps_U, the frequency escaping the bracket on which
+    that conversion is valid.
 
-All four are algebraic forms of Bernoulli relative entropies; the code
-keeps the explicit logarithm expressions, with the boundary conventions
-spelled out (a deviation to an impossible frequency has infinite rate, and
-a vanishing linear factor silences its logarithm: 0 * ln(...) = 0).
+A deviation to an impossible frequency (q outside [0, 1]) has infinite
+rate, and 0 * ln 0 = 0 at q = 0 and q = 1.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ __all__ = [
     "epsilon_bracket",
     "xi_factor",
     "xi_factor_from",
-    "rate_eta1",
-    "rate_eta2",
-    "rate_eps",
+    "bernoulli_kl",
     "composite_exponents",
 ]
 
@@ -123,69 +121,33 @@ def xi_factor(
     )
 
 
-def _check_p_t(p: float, t: float) -> None:
+def bernoulli_kl(q: float, p: float) -> float:
+    """Relative entropy D(q || p) of Bernoulli(q) from Bernoulli(p).
+
+    The Chernoff rate of a frequency with mean p reaching q.  Takes
+    0 * ln 0 = 0, returns inf for q outside [0, 1] and raises DomainError
+    for p outside (0, 1).  Each term is written in the deviation q - p, as
+    log1p((q - p) / p) and log1p((p - q) / (1 - p)), which stays accurate
+    when q is close to p and the two terms nearly cancel.  A ratio that
+    rounds onto the log1p pole (q within rounding of 0 or 1) takes the
+    plain logarithm instead.
+    """
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-
-
-def rate_eta1(p: float, t: float) -> float:
-    """Rate of the zero-frequency exceeding p + t; infinite when p + t > 1.
-
-    At t = 1 - p exactly the printed form degenerates to the limit -ln p.
-    """
-    _check_p_t(p, t)
-    if t > 1.0 - p:
+    if math.isnan(q):
+        raise DomainError("q must be a number, got nan")
+    if not (0.0 <= q <= 1.0):
         return INF
-    if t == 0.0:
+    gap = q - p
+    return _weighted_log_ratio(q, p, gap) + _weighted_log_ratio(1.0 - q, 1.0 - p, -gap)
+
+
+def _weighted_log_ratio(a: float, b: float, gap: float) -> float:
+    """a * ln(a / b) with 0 * ln 0 = 0, given gap = a - b."""
+    if a == 0.0:
         return 0.0
-    rest = 1.0 - t - p
-    if rest == 0.0:
-        return -math.log(p)
-    return (t + p) * math.log(((t + p) * (1.0 - p)) / (p * rest)) - math.log(
-        (1.0 - p) / rest
-    )
-
-
-def rate_eta2(p: float, t: float) -> float:
-    """Rate of the zero-frequency dropping below p - t; infinite when t > p.
-
-    At t = p the second term carries a vanishing factor and drops out
-    (0 * ln(...) = 0), leaving -ln(1 - p).
-    """
-    _check_p_t(p, t)
-    if t > p:
-        return INF
-    if t == 0.0:
-        return 0.0
-    lead = math.log((1.0 + t - p) / (1.0 - p))
-    if p - t == 0.0:
-        return lead
-    return lead - (p - t) * math.log(
-        (p * (1.0 + t - p)) / ((p - t) * (1.0 - p))
-    )
-
-
-def rate_eps(p: float, eps_l: float, eps_u: float) -> tuple[float, float]:
-    """Rates of the frequency escaping [eps_L, eps_U] below and above.
-
-    Requires the strict ordering 0 < eps_L < p < eps_U < 1: escape in
-    either direction must be a deviation from the mean, otherwise no decay
-    is possible.  Returns (eta_lower, eta_upper).
-    """
-    if not (0.0 < eps_l < p < eps_u < 1.0):
-        raise DomainError(
-            f"need 0 < eps_l < p < eps_u < 1, got eps_l={eps_l}, p={p}, "
-            f"eps_u={eps_u}"
-        )
-    eta_upper = eps_u * math.log((eps_u * (1.0 - p)) / (p * (1.0 - eps_u))) - math.log(
-        (1.0 - p) / (1.0 - eps_u)
-    )
-    eta_lower = math.log((1.0 - eps_l) / (1.0 - p)) - eps_l * math.log(
-        (p * (1.0 - eps_l)) / (eps_l * (1.0 - p))
-    )
-    return eta_lower, eta_upper
+    x = gap / b
+    return a * (math.log1p(x) if x > -1.0 else math.log(a / b))
 
 
 @dataclass(frozen=True)
@@ -209,12 +171,22 @@ class SensorRates:
 def _sensor_rates(
     p: float, t: float, eps_l: float, eps_u: float
 ) -> SensorRates:
-    eta_lower, eta_upper = rate_eps(p, eps_l, eps_u)
+    """Rates at zero-probability p for deviation t and bracket [eps_L, eps_U].
+
+    Requires the strict ordering 0 < eps_L < p < eps_U < 1: escape in
+    either direction must be a deviation from the mean, otherwise no decay
+    is possible.
+    """
+    if not (0.0 < eps_l < p < eps_u < 1.0):
+        raise DomainError(
+            f"need 0 < eps_l < p < eps_u < 1, got eps_l={eps_l}, p={p}, "
+            f"eps_u={eps_u}"
+        )
     return SensorRates(
-        eta1=rate_eta1(p, t),
-        eta2=rate_eta2(p, t),
-        eta_eps_lower=eta_lower,
-        eta_eps_upper=eta_upper,
+        eta1=bernoulli_kl(p + t, p),
+        eta2=bernoulli_kl(p - t, p),
+        eta_eps_lower=bernoulli_kl(eps_l, p),
+        eta_eps_upper=bernoulli_kl(eps_u, p),
     )
 
 

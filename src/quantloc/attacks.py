@@ -10,6 +10,9 @@ A spoofing bias b added to the raw samples shifts the zero-probability to
 F(F^{-1}(p) - b).  The offset variant prescribes Psi directly, which also
 covers quantizer-tampering attacks: whatever the tampered quantizer does,
 the fusion center only ever sees the resulting p_tilde.
+
+Each variant carries its behaviour: ``shift`` maps p to p_tilde, and
+``bit_record`` turns a sensor's raw samples into its post-attack bits.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import DomainError, InvalidScenario, VariantMismatch
 from .noise import NoiseModel
 from .rng import Entropy, make_generator
-from .scenario import DistanceBounds, ScenarioConfig, rho_bounds
+from .scenario import DistanceBounds, ScenarioConfig, SensorSpec, rho_bounds
 
 __all__ = [
     "AttackSpec",
@@ -33,7 +36,6 @@ __all__ = [
     "AttackAssignment",
     "no_attacks",
     "apply_attack",
-    "apply_spoof",
     "post_attack_prob",
     "psi_of",
     "check_subtle",
@@ -43,7 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Base class; concrete variants carry their own parameters."""
+    """Base class; concrete variants carry their own parameters and behaviour.
+
+    The base behaviour is the honest sensor's: p is unmoved, and the record
+    is the plain threshold test of the raw samples.
+    """
 
     variant: str = field(default="none", init=False)
 
@@ -51,10 +57,34 @@ class AttackSpec:
     def is_attack(self) -> bool:
         return self.variant != "none"
 
+    def shift(self, p: float, noise: NoiseModel | None = None) -> float:
+        """Zero-probability after the attack, from the clean zero-probability p."""
+        return p
+
+    def psi(self, p: float, noise: NoiseModel | None = None) -> float:
+        """The offset Psi = p_tilde - p."""
+        return self.shift(p, noise) - p
+
+    def flip_probs(self) -> tuple[float, float]:
+        """(psi0, psi1) of a bit-domain channel; other variants have none."""
+        raise VariantMismatch(f"{self.variant} is not a bit-domain attack")
+
+    def bit_record(
+        self, samples: np.ndarray, s: ScenarioConfig, sensor: SensorSpec, seed: Entropy
+    ) -> np.ndarray:
+        """The sensor's post-attack bits from its raw samples.
+
+        ``seed`` keys the sensor's attack stream, for variants that draw.
+        """
+        return (samples > sensor.threshold).astype(np.uint8)
+
 
 @dataclass(frozen=True)
 class NoAttack(AttackSpec):
     variant: str = field(default="none", init=False)
+
+    def flip_probs(self) -> tuple[float, float]:
+        return 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -70,10 +100,27 @@ class Mima(AttackSpec):
             if not (0.0 <= value <= 1.0):
                 raise DomainError(f"{name} = {value} outside [0, 1]")
 
+    def shift(self, p: float, noise: NoiseModel | None = None) -> float:
+        tp = (1.0 - self.psi0 - self.psi1) * p + self.psi1
+        return min(max(tp, 0.0), 1.0)
+
+    def flip_probs(self) -> tuple[float, float]:
+        return self.psi0, self.psi1
+
+    def bit_record(
+        self, samples: np.ndarray, s: ScenarioConfig, sensor: SensorSpec, seed: Entropy
+    ) -> np.ndarray:
+        return apply_attack(self, super().bit_record(samples, s, sensor, seed), seed)
+
 
 @dataclass(frozen=True)
 class PsiOffset(AttackSpec):
-    """Direct offset of the zero-probability: p -> p + offset."""
+    """Direct offset of the zero-probability: p -> p + offset.
+
+    Realized exactly by moving the quantizer threshold to where the
+    zero-probability is p + offset, so the same noise draws serve every
+    offset.
+    """
 
     offset: float
     variant: str = field(default="psi_offset", init=False)
@@ -81,6 +128,29 @@ class PsiOffset(AttackSpec):
     def __post_init__(self) -> None:
         if not np.isfinite(self.offset):
             raise DomainError(f"offset must be finite, got {self.offset}")
+
+    def shift(self, p: float, noise: NoiseModel | None = None) -> float:
+        tp = p + self.offset
+        if not (0.0 <= tp <= 1.0):
+            raise DomainError(
+                f"offset {self.offset} pushes p = {p} to {tp}, outside [0, 1]"
+            )
+        return tp
+
+    def psi(self, p: float, noise: NoiseModel | None = None) -> float:
+        self.shift(p)  # raises where p + offset leaves [0, 1]
+        return self.offset  # exact, where p + offset - p may round
+
+    def bit_record(
+        self, samples: np.ndarray, s: ScenarioConfig, sensor: SensorSpec, seed: Entropy
+    ) -> np.ndarray:
+        mean = s.signal_mean(sensor.id)
+        tp = self.shift(float(sensor.noise.cdf(sensor.threshold - mean)))
+        if tp <= 0.0:
+            return np.ones(samples.size, dtype=np.uint8)
+        if tp >= 1.0:
+            return np.zeros(samples.size, dtype=np.uint8)
+        return (samples > mean + float(sensor.noise.inv_cdf(tp))).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -94,6 +164,19 @@ class SpoofBias(AttackSpec):
         if not np.isfinite(self.bias):
             raise DomainError(f"bias must be finite, got {self.bias}")
 
+    def shift(self, p: float, noise: NoiseModel | None = None) -> float:
+        """Moves the threshold crossing, so it needs the sensor's noise model."""
+        if noise is None:
+            raise DomainError("spoofing bias needs the sensor's noise model")
+        if p <= 0.0 or p >= 1.0:
+            return p  # saturated quantizer stays saturated under any finite bias
+        return float(noise.cdf(noise.inv_cdf(p) - self.bias))
+
+    def bit_record(
+        self, samples: np.ndarray, s: ScenarioConfig, sensor: SensorSpec, seed: Entropy
+    ) -> np.ndarray:
+        return super().bit_record(samples + self.bias, s, sensor, seed)
+
 
 def apply_attack(spec: AttackSpec, bits: np.ndarray, seed: Entropy) -> np.ndarray:
     """Pass a bit record through a bit-domain attack.
@@ -104,27 +187,15 @@ def apply_attack(spec: AttackSpec, bits: np.ndarray, seed: Entropy) -> np.ndarra
     the flip probabilities: raising psi1 with the seed fixed only grows
     the set of flipped ones, never un-flips one.
     """
+    psi0, psi1 = spec.flip_probs()
     arr = np.asarray(bits, dtype=np.uint8)
-    if isinstance(spec, NoAttack):
+    if not spec.is_attack:
         return arr.copy()
-    if not isinstance(spec, Mima):
-        raise VariantMismatch(
-            f"apply_attack handles bit-domain variants only, got {spec.variant}"
-        )
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     rng = make_generator(entropy)
     u = rng.random(arr.size)
-    flips = u < np.where(arr == 0, spec.psi0, spec.psi1)
+    flips = u < np.where(arr == 0, psi0, psi1)
     return arr ^ flips.astype(np.uint8)
-
-
-def apply_spoof(spec: AttackSpec, samples: np.ndarray) -> np.ndarray:
-    """Add the spoofing bias to raw samples."""
-    if not isinstance(spec, SpoofBias):
-        raise VariantMismatch(
-            f"apply_spoof requires the spoofing variant, got {spec.variant}"
-        )
-    return np.asarray(samples, dtype=float) + spec.bias
 
 
 def post_attack_prob(
@@ -137,36 +208,17 @@ def post_attack_prob(
     """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p = {p} outside [0, 1]")
-    if isinstance(spec, NoAttack):
-        return p
-    if isinstance(spec, Mima):
-        tp = (1.0 - spec.psi0 - spec.psi1) * p + spec.psi1
-        return min(max(tp, 0.0), 1.0)
-    if isinstance(spec, PsiOffset):
-        tp = p + spec.offset
-        if not (0.0 <= tp <= 1.0):
-            raise DomainError(
-                f"offset {spec.offset} pushes p = {p} to {tp}, outside [0, 1]"
-            )
-        return tp
-    if isinstance(spec, SpoofBias):
-        if noise is None:
-            raise DomainError("spoofing bias needs the sensor's noise model")
-        if p <= 0.0 or p >= 1.0:
-            return p  # saturated quantizer stays saturated under any finite bias
-        return float(noise.cdf(noise.inv_cdf(p) - spec.bias))
-    raise VariantMismatch(f"unknown attack variant {spec.variant!r}")
+    return spec.shift(p, noise)
 
 
 def psi_of(spec: AttackSpec, p: float, noise: NoiseModel | None = None) -> float:
-    """Probability offset Psi = p_tilde - p induced at zero-probability p."""
-    if isinstance(spec, NoAttack):
-        return 0.0
-    if isinstance(spec, Mima):
-        return spec.psi1 - (spec.psi0 + spec.psi1) * p
-    if isinstance(spec, PsiOffset):
-        return spec.offset
-    return post_attack_prob(spec, p, noise) - p
+    """Probability offset Psi = p_tilde - p induced at zero-probability p.
+
+    Raises DomainError wherever post_attack_prob does.
+    """
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"p = {p} outside [0, 1]")
+    return spec.psi(p, noise)
 
 
 def check_subtle(

@@ -42,7 +42,6 @@ __all__ = [
     "DetectorConfig",
     "SensorDecision",
     "DetectionReport",
-    "detect_sensor",
     "detect_all",
     "detect_from_probabilities",
     "lambda_from",
@@ -147,19 +146,6 @@ def _estimate(s: ScenarioConfig, data, j: int) -> DistanceEstimate:
     except KeyError:
         raise MissingSensorData(f"dataset has no record for sensor {j}") from None
     return nmle_distance(s, j, freq)
-
-
-def detect_sensor(s: ScenarioConfig, cfg: DetectorConfig, data, j: int) -> int:
-    """Decision for one sensor: 0 unattacked, 1 attacked."""
-    sensor = s.sensor(j)
-    if sensor.secure:
-        raise InvalidScenario(f"sensor {j} is secure and is never classified")
-    s1, s2 = s.secure_pair()
-    e1, e2 = _estimate(s, data, s1.id), _estimate(s, data, s2.id)
-    clip, ring1, ring2 = _secure_region(s, cfg, (e1.value, e2.value))
-    est = _estimate(s, data, j)
-    circle = ClippedCircle(sensor.position, est.value, clip)
-    return _decide(cfg, circle, ring1, ring2)
 
 
 def _classify(

@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "QuantLocError",
+    "DomainError",
+    "InvalidScenario",
+    "EmptyData",
+    "NoIntersection",
+    "ParseError",
+    "VariantMismatch",
+    "MissingSensorData",
+    "TangentDegenerate",
+    "AssumptionWarning",
+    "AdvisoryWarning",
+]
+
 
 class QuantLocError(Exception):
     """Base class for all package-specific errors."""

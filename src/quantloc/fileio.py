@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -168,22 +169,35 @@ def _attack_ids(value: Any, path: str) -> list[int]:
     raise ParseError(f"{path}: expected an id list or a range object, got {value!r}")
 
 
-def _attack_spec(variant: str, params: Mapping[str, Any], path: str) -> AttackSpec:
-    try:
-        if variant == "none":
-            return NoAttack()
-        if variant == "mima":
-            return Mima(
-                psi0=_number(_get(params, "psi0", path), f"{path}.psi0"),
-                psi1=_number(_get(params, "psi1", path), f"{path}.psi1"),
+_VARIANTS: dict[str, type[AttackSpec]] = {
+    cls.variant: cls for cls in (NoAttack, Mima, PsiOffset, SpoofBias)
+}
+
+
+def _param_names(variant: str) -> list[str]:
+    """A variant's JSON params: its dataclass fields, in declaration order."""
+    return [f.name for f in fields(_VARIANTS[variant]) if f.init]
+
+
+def _attack_spec(variant: Any, params: Any, path: str) -> AttackSpec:
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise ParseError(f"{path}.variant: unknown attack variant {variant!r}")
+    if not isinstance(params, Mapping):
+        raise ParseError(f"{path}.params: expected an object, got {params!r}")
+    names = _param_names(variant)
+    for key in params:
+        if key not in names:
+            raise ParseError(
+                f"{path}.params.{key}: unknown parameter for variant {variant!r}"
             )
-        if variant == "psi_offset":
-            return PsiOffset(offset=_number(_get(params, "offset", path), f"{path}.offset"))
-        if variant == "spoof_bias":
-            return SpoofBias(bias=_number(_get(params, "bias", path), f"{path}.bias"))
+    values = {
+        name: _number(_get(params, name, f"{path}.params"), f"{path}.params.{name}")
+        for name in names
+    }
+    try:
+        return _VARIANTS[variant](**values)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    raise ParseError(f"{path}.variant: unknown attack variant {variant!r}")
 
 
 def _parse_attacks(entries: Any) -> AttackAssignment:
@@ -278,12 +292,9 @@ def _spec_entry(ids: list[int], spec: AttackSpec) -> dict[str, Any]:
         "ids": {"range": [ids[0], ids[-1]]} if contiguous else ids,
         "variant": spec.variant,
     }
-    if isinstance(spec, Mima):
-        entry["params"] = {"psi0": spec.psi0, "psi1": spec.psi1}
-    elif isinstance(spec, PsiOffset):
-        entry["params"] = {"offset": spec.offset}
-    elif isinstance(spec, SpoofBias):
-        entry["params"] = {"bias": spec.bias}
+    params = {name: getattr(spec, name) for name in _param_names(spec.variant)}
+    if params:
+        entry["params"] = params
     return entry
 
 

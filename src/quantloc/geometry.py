@@ -29,7 +29,6 @@ __all__ = [
     "HalfSpace",
     "ClippedCircle",
     "Ring",
-    "Ball",
     "ring_member",
     "circle_circle_intersection",
     "phi_bound",
@@ -114,17 +113,6 @@ class Ring:
     @property
     def r_outer(self) -> float:
         return self.radius + self.half_width
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: Point
-    radius: float
-    clip: HalfSpace
-
-    def __post_init__(self) -> None:
-        if not (self.radius >= 0.0 and math.isfinite(self.radius)):
-            raise DomainError(f"radius must be finite and >= 0, got {self.radius}")
 
 
 def ring_member(p: Point, r1: Ring, r2: Ring) -> bool:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import ExponentParams, RateReport, composite_exponents
-from .attacks import AttackAssignment, Mima, PsiOffset, SpoofBias, apply_attack, post_attack_prob
+from .attacks import AttackAssignment
 from .detector import (
     DetectionReport,
     DetectorConfig,
@@ -63,7 +63,6 @@ class ExperimentPlan:
     k_grid: tuple[int, ...]
     trials: int
     base_seed: int
-    scale_factor: float = 1.0
     threads: int = 0
     params: ExponentParams = field(default_factory=ExponentParams)
 
@@ -78,8 +77,6 @@ class ExperimentPlan:
             raise DomainError(f"k_grid must be strictly ascending, got {self.k_grid}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not (self.scale_factor > 0.0):
-            raise DomainError(f"scale_factor must be positive, got {self.scale_factor}")
         if self.threads < 0:
             raise DomainError(f"threads must be >= 0, got {self.threads}")
         self.assignment.validate_against(self.scenario)
@@ -94,38 +91,16 @@ def generate_dataset(
 ) -> QuantizedDataset:
     """One trial's post-attack bit records for every sensor.
 
-    Bit-domain attacks run the clean bits through the flip channel on the
-    attack stream.  Probability offsets are realized exactly by moving the
-    quantizer threshold to the value whose zero-probability is p + Psi, so
-    the same noise draws serve every offset.  Spoofing adds its bias to
-    the raw samples before quantization.
+    Each sensor's raw samples come from its noise stream; its attack spec
+    turns them into bits (``AttackSpec.bit_record``), drawing any flips
+    from the sensor's attack stream.
     """
     bits: dict[int, np.ndarray] = {}
     for sensor in scenario.sensors:
         j = sensor.id
-        spec = assignment.spec_for(j)
         samples = sample_signal(scenario, j, k, (base_seed, trial_index))
-        if isinstance(spec, SpoofBias):
-            samples = samples + spec.bias
-        if isinstance(spec, PsiOffset):
-            p = float(
-                sensor.noise.cdf(sensor.threshold - scenario.signal_mean(j))
-            )
-            tp = post_attack_prob(spec, p)
-            if tp <= 0.0:
-                record = np.ones(k, dtype=np.uint8)
-            elif tp >= 1.0:
-                record = np.zeros(k, dtype=np.uint8)
-            else:
-                tau_eff = scenario.signal_mean(j) + float(sensor.noise.inv_cdf(tp))
-                record = (samples > tau_eff).astype(np.uint8)
-        else:
-            record = (samples > sensor.threshold).astype(np.uint8)
-        if isinstance(spec, Mima):
-            record = apply_attack(
-                spec, record, (base_seed, trial_index, ATTACK_STREAM, j)
-            )
-        bits[j] = record
+        attack_seed = (base_seed, trial_index, ATTACK_STREAM, j)
+        bits[j] = assignment.spec_for(j).bit_record(samples, scenario, sensor, attack_seed)
     return QuantizedDataset(bits=bits, k=k, rng_seed=base_seed, trial_index=trial_index)
 
 

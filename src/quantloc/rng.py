@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = ["make_generator", "NOISE_STREAM", "ATTACK_STREAM"]
+
 # Stream tags.  Measurement noise and attack randomness must never share a
 # stream, so the same noise realization can be replayed under different
 # attacks.

@@ -28,6 +28,7 @@ from quantloc import (
     Point,
     Ring,
     ScenarioConfig,
+    bernoulli_kl,
     build_paper_setup,
     circle_circle_intersection,
     circle_meets_region_analytic,
@@ -43,9 +44,6 @@ from quantloc import (
     nmle_distance,
     prob_zero,
     quantize,
-    rate_eta1,
-    rate_eta2,
-    rate_eps,
     rho_bounds,
     roi_side,
     sample_signal,
@@ -89,7 +87,6 @@ def benchmark_delta_curves():
         k_grid=K_GRID,
         trials=200,
         base_seed=BASE_SEED,
-        scale_factor=1 / 25,
         threads=0,
     )
     with warnings.catch_warnings():
@@ -112,7 +109,6 @@ def attack_strength_rows(benchmark_delta_curves):
             k_grid=(100_000,),
             trials=200,
             base_seed=BASE_SEED,
-            scale_factor=1 / 25,
             threads=0,
         )
         with warnings.catch_warnings():
@@ -128,14 +124,11 @@ def test_criterion_01_rate_functions_match_kl_oracle():
         for f in np.linspace(0.0, 0.999, 100):
             t_up = f * (1.0 - p)
             t_dn = f * p
-            worst = max(worst, abs(rate_eta1(p, t_up) - _kl_bernoulli(p + t_up, p)))
-            worst = max(worst, abs(rate_eta2(p, t_dn) - _kl_bernoulli(p - t_dn, p)))
+            for q in (p + t_up, p - t_dn):
+                worst = max(worst, abs(bernoulli_kl(q, p) - _kl_bernoulli(q, p)))
             if f > 0.0:
-                eps_l = p * f
-                eps_u = p + (1.0 - p) * f
-                lo, hi = rate_eps(p, eps_l, eps_u)
-                worst = max(worst, abs(lo - _kl_bernoulli(eps_l, p)))
-                worst = max(worst, abs(hi - _kl_bernoulli(eps_u, p)))
+                for q in (p * f, p + (1.0 - p) * f):
+                    worst = max(worst, abs(bernoulli_kl(q, p) - _kl_bernoulli(q, p)))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-12
     assert elapsed < 1.0
@@ -156,8 +149,8 @@ def test_criterion_02_chernoff_bounds_dominate_exact_tails():
                 ]
                 upper = sum(weights[math.ceil(k * (pf + tf)) :])
                 lower = sum(weights[: math.floor(k * (pf - tf)) + 1])
-                assert float(upper) <= math.exp(-k * rate_eta1(p, t))
-                assert float(lower) <= math.exp(-k * rate_eta2(p, t))
+                assert float(upper) <= math.exp(-k * bernoulli_kl(p + t, p))
+                assert float(lower) <= math.exp(-k * bernoulli_kl(p - t, p))
                 checked += 1
     elapsed = time.perf_counter() - t0
     assert checked == 12

@@ -1,6 +1,7 @@
 """Rate functions, conversion factors, composite error exponents."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -10,17 +11,21 @@ from quantloc import (
     AttackAssignment,
     ExponentParams,
     Mima,
+    PsiOffset,
+    bernoulli_kl,
+    build_paper_setup,
+    compute_distance_bounds,
     composite_exponents,
     epsilon_bracket,
     no_attacks,
-    rate_eps,
-    rate_eta1,
-    rate_eta2,
+    post_attack_prob,
+    prob_zero,
     rho_bounds,
     standard_gaussian,
     xi_factor,
     xi_factor_from,
 )
+from quantloc.analysis import _sensor_rates
 
 KL_06_05 = 0.0201355135506888734205
 KL_07_05 = 0.0822828785050518463915
@@ -34,12 +39,14 @@ def _kl(a: float, b: float) -> float:
 
 
 def test_rates_match_frozen_relative_entropies():
-    assert rate_eta1(0.5, 0.1) == pytest.approx(KL_06_05, abs=1e-15)
-    assert rate_eta1(0.5, 0.2) == pytest.approx(KL_07_05, abs=1e-15)
-    assert rate_eta2(0.5, 0.2) == pytest.approx(KL_07_05, abs=1e-15)
-    lo, hi = rate_eps(0.5, 0.3, 0.7)
-    assert lo == pytest.approx(KL_07_05, abs=1e-15)
-    assert hi == pytest.approx(KL_07_05, abs=1e-15)
+    assert bernoulli_kl(0.6, 0.5) == pytest.approx(KL_06_05, abs=1e-15)
+    assert bernoulli_kl(0.7, 0.5) == pytest.approx(KL_07_05, abs=1e-15)
+    assert bernoulli_kl(0.3, 0.5) == pytest.approx(KL_07_05, abs=1e-15)
+    rates = _sensor_rates(0.5, 0.2, 0.3, 0.7)
+    assert rates.eta1 == pytest.approx(KL_07_05, abs=1e-15)
+    assert rates.eta2 == pytest.approx(KL_07_05, abs=1e-15)
+    assert rates.eta_eps_lower == pytest.approx(KL_07_05, abs=1e-15)
+    assert rates.eta_eps_upper == pytest.approx(KL_07_05, abs=1e-15)
 
 
 def test_rates_equal_relative_entropy_on_a_grid():
@@ -48,45 +55,101 @@ def test_rates_equal_relative_entropy_on_a_grid():
         for k in range(1, 8):
             t = k / 20.0
             if p + t < 1.0:
-                assert rate_eta1(p, t) == pytest.approx(_kl(p + t, p), abs=1e-12)
+                assert bernoulli_kl(p + t, p) == pytest.approx(_kl(p + t, p), abs=1e-12)
             if t < p:
-                assert rate_eta2(p, t) == pytest.approx(_kl(p - t, p), abs=1e-12)
-    lo, hi = rate_eps(0.4, 0.15, 0.75)
-    assert lo == pytest.approx(_kl(0.15, 0.4), abs=1e-13)
-    assert hi == pytest.approx(_kl(0.75, 0.4), abs=1e-13)
+                assert bernoulli_kl(p - t, p) == pytest.approx(_kl(p - t, p), abs=1e-12)
+    assert bernoulli_kl(0.15, 0.4) == pytest.approx(_kl(0.15, 0.4), abs=1e-13)
+    assert bernoulli_kl(0.75, 0.4) == pytest.approx(_kl(0.75, 0.4), abs=1e-13)
 
 
 def test_rate_boundary_conventions():
-    assert rate_eta1(0.3, 0.71) == math.inf
-    assert rate_eta1(0.3, 0.7) == pytest.approx(-math.log(0.3), abs=1e-14)
-    assert rate_eta1(0.3, 0.0) == 0.0
-    assert rate_eta2(0.3, 0.31) == math.inf
-    assert rate_eta2(0.3, 0.3) == pytest.approx(-math.log(0.7), abs=1e-14)
-    assert rate_eta2(0.3, 0.0) == 0.0
+    assert bernoulli_kl(0.3 + 0.71, 0.3) == math.inf
+    assert bernoulli_kl(1.0, 0.3) == pytest.approx(-math.log(0.3), abs=1e-14)
+    assert bernoulli_kl(0.3, 0.3) == 0.0
+    assert bernoulli_kl(0.3 - 0.31, 0.3) == math.inf
+    assert bernoulli_kl(0.0, 0.3) == pytest.approx(-math.log(0.7), abs=1e-14)
+    assert bernoulli_kl(math.inf, 0.3) == math.inf
+    assert bernoulli_kl(-math.inf, 0.3) == math.inf
+    # a frequency within rounding of 0 or 1 stays finite and continuous
+    assert bernoulli_kl(5e-324, 0.5) == pytest.approx(math.log(2.0), rel=1e-15)
+    assert bernoulli_kl(1.0 - 2.0**-53, 1e-3) == pytest.approx(
+        -math.log(1e-3), rel=1e-12
+    )
 
 
 def test_rate_domain_checks():
-    for p in (0.0, 1.0, -0.1, 1.1):
+    for p in (0.0, 1.0, -0.1, 1.1, math.nan):
         with pytest.raises(DomainError):
-            rate_eta1(p, 0.1)
-        with pytest.raises(DomainError):
-            rate_eta2(p, 0.1)
+            bernoulli_kl(0.5, p)
     with pytest.raises(DomainError):
-        rate_eta1(0.5, -0.1)
-    with pytest.raises(DomainError):
-        rate_eta2(0.5, math.inf)
+        bernoulli_kl(math.nan, 0.5)
     # escapes must be genuine deviations from the mean
-    for args in ((0.5, 0.5, 0.7), (0.5, 0.3, 0.5), (0.5, 0.0, 0.7), (0.5, 0.3, 1.0)):
+    for eps_l, eps_u in ((0.5, 0.7), (0.3, 0.5), (0.0, 0.7), (0.3, 1.0)):
         with pytest.raises(DomainError):
-            rate_eps(*args)
+            _sensor_rates(0.5, 0.1, eps_l, eps_u)
 
 
 def test_rates_increase_with_deviation():
     prev = 0.0
     for t in (0.05, 0.1, 0.2, 0.3, 0.4):
-        cur = rate_eta1(0.5, t)
+        cur = bernoulli_kl(0.5 + t, 0.5)
         assert cur > prev
         prev = cur
+
+
+def _kl_decimal(q: float, p: float) -> Decimal:
+    """D(q || p) at the exact binary values of q and p, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        qd, pd = Decimal(q), Decimal(p)
+        out = Decimal(0)
+        if qd > 0:
+            out += qd * (qd / pd).ln()
+        if qd < 1:
+            out += (1 - qd) * ((1 - qd) / (1 - pd)).ln()
+        return out
+
+
+@pytest.mark.parametrize("scale", [1 / 25, 1.0], ids=["scale_1_25", "full_scale"])
+def test_bernoulli_kl_matches_decimal_oracle_on_the_benchmark(scale):
+    """Every (q, p) composite_exponents forms, to 1e-8 relative.
+
+    At delta = 1 the deviation t is about 1e-6, so the two terms of the
+    divergence cancel to about one part in a million.
+    """
+    s, assignment = build_paper_setup(scale=scale)
+    bounds = compute_distance_bounds(s)
+    for delta in (1.0, 5.0, 260.0, 280.0, 300.0, 320.0):
+        report = composite_exponents(s, assignment, DetectorConfig(delta=delta))
+        worst = 0.0
+        for sensor in s.sensors:
+            j = sensor.id
+            p = prob_zero(s, j, s.target)
+            eps_l, eps_u = epsilon_bracket(s, j, None, bounds)
+            t = delta / (2.0 * xi_factor(s, j, None, bounds))
+            probs = [(p, report.plain[j])]
+            if not sensor.secure:
+                tp = post_attack_prob(assignment.spec_for(j), p, noise=sensor.noise)
+                probs.append((tp, report.tilde[j]))
+            for pp, rates in probs:
+                qs = (pp + t, pp - t, eps_l, eps_u)
+                for q, rate in zip(qs, rates.terms):
+                    assert rate == bernoulli_kl(q, pp)
+                    exact = _kl_decimal(q, pp)
+                    worst = max(worst, float(abs(Decimal(rate) - exact) / exact))
+        assert worst <= 1e-8, (delta, worst)
+
+
+def test_composite_exponents_reject_attacks_leaving_the_bracket(toy_scenario):
+    s = toy_scenario
+    cfg = DetectorConfig(delta=5.0)
+    p = prob_zero(s, 1, s.target)
+    eps_l, eps_u = epsilon_bracket(s, 1)
+    for offset in (eps_u - p + 1e-3, eps_l - p - 1e-3):
+        with pytest.raises(DomainError):
+            composite_exponents(s, AttackAssignment(specs={1: PsiOffset(offset)}), cfg)
+    inside = AttackAssignment(specs={1: PsiOffset(0.5 * (eps_u - p))})
+    assert composite_exponents(s, inside, cfg).miss_exponents[1] > 0.0
 
 
 def test_exponent_params_validation():

@@ -16,7 +16,6 @@ from quantloc import (
     SpoofBias,
     VariantMismatch,
     apply_attack,
-    apply_spoof,
     build_paper_setup,
     check_significant,
     check_subtle,
@@ -72,6 +71,16 @@ def test_post_attack_prob_domain_checks():
     assert psi_of(PsiOffset(-0.2), 0.5) == -0.2
 
 
+def test_impossible_offset_is_neither_psi_nor_significant():
+    # p + offset = 1.1 cannot happen: psi_of and check_significant raise,
+    # as post_attack_prob does, instead of reporting a distortion of 0.6
+    with pytest.raises(DomainError):
+        psi_of(PsiOffset(0.6), 0.5)
+    with pytest.raises(DomainError):
+        check_significant(PsiOffset(0.6), 0.5, kappa=0.01)
+    assert check_significant(PsiOffset(0.4), 0.5, kappa=0.01)
+
+
 def test_spoof_bias_probability_chain():
     noise = standard_gaussian()
     tp = post_attack_prob(SpoofBias(1.5), PHI_05, noise=noise)
@@ -84,13 +93,6 @@ def test_spoof_bias_probability_chain():
     # a saturated quantizer is immune to any finite bias
     assert post_attack_prob(SpoofBias(100.0), 0.0, noise=noise) == 0.0
     assert post_attack_prob(SpoofBias(100.0), 1.0, noise=noise) == 1.0
-
-
-def test_apply_spoof_adds_bias():
-    out = apply_spoof(SpoofBias(0.25), np.array([0.0, 1.0]))
-    np.testing.assert_allclose(out, [0.25, 1.25])
-    with pytest.raises(VariantMismatch):
-        apply_spoof(Mima(0.0, 0.1), np.array([0.0]))
 
 
 def test_apply_attack_variants_and_determinism():

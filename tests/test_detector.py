@@ -11,7 +11,6 @@ from quantloc import (
     AttackAssignment,
     DetectorConfig,
     DomainError,
-    InvalidScenario,
     Mima,
     MissingSensorData,
     attacked_distance,
@@ -20,7 +19,6 @@ from quantloc import (
     delta_admissible_from,
     detect_all,
     detect_from_probabilities,
-    detect_sensor,
     distance,
     generate_dataset,
     lambda_from,
@@ -92,12 +90,6 @@ def test_exact_feed_requires_all_probabilities(toy_scenario):
         detect_from_probabilities(toy_scenario, DetectorConfig(delta=5.0), probs)
 
 
-def test_detect_sensor_rejects_secure_targets(toy_scenario):
-    data = generate_dataset(toy_scenario, no_attacks(), 1000, base_seed=0, trial_index=0)
-    with pytest.raises(InvalidScenario):
-        detect_sensor(toy_scenario, DetectorConfig(delta=5.0), data, 3)
-
-
 def test_detect_all_on_clean_data(toy_scenario):
     s = toy_scenario
     data = generate_dataset(s, no_attacks(), 200_000, base_seed=1, trial_index=0)
@@ -108,8 +100,6 @@ def test_detect_all_on_clean_data(toy_scenario):
     assert [row.sensor_id for row in report.rows] == [1, 2]
     assert report.decisions == {1: 0, 2: 0}
     assert report.k == 200_000
-    for j in (1, 2):
-        assert report.decision_for(j) == detect_sensor(s, cfg, data, j)
     table = report.to_table()
     lines = table.strip().split("\n")
     assert lines[0] == "sensor_id\tdecision\tD_hat\tclamped\tmethod\tdelta"

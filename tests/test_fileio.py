@@ -5,14 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantloc import (
+    AttackAssignment,
     DomainError,
     GaussianNoise,
     Mima,
+    NoAttack,
     ParseError,
     Point,
     PsiOffset,
+    SpoofBias,
     QuantizedDataset,
     build_paper_setup,
     load_dataset,
@@ -161,6 +166,40 @@ def test_parse_attacks_with_ranges_and_lists():
             ),
             "psi0",
         ),
+        (
+            lambda d: d.update(attacks=[{"ids": [1], "variant": "mima", "params": {"psi0": 0}}]),
+            "attacks[0].params: missing required field 'psi1'",
+        ),
+        (
+            lambda d: d.update(attacks=[{"ids": [1], "variant": 7}]),
+            "attacks[0].variant: unknown attack variant 7",
+        ),
+        (
+            lambda d: d.update(attacks=[{"ids": [1], "variant": ["mima"]}]),
+            "attacks[0].variant: unknown attack variant ['mima']",
+        ),
+        (
+            lambda d: d.update(
+                attacks=[
+                    {"ids": [1], "variant": "mima", "params": {"psi0": 0, "psi1": 0.1, "bias": 2}}
+                ]
+            ),
+            "attacks[0].params.bias: unknown parameter for variant 'mima'",
+        ),
+        (
+            lambda d: d.update(attacks=[{"ids": [1], "variant": "none", "params": {"offset": 0}}]),
+            "attacks[0].params.offset: unknown parameter",
+        ),
+        (
+            lambda d: d.update(attacks=[{"ids": [1], "variant": "spoof_bias", "params": [1.0]}]),
+            "attacks[0].params: expected an object",
+        ),
+        (
+            lambda d: d.update(
+                attacks=[{"ids": [1], "variant": "psi_offset", "params": {"offset": "x"}}]
+            ),
+            "attacks[0].params.offset: expected a number",
+        ),
         (lambda d: d["sensors"].pop(4), "scenario invalid"),
         (lambda d: d.update(target=[0.0, 300.0]), "scenario invalid"),
     ],
@@ -183,6 +222,13 @@ def test_render_round_trip_and_byte_stability(toy_scenario, tmp_path):
     assignment = AttackAssignment(specs={1: Mima(0.0, 0.0105)})
     text = render_scenario(toy_scenario, assignment)
     assert text == render_scenario(toy_scenario, assignment)
+    [entry] = json.loads(text)["attacks"]
+    assert list(entry.items()) == [
+        ("ids", [1]),
+        ("variant", "mima"),
+        ("params", {"psi0": 0.0, "psi1": 0.0105}),
+    ]
+    assert list(entry["params"]) == ["psi0", "psi1"]
     s2, a2 = parse_scenario(text)
     assert s2 == toy_scenario
     assert a2 == assignment
@@ -191,6 +237,30 @@ def test_render_round_trip_and_byte_stability(toy_scenario, tmp_path):
     save_scenario(toy_scenario, path, assignment)
     s3, a3 = load_scenario(path)
     assert s3 == toy_scenario and a3 == assignment
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_specs = st.one_of(
+    st.just(NoAttack()),
+    st.builds(Mima, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(PsiOffset, _finite),
+    st.builds(SpoofBias, _finite),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs=st.dictionaries(st.sampled_from([1, 2, 3]), _specs, min_size=1))
+def test_every_attack_variant_round_trips_byte_identically(toy_scenario_doc, specs):
+    s, _ = parse_scenario(toy_scenario_doc)
+    text = render_scenario(s, AttackAssignment(specs=specs))
+    s2, a2 = parse_scenario(text)
+    assert render_scenario(s2, a2) == text
+    assert a2.specs == specs
+
+
+@pytest.fixture(scope="module")
+def toy_scenario_doc():
+    return json.dumps(_base_doc())
 
 
 def test_paper_setup_validation():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from quantloc import (
-    Ball,
     ClippedCircle,
     DistanceBounds,
     DomainError,
@@ -56,8 +55,6 @@ def test_ring_and_circle_validation():
     assert wide.r_outer == 4.0
     with pytest.raises(DomainError):
         ClippedCircle(Point(0.0, 0.0), -1.0, UPPER)
-    with pytest.raises(DomainError):
-        Ball(Point(0.0, 0.0), -1.0, UPPER)
     assert ClippedCircle(Point(0.0, 0.0), 0.0, UPPER).radius == 0.0
 
 

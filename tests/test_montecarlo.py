@@ -56,8 +56,6 @@ def test_plan_validation(toy_scenario):
     with pytest.raises(DomainError):
         _plan(s, no_attacks(), trials=0)
     with pytest.raises(DomainError):
-        _plan(s, no_attacks(), scale_factor=0.0)
-    with pytest.raises(DomainError):
         _plan(s, no_attacks(), threads=-1)
     with pytest.raises(InvalidScenario):
         _plan(s, AttackAssignment(specs={3: Mima(0.0, 0.1)}))
@@ -83,6 +81,27 @@ def test_generate_dataset_prefix_property(toy_scenario):
         long = generate_dataset(s, assignment, 1000, base_seed=7, trial_index=0)
         for j in long.bits:
             np.testing.assert_array_equal(long.bits[j][:500], short.bits[j])
+
+
+def test_generate_dataset_zero_counts_are_pinned(toy_scenario):
+    """Frozen seeded zero counts per sensor and variant.
+
+    Any change to a random stream or to a variant's bit record moves them.
+    """
+    s = toy_scenario
+    p1, p2 = prob_zero(s, 1, s.target), prob_zero(s, 2, s.target)
+    cases = {
+        "none": ({}, [1086, 1053, 1406, 1438]),
+        "mima": ({1: Mima(0.1, 0.2), 2: Mima(0.1, 0.2)}, [1180, 1112, 1406, 1438]),
+        "offset": ({1: PsiOffset(0.05), 2: PsiOffset(0.05)}, [1182, 1157, 1406, 1438]),
+        # p + offset lands exactly on 0 and on 1: the quantizer saturates
+        "saturated": ({1: PsiOffset(-p1), 2: PsiOffset(1.0 - p2)}, [0, 2000, 1406, 1438]),
+        "spoof": ({1: SpoofBias(0.5), 2: SpoofBias(0.5)}, [674, 654, 1406, 1438]),
+    }
+    for name, (specs, expected) in cases.items():
+        data = generate_dataset(s, AttackAssignment(specs=specs), 2000, base_seed=11, trial_index=3)
+        zeros = [int(data.bits[j].size - data.bits[j].sum()) for j in (1, 2, 3, 4)]
+        assert zeros == expected, name
 
 
 def test_probability_offset_realized_exactly(toy_scenario):
