@@ -76,7 +76,7 @@ bits = quantize(scenario, sensor_id, signal)
 print("\n      K        xi_hat       D_hat    rel_error")
 for k in k_ladder:
     freq = empirical_freq(bits[:k])
-    estimate = nmle_distance(scenario, sensor_id, freq, k_samples=k)
+    estimate = nmle_distance(scenario, sensor_id, freq)
     rel = abs(float(estimate) - true_distance) / true_distance
     flag = "  (clamped)" if estimate.clamped else ""
     print(f"{k:>9d}   {freq.xi:.6f}   {float(estimate):9.4f}   {rel:9.2e}{flag}")
@@ -89,8 +89,7 @@ print()
 for anchor_id in (3, 4):
     sig = sample_signal(scenario, anchor_id, k_ladder[-1], seed=(2026, 0))
     est = nmle_distance(
-        scenario, anchor_id, empirical_freq(quantize(scenario, anchor_id, sig)),
-        k_samples=k_ladder[-1],
+        scenario, anchor_id, empirical_freq(quantize(scenario, anchor_id, sig))
     )
     true_d = math.hypot(
         scenario.sensor(anchor_id).position.x - scenario.target.x,

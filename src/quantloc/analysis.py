@@ -26,7 +26,7 @@ from .attacks import AttackAssignment, post_attack_prob
 from .detector import DetectorConfig
 from .errors import DomainError
 from .measurement import prob_zero
-from .noise import NoiseModel
+from .noise import GaussianNoise
 from .scenario import ScenarioConfig, compute_distance_bounds, rho_bounds
 
 __all__ = [
@@ -70,16 +70,15 @@ def epsilon_bracket(
 ) -> tuple[float, float]:
     """The widened frequency bracket (eps_L, eps_U) for sensor j."""
     params = params or ExponentParams()
-    sensor = s.sensor(j)
     rho_l, rho_u = rho_bounds(s, j, bounds)
-    f_tau = float(sensor.noise.cdf(sensor.threshold))
+    f_tau = s.sensor(j).zero_prob()
     eps_l = params.sigma_l * rho_l
     eps_u = params.sigma_u * rho_u + (1.0 - params.sigma_u) * f_tau
     return eps_l, eps_u
 
 
 def xi_factor_from(
-    noise: NoiseModel,
+    noise: GaussianNoise,
     tau: float,
     p0: float,
     d0: float,
@@ -126,11 +125,14 @@ def bernoulli_kl(q: float, p: float) -> float:
 
     The Chernoff rate of a frequency with mean p reaching q.  Takes
     0 * ln 0 = 0, returns inf for q outside [0, 1] and raises DomainError
-    for p outside (0, 1).  Each term is written in the deviation q - p, as
-    log1p((q - p) / p) and log1p((p - q) / (1 - p)), which stays accurate
-    when q is close to p and the two terms nearly cancel.  A ratio that
-    rounds onto the log1p pole (q within rounding of 0 or 1) takes the
-    plain logarithm instead.
+    for p outside (0, 1).  Written in the relative deviations
+    x = (q - p) / p and y = (p - q) / (1 - p), whose weighted sum
+    p x + (1 - p) y is zero, as
+
+        D = p phi(x) + (1 - p) phi(y),   phi(x) = (1 + x) ln(1 + x) - x,
+
+    both terms are non-negative, so nothing cancels however close q is
+    to p.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
@@ -139,15 +141,28 @@ def bernoulli_kl(q: float, p: float) -> float:
     if not (0.0 <= q <= 1.0):
         return INF
     gap = q - p
-    return _weighted_log_ratio(q, p, gap) + _weighted_log_ratio(1.0 - q, 1.0 - p, -gap)
+    return p * _phi(gap / p) + (1.0 - p) * _phi(-gap / (1.0 - p))
 
 
-def _weighted_log_ratio(a: float, b: float, gap: float) -> float:
-    """a * ln(a / b) with 0 * ln 0 = 0, given gap = a - b."""
-    if a == 0.0:
-        return 0.0
-    x = gap / b
-    return a * (math.log1p(x) if x > -1.0 else math.log(a / b))
+# Below this |x| phi is summed as a series; 16 terms reach double precision.
+_PHI_SERIES_MAX = 0.1
+
+
+def _phi(x: float) -> float:
+    """phi(x) = (1 + x) ln(1 + x) - x for x >= -1, with phi(-1) = 1 (0 ln 0 = 0).
+
+    Near 0, phi is the series sum_{k >= 2} (-x)^k / (k (k - 1)), free of
+    the cancellation between (1 + x) ln(1 + x) and x.
+    """
+    if x <= -1.0:
+        return 1.0
+    if abs(x) >= _PHI_SERIES_MAX:
+        return (1.0 + x) * math.log1p(x) - x
+    total, power = 0.0, x * x
+    for k in range(2, 18):
+        total += power / (k * (k - 1))
+        power *= -x
+    return total
 
 
 @dataclass(frozen=True)

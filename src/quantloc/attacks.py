@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DomainError, InvalidScenario, VariantMismatch
-from .noise import NoiseModel
+from .noise import GaussianNoise
 from .rng import Entropy, make_generator
 from .scenario import DistanceBounds, ScenarioConfig, SensorSpec, rho_bounds
 
@@ -57,11 +57,11 @@ class AttackSpec:
     def is_attack(self) -> bool:
         return self.variant != "none"
 
-    def shift(self, p: float, noise: NoiseModel | None = None) -> float:
+    def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
         """Zero-probability after the attack, from the clean zero-probability p."""
         return p
 
-    def psi(self, p: float, noise: NoiseModel | None = None) -> float:
+    def psi(self, p: float, noise: GaussianNoise | None = None) -> float:
         """The offset Psi = p_tilde - p."""
         return self.shift(p, noise) - p
 
@@ -100,7 +100,7 @@ class Mima(AttackSpec):
             if not (0.0 <= value <= 1.0):
                 raise DomainError(f"{name} = {value} outside [0, 1]")
 
-    def shift(self, p: float, noise: NoiseModel | None = None) -> float:
+    def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
         tp = (1.0 - self.psi0 - self.psi1) * p + self.psi1
         return min(max(tp, 0.0), 1.0)
 
@@ -129,7 +129,7 @@ class PsiOffset(AttackSpec):
         if not np.isfinite(self.offset):
             raise DomainError(f"offset must be finite, got {self.offset}")
 
-    def shift(self, p: float, noise: NoiseModel | None = None) -> float:
+    def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
         tp = p + self.offset
         if not (0.0 <= tp <= 1.0):
             raise DomainError(
@@ -137,7 +137,7 @@ class PsiOffset(AttackSpec):
             )
         return tp
 
-    def psi(self, p: float, noise: NoiseModel | None = None) -> float:
+    def psi(self, p: float, noise: GaussianNoise | None = None) -> float:
         self.shift(p)  # raises where p + offset leaves [0, 1]
         return self.offset  # exact, where p + offset - p may round
 
@@ -145,7 +145,7 @@ class PsiOffset(AttackSpec):
         self, samples: np.ndarray, s: ScenarioConfig, sensor: SensorSpec, seed: Entropy
     ) -> np.ndarray:
         mean = s.signal_mean(sensor.id)
-        tp = self.shift(float(sensor.noise.cdf(sensor.threshold - mean)))
+        tp = self.shift(sensor.zero_prob(mean))
         if tp <= 0.0:
             return np.ones(samples.size, dtype=np.uint8)
         if tp >= 1.0:
@@ -164,7 +164,7 @@ class SpoofBias(AttackSpec):
         if not np.isfinite(self.bias):
             raise DomainError(f"bias must be finite, got {self.bias}")
 
-    def shift(self, p: float, noise: NoiseModel | None = None) -> float:
+    def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
         """Moves the threshold crossing, so it needs the sensor's noise model."""
         if noise is None:
             raise DomainError("spoofing bias needs the sensor's noise model")
@@ -199,7 +199,7 @@ def apply_attack(spec: AttackSpec, bits: np.ndarray, seed: Entropy) -> np.ndarra
 
 
 def post_attack_prob(
-    spec: AttackSpec, p: float, noise: NoiseModel | None = None
+    spec: AttackSpec, p: float, noise: GaussianNoise | None = None
 ) -> float:
     """Zero-probability after the attack acts on Bernoulli bits with Pr(0) = p.
 
@@ -211,7 +211,7 @@ def post_attack_prob(
     return spec.shift(p, noise)
 
 
-def psi_of(spec: AttackSpec, p: float, noise: NoiseModel | None = None) -> float:
+def psi_of(spec: AttackSpec, p: float, noise: GaussianNoise | None = None) -> float:
     """Probability offset Psi = p_tilde - p induced at zero-probability p.
 
     Raises DomainError wherever post_attack_prob does.
@@ -234,8 +234,7 @@ def check_subtle(
     cannot screen it out by frequency alone.
     """
     sensor = s.sensor(j)
-    p = float(sensor.noise.cdf(sensor.threshold - s.signal_mean(j)))
-    tp = post_attack_prob(spec, p, noise=sensor.noise)
+    tp = post_attack_prob(spec, sensor.zero_prob(s.signal_mean(j)), noise=sensor.noise)
     rho_l, rho_u = rho_bounds(s, j, bounds)
     return rho_l <= tp <= rho_u
 
@@ -244,7 +243,7 @@ def check_significant(
     spec: AttackSpec,
     p: float,
     kappa: float,
-    noise: NoiseModel | None = None,
+    noise: GaussianNoise | None = None,
 ) -> bool:
     """Whether the attack distorts the zero-probability by more than kappa."""
     if not (kappa > 0.0):

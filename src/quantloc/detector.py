@@ -29,7 +29,7 @@ from .geometry import (
     circle_meets_region_discretized,
 )
 from .measurement import DistanceEstimate, attacked_distance, nmle_distance
-from .noise import NoiseModel
+from .noise import GaussianNoise
 from .scenario import (
     ScenarioConfig,
     compute_distance_bounds,
@@ -213,7 +213,7 @@ def detect_from_probabilities(
 
 
 def lambda_from(
-    noise: NoiseModel,
+    noise: GaussianNoise,
     tau: float,
     p0: float,
     d0: float,

@@ -21,7 +21,7 @@ import numpy as np
 from .attacks import AttackAssignment, AttackSpec, Mima, NoAttack, PsiOffset, SpoofBias
 from .errors import DomainError, InvalidScenario, ParseError
 from .measurement import QuantizedDataset
-from .noise import GaussianNoise, NoiseModel
+from .noise import GaussianNoise
 from .scenario import Point, RoiDisc, ScenarioConfig, SensorSpec
 
 __all__ = [
@@ -67,13 +67,19 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
+def _boolean(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 def _point(value: Any, path: str) -> Point:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ParseError(f"{path}: expected [x, y], got {value!r}")
     return Point(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
-def _noise(value: Any, path: str) -> NoiseModel:
+def _noise(value: Any, path: str) -> GaussianNoise:
     kind = _get(value, "kind", path)
     if kind == "gaussian":
         return GaussianNoise(
@@ -83,10 +89,8 @@ def _noise(value: Any, path: str) -> NoiseModel:
     raise ParseError(f"{path}.kind: unknown noise model {kind!r}")
 
 
-def _noise_dict(noise: NoiseModel) -> dict[str, Any]:
-    if isinstance(noise, GaussianNoise):
-        return {"kind": "gaussian", "location": noise.location, "scale": noise.scale}
-    raise DomainError(f"cannot serialize noise model {type(noise).__name__}")
+def _noise_dict(noise: GaussianNoise) -> dict[str, Any]:
+    return {"kind": "gaussian", "location": noise.location, "scale": noise.scale}
 
 
 def _linspace_block(block: Mapping[str, Any], path: str) -> list[float]:
@@ -95,8 +99,8 @@ def _linspace_block(block: Mapping[str, Any], path: str) -> list[float]:
         raise ParseError(f"{path}.count: must be >= 1, got {count}")
     start = _number(_get(block, "start", path), f"{path}.start")
     stop = _number(_get(block, "stop", path), f"{path}.stop")
-    include_start = bool(block.get("include_start", True))
-    include_stop = bool(block.get("include_stop", True))
+    include_start = _boolean(block.get("include_start", True), f"{path}.include_start")
+    include_stop = _boolean(block.get("include_stop", True), f"{path}.include_stop")
     extra = 2 - int(include_start) - int(include_stop)
     xs = np.linspace(start, stop, count + extra)
     if not include_start:
@@ -109,7 +113,7 @@ def _linspace_block(block: Mapping[str, Any], path: str) -> list[float]:
 def _parse_sensors(
     entries: Any,
     default_threshold: float,
-    default_noise: NoiseModel,
+    default_noise: GaussianNoise,
 ) -> tuple[SensorSpec, ...]:
     if not isinstance(entries, list) or not entries:
         raise ParseError("sensors: expected a nonempty list")
@@ -148,7 +152,7 @@ def _parse_sensors(
                     position=_point(_get(entry, "position", path), f"{path}.position"),
                     threshold=threshold,
                     noise=noise,
-                    secure=bool(entry.get("secure", False)),
+                    secure=_boolean(entry.get("secure", False), f"{path}.secure"),
                 )
             )
     return tuple(sensors)
@@ -271,7 +275,7 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, AttackAssignment]:
 
 
 def _sensor_dict(
-    sensor: SensorSpec, default_threshold: float, default_noise: NoiseModel
+    sensor: SensorSpec, default_threshold: float, default_noise: GaussianNoise
 ) -> dict[str, Any]:
     entry: dict[str, Any] = {
         "id": sensor.id,

@@ -1,9 +1,11 @@
 """Observation pipeline: signals, one-bit quantization, distance estimation.
 
-The received sample at sensor j is s_jk = p0 (d0 / D_j)^gamma + n_jk; the
-sensor forwards u_jk = 1{s_jk > tau_j} (open at tau_j).  From the zero-bit
-fraction xi the fusion center inverts the noise CDF to get the naive
-maximum-likelihood distance estimate
+The received sample at sensor j is s_jk = p0 (d0 / D_j)^gamma + n_jk with
+Gaussian noise n_jk; the sensor forwards u_jk = 1{s_jk > tau_j} (open at
+tau_j).  The zero-bit probability is therefore F_j(tau_j - power), given by
+``SensorSpec.zero_prob``, and tends to F_j(tau_j) as the target recedes.
+From the zero-bit fraction xi the fusion center inverts that map to get the
+naive maximum-likelihood distance estimate
 
     D_hat = d0 * p0^(1/gamma) * (tau_j - F_j^{-1}(xi))^(-1/gamma),
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyData
 from .rng import NOISE_STREAM, Entropy, make_generator
-from .scenario import Point, ScenarioConfig
+from .scenario import Point, ScenarioConfig, SensorSpec
 
 __all__ = [
     "QuantizedDataset",
@@ -88,17 +90,10 @@ def sample_signal(
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    sensor = s.sensor(j)
-    mean = s.signal_mean(j)
+    noise = s.sensor(j).noise
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     rng = make_generator((*entropy, NOISE_STREAM, j))
-    # Non-Gaussian models draw through their inverse CDF; the Gaussian path
-    # stays on the native generator for speed.
-    if sensor.noise.kind == "gaussian":
-        noise = rng.standard_normal(k)
-        return mean + sensor.noise.location + sensor.noise.scale * noise
-    u = np.clip(rng.random(k), 1e-15, 1.0 - 1e-15)
-    return mean + sensor.noise.inv_cdf(u)
+    return s.signal_mean(j) + noise.location + noise.scale * rng.standard_normal(k)
 
 
 def quantize(s: ScenarioConfig, j: int, samples: np.ndarray) -> np.ndarray:
@@ -119,8 +114,7 @@ def prob_zero(s: ScenarioConfig, j: int, target: Point) -> float:
             "guarantees do not apply",
             stacklevel=2,
         )
-    sensor = s.sensor(j)
-    return float(sensor.noise.cdf(sensor.threshold - s.signal_mean(j, target)))
+    return s.sensor(j).zero_prob(s.signal_mean(j, target))
 
 
 def empirical_freq(bits: np.ndarray) -> EmpiricalFreq:
@@ -143,43 +137,36 @@ class DistanceEstimate:
         return self.value
 
 
-def _invert(s: ScenarioConfig, j: int, prob: float) -> float:
-    sensor = s.sensor(j)
+def _invert(s: ScenarioConfig, sensor: SensorSpec, prob: float) -> float:
     base = sensor.threshold - sensor.noise.inv_cdf(prob)
     return s.d0 * (s.p0 / base) ** (1.0 / s.gamma)
 
 
 def nmle_distance(
-    s: ScenarioConfig,
-    j: int,
-    xi: EmpiricalFreq | float,
-    k_samples: int | None = None,
-    xi_min: float | None = None,
+    s: ScenarioConfig, j: int, xi: EmpiricalFreq | float
 ) -> DistanceEstimate:
     """Naive-MLE distance from a zero-bit frequency.
 
     The estimator is undefined at xi = 0 and xi >= F_j(tau_j), so xi is
-    clamped into [xi_min, F_j(tau_j) - xi_min] first, with xi_min
-    defaulting to 1/(2K) (a half count).  A record so short that the
-    interval collapses (K = 1 with a low threshold, say) pins xi to
-    F_j(tau_j)/2.  The clamp is reported, not raised: a clamped estimate is
-    wildly wrong and drives the geometric test toward "attacked", which is
-    the right failure mode.
+    clamped into [xi_min, F_j(tau_j) - xi_min] first, with xi_min = 1/(2K)
+    (a half count) for an ``EmpiricalFreq`` and 1e-12 for a bare float.  A
+    record so short that the interval collapses (K = 1 with a low
+    threshold, say) pins xi to F_j(tau_j)/2.  The clamp is reported, not
+    raised: a clamped estimate is wildly wrong and drives the geometric test
+    toward "attacked", which is the right failure mode.
     """
     if isinstance(xi, EmpiricalFreq):
-        value, k_eff = xi.xi, xi.k_samples
+        value, xi_min = xi.xi, 1.0 / (2.0 * xi.k_samples)
     else:
-        value, k_eff = float(xi), k_samples
+        value, xi_min = float(xi), 1e-12
     sensor = s.sensor(j)
-    f_tau = float(sensor.noise.cdf(sensor.threshold))
-    if xi_min is None:
-        xi_min = 1.0 / (2.0 * k_eff) if k_eff else 1e-12
+    f_tau = sensor.zero_prob()
     lo, hi = xi_min, f_tau - xi_min
     if lo > hi:
         lo = hi = f_tau / 2.0
     clamped = not (lo <= value <= hi)
     used = min(max(value, lo), hi)
-    return DistanceEstimate(value=_invert(s, j, used), clamped=clamped, xi_used=used)
+    return DistanceEstimate(_invert(s, sensor, used), clamped, used)
 
 
 def attacked_distance(s: ScenarioConfig, j: int, tp: float) -> float:
@@ -189,9 +176,9 @@ def attacked_distance(s: ScenarioConfig, j: int, tp: float) -> float:
     (0, F_j(tau_j)).
     """
     sensor = s.sensor(j)
-    f_tau = float(sensor.noise.cdf(sensor.threshold))
+    f_tau = sensor.zero_prob()
     if not (0.0 < tp < f_tau):
         raise DomainError(
             f"shifted probability {tp} outside (0, {f_tau}) for sensor {j}"
         )
-    return _invert(s, j, tp)
+    return _invert(s, sensor, tp)

@@ -249,6 +249,9 @@ def _count_trial(
 def _threads(plan: ExperimentPlan) -> int:
     if plan.threads > 0:
         return plan.threads
+    # Count the CPUs this process may run on, not every CPU of the machine.
+    if hasattr(os, "sched_getaffinity"):
+        return min(32, len(os.sched_getaffinity(0)))
     return min(32, os.cpu_count() or 1)
 
 

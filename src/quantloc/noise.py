@@ -1,16 +1,16 @@
-"""Additive noise models: density, CDF, inverse CDF, interval extrema.
+"""Gaussian sensor noise: density, CDF, inverse CDF, interval extrema.
 
-The sensing model needs four things from a noise law: the density f, the
+Every sensor's raw sample is its received power plus Gaussian noise.  The
+sensing model needs four things from that law: the density f, the
 distribution function F, its inverse, and the extreme values of f over an
 interval (those extrema enter the separation constant and the estimator's
-sensitivity factor).  Models are declared unimodal so interval extrema have
-a closed form; anything non-unimodal must override ``density_extremum``.
+sensitivity factor).  The density is unimodal, so interval extrema have a
+closed form.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,72 +18,21 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 
-__all__ = ["NoiseModel", "GaussianNoise", "standard_gaussian"]
-
-
-class NoiseModel(ABC):
-    """A continuous, unimodal noise distribution.
-
-    Contract: density(x) >= 0 and continuous; cdf nondecreasing with limits
-    0 and 1; inv_cdf(cdf(x)) = x within 1e-10 wherever cdf(x) is not within
-    1e-12 of 0 or 1; density(inv_cdf(q)) > 0 for q in (0, 1).
-    """
-
-    kind: str
-
-    @abstractmethod
-    def density(self, x: float) -> float: ...
-
-    @abstractmethod
-    def cdf(self, x: float) -> float: ...
-
-    @abstractmethod
-    def inv_cdf(self, q: float) -> float: ...
-
-    @abstractmethod
-    def mode(self) -> float:
-        """Location of the density maximum (unique by unimodality)."""
-
-    def density_extremum(self, lo: float, hi: float, mode: str) -> float:
-        """Exact sup or inf of the density over [lo, hi].
-
-        For a unimodal density the supremum sits at the mode if the interval
-        contains it, else at the endpoint nearest the mode; the infimum is
-        always at an endpoint.
-
-        mode: "sup" or "inf".
-        """
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-            raise DomainError(f"invalid interval [{lo}, {hi}]")
-        f_lo = self.density(lo)
-        f_hi = self.density(hi)
-        if f_lo <= 0.0 or f_hi <= 0.0:
-            raise DomainError(
-                f"interval [{lo}, {hi}] leaves the positive-density region"
-            )
-        if mode == "sup":
-            m = self.mode()
-            if lo <= m <= hi:
-                return self.density(m)
-            return max(f_lo, f_hi)
-        if mode == "inf":
-            return min(f_lo, f_hi)
-        raise DomainError(f"mode must be 'sup' or 'inf', got {mode!r}")
+__all__ = ["GaussianNoise", "standard_gaussian"]
 
 
 @dataclass(frozen=True)
-class GaussianNoise(NoiseModel):
+class GaussianNoise:
     """Gaussian noise with the given location and scale.
 
     cdf/inv_cdf delegate to scipy's ndtr/ndtri, whose absolute error is well
     below 1e-12 over the whole double range; every downstream probability
-    inherits that accuracy.  The support is all reals, so support checks are
-    vacuously satisfied.
+    inherits that accuracy.  inv_cdf(cdf(x)) = x within 1e-10 wherever
+    cdf(x) is not within 1e-12 of 0 or 1.
     """
 
     location: float = 0.0
     scale: float = 1.0
-    kind: str = "gaussian"
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
@@ -109,7 +58,33 @@ class GaussianNoise(NoiseModel):
         return float(out) if qa.ndim == 0 else out
 
     def mode(self) -> float:
+        """Location of the density maximum."""
         return self.location
+
+    def density_extremum(self, lo: float, hi: float, mode: str) -> float:
+        """Exact sup or inf of the density over [lo, hi].
+
+        The supremum sits at the mode if the interval contains it, else at
+        the endpoint nearest the mode; the infimum is always at an endpoint.
+
+        mode: "sup" or "inf".
+        """
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            raise DomainError(f"invalid interval [{lo}, {hi}]")
+        f_lo = self.density(lo)
+        f_hi = self.density(hi)
+        if f_lo <= 0.0 or f_hi <= 0.0:
+            raise DomainError(
+                f"interval [{lo}, {hi}] leaves the positive-density region"
+            )
+        if mode == "sup":
+            m = self.mode()
+            if lo <= m <= hi:
+                return self.density(m)
+            return max(f_lo, f_hi)
+        if mode == "inf":
+            return min(f_lo, f_hi)
+        raise DomainError(f"mode must be 'sup' or 'inf', got {mode!r}")
 
 
 def standard_gaussian() -> GaussianNoise:

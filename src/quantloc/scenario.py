@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import AssumptionWarning, DomainError, InvalidScenario
-from .noise import NoiseModel
+from .noise import GaussianNoise
 
 __all__ = [
     "Point",
@@ -64,8 +64,12 @@ class SensorSpec:
     id: int
     position: Point
     threshold: float
-    noise: NoiseModel
+    noise: GaussianNoise
     secure: bool = False
+
+    def zero_prob(self, power: float = 0.0) -> float:
+        """Pr(bit = 0) at received power ``power``: F(tau - power), F(tau) at 0."""
+        return float(self.noise.cdf(self.threshold - power))
 
 
 @dataclass(frozen=True)
@@ -118,16 +122,25 @@ class ScenarioConfig:
     upsilon2: float = 1.0
     kappa: float = 0.005
 
+    _index: dict[int, SensorSpec] = field(init=False, repr=False, compare=False)
+    _secure: tuple[SensorSpec, SensorSpec] = field(init=False, repr=False, compare=False)
+    _unsecure: tuple[SensorSpec, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensors", tuple(self.sensors))
-        secure = [s for s in self.sensors if s.secure]
+        secure = sorted((s for s in self.sensors if s.secure), key=lambda s: s.id)
         if len(secure) != 2:
             raise InvalidScenario(
                 f"exactly two sensors must be secure, found {len(secure)}"
             )
-        ids = [s.id for s in self.sensors]
-        if len(set(ids)) != len(ids):
+        index = {s.id: s for s in self.sensors}
+        if len(index) != len(self.sensors):
             raise InvalidScenario("sensor ids must be unique")
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_secure", tuple(secure))
+        object.__setattr__(
+            self, "_unsecure", tuple(s for s in self.sensors if not s.secure)
+        )
         for name in ("p0", "d0", "gamma", "upsilon1", "upsilon2", "kappa"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
@@ -138,17 +151,14 @@ class ScenarioConfig:
     # -- convenience accessors -------------------------------------------
 
     def sensor(self, sensor_id: int) -> SensorSpec:
-        for s in self.sensors:
-            if s.id == sensor_id:
-                return s
-        raise KeyError(f"no sensor with id {sensor_id}")
+        return self._index[sensor_id]
 
     def secure_pair(self) -> tuple[SensorSpec, SensorSpec]:
-        a, b = (s for s in self.sensors if s.secure)
-        return (a, b) if a.id < b.id else (b, a)
+        """The two anchors, lower id first."""
+        return self._secure
 
     def unsecure(self) -> tuple[SensorSpec, ...]:
-        return tuple(s for s in self.sensors if not s.secure)
+        return self._unsecure
 
     @property
     def upsilon(self) -> float:
@@ -160,6 +170,10 @@ class ScenarioConfig:
         d = distance(self.sensor(sensor_id).position, t)
         if d <= 0.0:
             raise DomainError("target coincides with the sensor position")
+        return self.power_at(d)
+
+    def power_at(self, d: float) -> float:
+        """Noise-free received power at distance d: p0 * (d0 / d)^gamma."""
         return self.p0 * (self.d0 / d) ** self.gamma
 
 
@@ -195,10 +209,9 @@ def rho_bounds(
     if bounds is None:
         bounds = compute_distance_bounds(s)
     sensor = s.sensor(j)
-    tau = sensor.threshold
-    rho_l = float(sensor.noise.cdf(tau - s.p0 * (s.d0 / bounds.d_lower) ** s.gamma))
-    rho_u = float(sensor.noise.cdf(tau - s.p0 * (s.d0 / bounds.d_upper) ** s.gamma))
-    f_tau = float(sensor.noise.cdf(tau))
+    rho_l = sensor.zero_prob(s.power_at(bounds.d_lower))
+    rho_u = sensor.zero_prob(s.power_at(bounds.d_upper))
+    f_tau = sensor.zero_prob()
     if not (0.0 < rho_l < rho_u < f_tau <= 1.0):
         raise InvalidScenario(
             f"probability ordering failed for sensor {j}: "

@@ -273,7 +273,7 @@ def test_criterion_05_estimator_consistency():
     for trial in range(200):
         signal = sample_signal(s, 1, k, seed=(20260805, trial))
         bits = quantize(s, 1, signal)
-        estimate = nmle_distance(s, 1, empirical_freq(bits), k_samples=k)
+        estimate = nmle_distance(s, 1, empirical_freq(bits))
         hits += abs(float(estimate) - true_d) / true_d < 0.005
     elapsed = time.perf_counter() - t0
     assert hits >= 198

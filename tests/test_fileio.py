@@ -112,6 +112,23 @@ def test_parse_linspace_open_endpoints():
     assert s.sensor(2).position.x == pytest.approx(-900.0)
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_scenario_booleans_must_be_json_true_or_false(value):
+    doc = _base_doc()
+    doc["sensors"][3]["secure"] = value
+    with pytest.raises(ParseError, match=re.escape("sensors[3].secure: expected true or false")):
+        _parse(doc)
+    for key in ("include_start", "include_stop"):
+        doc = _base_doc()
+        doc["sensors"][0] = {
+            "linspace": {"count": 2, "start": -90.0, "stop": -60.0, "first_id": 10, key: value}
+        }
+        with pytest.raises(
+            ParseError, match=re.escape(f"sensors[0].linspace.{key}: expected true or false")
+        ):
+            _parse(doc)
+
+
 def test_parse_attacks_with_ranges_and_lists():
     doc = _base_doc()
     doc["attacks"] = [

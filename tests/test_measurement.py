@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from quantloc import (
     DomainError,
     EmpiricalFreq,
     EmptyData,
+    GaussianNoise,
     Point,
     QuantizedDataset,
     attacked_distance,
@@ -25,6 +27,7 @@ from quantloc import (
     rho_bounds,
     sample_signal,
 )
+from quantloc.rng import NOISE_STREAM, make_generator
 
 PHI_096 = 0.831472392533162187257
 
@@ -97,6 +100,18 @@ def test_sample_signal_mean_and_spread(toy_scenario):
     assert x.std() == pytest.approx(1.0, abs=0.02)
 
 
+def test_sample_signal_is_one_gaussian_draw(toy_scenario):
+    noisy = replace(
+        toy_scenario,
+        sensors=tuple(
+            replace(x, noise=GaussianNoise(0.5, 2.0)) for x in toy_scenario.sensors
+        ),
+    )
+    z = make_generator((7, NOISE_STREAM, 1)).standard_normal(50)
+    expected = noisy.signal_mean(1) + 0.5 + 2.0 * z
+    np.testing.assert_array_equal(sample_signal(noisy, 1, 50, seed=7), expected)
+
+
 def test_prob_zero_value_and_roi_warning(toy_scenario):
     p = prob_zero(toy_scenario, 1, Point(0.0, 100.0))
     mean = toy_scenario.signal_mean(1)
@@ -152,6 +167,13 @@ def test_nmle_clamps_at_the_edges(ref_scenario):
     # the bare-float path defaults to a tiny clamp margin
     est_raw = nmle_distance(ref_scenario, 1, 0.0)
     assert est_raw.clamped and est_raw.xi_used == pytest.approx(1e-12)
+
+
+def test_nmle_takes_its_clamp_from_the_frequency_alone(ref_scenario):
+    freq = EmpiricalFreq(zeros=0, k_samples=100)
+    for knob in ({"k_samples": 10}, {"xi_min": 0.1}):
+        with pytest.raises(TypeError):
+            nmle_distance(ref_scenario, 1, freq, **knob)
 
 
 def test_nmle_collapsed_interval_pins_to_half_support():

@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeding contract, metrics, paired sweeps."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from quantloc import (
     sweep_K,
     sweep_delta,
 )
+from quantloc.montecarlo import _threads
 
 
 def _plan(s, assignment, **kw):
@@ -303,3 +305,15 @@ def test_sweep_K_slope_none_without_positive_errors(toy_scenario):
     metrics = sweep_K(plan)
     assert all(r.avg_err == 0.0 for r in metrics.rows)
     assert metrics.slope is None
+
+
+def test_auto_threads_count_the_cpus_the_process_may_use(toy_scenario, monkeypatch):
+    plan = _plan(toy_scenario, no_attacks(), threads=0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _threads(plan) == 1
+    assert _threads(replace(plan, threads=3)) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert _threads(plan) == 32
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _threads(plan) == 8

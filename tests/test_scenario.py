@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,31 @@ def test_scenario_accessors(toy_scenario):
     assert (a.id, b.id) == (3, 4)
     assert tuple(x.id for x in s.unsecure()) == (1, 2)
     assert s.upsilon == 20.0
+
+
+def test_sensor_lookups_are_built_once_and_stay_out_of_eq_and_repr(toy_scenario):
+    s = toy_scenario
+    assert s.sensor(2) is s.sensors[1]
+    assert s.secure_pair() is s.secure_pair()
+    assert s.unsecure() is s.unsecure()
+    # the anchors come out lower id first whatever their listing order
+    swapped = replace(s, sensors=(s.sensors[3], *s.sensors[:3]))
+    assert [x.id for x in swapped.secure_pair()] == [3, 4]
+    assert swapped.sensor(4) is s.sensors[3]
+    twin = replace(s)
+    assert twin == s and hash(twin) == hash(s)
+    assert "_index" not in repr(s)
+    init_names = {f.name for f in fields(ScenarioConfig) if f.init}
+    assert not init_names & {"_index", "_secure", "_unsecure"}
+
+
+def test_zero_prob_and_power_at(toy_scenario):
+    s = toy_scenario
+    sensor = s.sensor(1)
+    assert s.power_at(50.0) == (100.0 / 50.0) ** 2
+    assert s.signal_mean(1) == s.power_at(math.hypot(30.0, 100.0))
+    assert sensor.zero_prob(0.25) == float(sensor.noise.cdf(1.0 - 0.25))
+    assert sensor.zero_prob() == float(sensor.noise.cdf(1.0))
 
 
 def test_signal_mean(toy_scenario):
