@@ -15,6 +15,7 @@ therefore only triggers an advisory warning.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,8 +77,15 @@ class DetectorConfig:
             raise DomainError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
-        if self.m_points < 3:
-            raise DomainError(f"m_points must be >= 3, got {self.m_points}")
+        try:
+            m_points = operator.index(self.m_points)
+        except TypeError:
+            raise DomainError(
+                f"m_points must be an integer, got {self.m_points!r}"
+            ) from None
+        if m_points < 3:
+            raise DomainError(f"m_points must be >= 3, got {m_points}")
+        object.__setattr__(self, "m_points", m_points)
 
 
 @dataclass(frozen=True)

@@ -432,20 +432,33 @@ def load_dataset(path: str | Path) -> QuantizedDataset:
     if k == 0:
         raise ParseError(f"{path}: header field K (byte offset 4) is 0, need K >= 1")
     packed_len = (k + 7) // 8
+    # Bits past K in a record's last byte; save_dataset writes them as 0.
+    padding_mask = (1 << (-k % 8)) - 1
     offset = _HEADER_END
     bits: dict[int, np.ndarray] = {}
-    for _ in range(n_sensors):
+    for i in range(n_sensors):
         if offset + 8 + packed_len > len(raw):
-            raise ParseError(f"{path}: truncated dataset file")
+            raise ParseError(
+                f"{path}: truncated dataset file: record {i} at byte offset "
+                f"{offset} needs {8 + packed_len} bytes, {len(raw) - offset} remain"
+            )
         sid = int(np.frombuffer(raw, dtype="<i8", count=1, offset=offset)[0])
         if sid in bits:
             raise ParseError(
                 f"{path}: sensor id {sid} at byte offset {offset} repeats an earlier record"
+            )
+        last = offset + 8 + packed_len - 1
+        if raw[last] & padding_mask:
+            raise ParseError(
+                f"{path}: sensor id {sid} at byte offset {offset} has nonzero "
+                f"padding bits in byte offset {last}"
             )
         offset += 8
         packed = np.frombuffer(raw, dtype=np.uint8, count=packed_len, offset=offset)
         offset += packed_len
         bits[sid] = np.unpackbits(packed)[:k]
     if offset != len(raw):
-        raise ParseError(f"{path}: {len(raw) - offset} trailing bytes")
+        raise ParseError(
+            f"{path}: {len(raw) - offset} trailing bytes from byte offset {offset}"
+        )
     return QuantizedDataset(bits=bits, k=k, rng_seed=seed, trial_index=trial)

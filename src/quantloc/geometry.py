@@ -4,9 +4,15 @@ The detector asks one geometric question: does the circle of estimated
 radius around a sensor pass through the common area of the two anchor
 rings?  Two answers are provided.  ``circle_meets_region_discretized``
 walks M evenly spaced points along the circle and tests each against the
-region, which is the reference formulation.  ``circle_meets_region_analytic``
-maps every constraint to closed arcs of the circle's angle parameter and
-intersects the arc systems exactly, removing M as an accuracy knob.
+region, which is the reference formulation.  It takes the unit-circle
+cos/sin table from a small cache of per-(M, chunk) read-only arrays, and
+prunes as it goes: the first ring is tested on every point of a chunk, the
+second ring and then each distinct clip only on the points still in.
+Every surviving point goes through the same float expressions as an
+unpruned walk, so the verdicts are identical, not merely close.
+``circle_meets_region_analytic`` maps every constraint to closed arcs of
+the circle's angle parameter and intersects the arc systems exactly,
+removing M as an accuracy knob.
 
 All region inequalities are closed: a point exactly on a ring edge or on
 the clip line is inside, and a tangent circle intersects.  Interval
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -189,7 +196,27 @@ def phi_bound(bounds: DistanceBounds, upsilon: float, delta: float) -> float:
 
 # -- discretized region test ---------------------------------------------
 
-_CHUNK = 1 << 15
+# 128 KiB per float64 temporary.  With 256 KiB temporaries glibc's malloc
+# trimmed the heap top and faulted it back in on every chunk: a walk at
+# M = 2e5 took 3.3 ms on a 2-core x86 host, 1.4 ms with MALLOC_TRIM_THRESHOLD_
+# raised, and 1.6 ms at this size with default malloc settings.
+_CHUNK = 1 << 14
+
+
+@lru_cache(maxsize=14)
+def _unit_circle_chunk(m_points: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the angles 2 pi m / M for m in [start, start + _CHUNK).
+
+    Read-only, since every walk at this M shares them.  maxsize is one more
+    than the 13 chunks of the default M = 2e5, so a full walk at that M stays
+    cached (3.2 MB) while a much longer walk (64 M in criterion 09's refine
+    step) evicts its own chunks instead of pinning its whole table.
+    """
+    ang = (_TWO_PI / m_points) * np.arange(start, min(start + _CHUNK, m_points))
+    cos, sin = np.cos(ang), np.sin(ang)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
 
 
 def circle_meets_region_discretized(
@@ -198,9 +225,17 @@ def circle_meets_region_discretized(
     """Reference test: M evenly spaced circle points against the region.
 
     Point m (1-based) sits at angle 2 pi (m - 1) / M.  Returns True on the
-    first point that lies in the clip half-space and inside both rings.
-    Distances are compared squared; the loop is chunked so the early exit
-    still applies.
+    first chunk holding a point that lies inside both rings and in every
+    clip half-space.  Distances are compared squared; the loop is chunked
+    so the early exit still applies.
+
+    The cos/sin table comes from a small per-(M, chunk) cache.  Each chunk
+    tests the first ring on every point, the second ring only on the points
+    still in, then each distinct clip (keyed on (a, b, side)) on what is
+    left.  A surviving point is evaluated with the same float expressions
+    as testing every constraint on every point, and the verdict is an AND
+    over constraints followed by an any over points, so pruning changes
+    which points are computed, never the verdict.
     """
     if m_points < 3:
         raise DomainError(f"need at least 3 circle points, got {m_points}")
@@ -209,20 +244,20 @@ def circle_meets_region_discretized(
         (r1.center.x, r1.center.y, r1.r_inner**2, r1.r_outer**2),
         (r2.center.x, r2.center.y, r2.r_inner**2, r2.r_outer**2),
     )
-    clips = (circle.clip, r1.clip, r2.clip)
+    clips = {(c.a, c.b, c.side): c for c in (circle.clip, r1.clip, r2.clip)}.values()
 
     for start in range(0, m_points, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, m_points))
-        ang = (_TWO_PI / m_points) * idx
-        x = cx + r0 * np.cos(ang)
-        y = cy + r0 * np.sin(ang)
-        ok = np.ones(idx.shape, dtype=bool)
-        for clip in clips:
-            ok &= clip.signed(x, y) >= 0.0
+        cos, sin = _unit_circle_chunk(m_points, start)
+        x = cx + r0 * cos
+        y = cy + r0 * sin
         for qx, qy, lo_sq, hi_sq in rings:
             dsq = (x - qx) ** 2 + (y - qy) ** 2
-            ok &= (dsq >= lo_sq) & (dsq <= hi_sq)
-        if ok.any():
+            keep = np.flatnonzero((dsq >= lo_sq) & (dsq <= hi_sq))
+            x, y = x[keep], y[keep]
+        for clip in clips:
+            keep = np.flatnonzero(clip.signed(x, y) >= 0.0)
+            x, y = x[keep], y[keep]
+        if x.size:
             return True
     return False
 

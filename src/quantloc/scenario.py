@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -125,6 +125,9 @@ class ScenarioConfig:
     _index: dict[int, SensorSpec] = field(init=False, repr=False, compare=False)
     _secure: tuple[SensorSpec, SensorSpec] = field(init=False, repr=False, compare=False)
     _unsecure: tuple[SensorSpec, ...] = field(init=False, repr=False, compare=False)
+    # Hashed once: detector.delta_admissible is cached on the whole scenario,
+    # and re-hashing every sensor on each lookup cost 0.28 ms at 502 sensors.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -147,6 +150,14 @@ class ScenarioConfig:
                 raise InvalidScenario(f"{name} must be positive and finite, got {v}")
         if not self.roi.contains(self.target):
             raise InvalidScenario("target must lie inside the ROI disc")
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- convenience accessors -------------------------------------------
 

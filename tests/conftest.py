@@ -16,11 +16,15 @@ import numpy as np
 import pytest
 
 from quantloc import (
+    ClippedCircle,
     GaussianNoise,
+    HalfSpace,
     Point,
+    Ring,
     RoiDisc,
     ScenarioConfig,
     SensorSpec,
+    distance,
     validate_assumptions,
 )
 
@@ -71,6 +75,47 @@ def random_scenario(
             if validate_assumptions(scenario).all_satisfied:
                 return scenario
     raise AssertionError("scenario sampler failed 50 times; margins miscalibrated")
+
+
+def random_region_trial(rng: np.random.Generator) -> tuple[ClippedCircle, Ring, Ring]:
+    """A detector-shaped query: two anchor rings and a probe circle.
+
+    The probe radius is displaced from its true distance by up to six ring
+    half-widths, so the verdicts concentrate near the decision boundary
+    where the two implementations could plausibly differ.
+    """
+    scale = 10.0 ** rng.uniform(0.0, 2.0)
+    span = rng.uniform(1.0, 3.0) * scale
+    height = rng.uniform(1.0, 4.0) * scale
+    half_width = rng.uniform(0.02, 0.3) * scale
+    ang = rng.uniform(0.0, 2.0 * math.pi)
+    ox, oy = rng.uniform(-2.0, 2.0) * scale, rng.uniform(-2.0, 2.0) * scale
+    ca, sa = math.cos(ang), math.sin(ang)
+
+    def place(x, y):
+        return Point(ox + ca * x - sa * y, oy + sa * x + ca * y)
+
+    anchor1, anchor2 = place(-span / 2.0, 0.0), place(span / 2.0, 0.0)
+    target = place(rng.uniform(-0.3, 0.3) * scale, height)
+    sensor = place(rng.uniform(-0.6, 0.6) * scale, 0.0)
+    clip = HalfSpace(anchor1, anchor2, 1)
+    ring1 = Ring(
+        anchor1,
+        distance(target, anchor1) + rng.uniform(-1.0, 1.0) * half_width,
+        half_width,
+        clip,
+    )
+    ring2 = Ring(
+        anchor2,
+        distance(target, anchor2) + rng.uniform(-1.0, 1.0) * half_width,
+        half_width,
+        clip,
+    )
+    radius = max(
+        distance(target, sensor) + rng.uniform(-6.0, 6.0) * half_width,
+        0.05 * scale,
+    )
+    return ClippedCircle(sensor, radius, clip), ring1, ring2
 
 
 @pytest.fixture

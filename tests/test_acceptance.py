@@ -18,10 +18,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_scenario
+from conftest import random_region_trial, random_scenario
 from quantloc import (
     AdvisoryWarning,
-    ClippedCircle,
     DetectorConfig,
     ExperimentPlan,
     HalfSpace,
@@ -336,47 +335,6 @@ def test_criterion_08_miss_rate_falls_with_attack_strength(attack_strength_rows)
     )
 
 
-def _random_region_trial(rng):
-    """A detector-shaped query: two anchor rings and a probe circle.
-
-    The probe radius is displaced from its true distance by up to six ring
-    half-widths, so the verdicts concentrate near the decision boundary
-    where the two implementations could plausibly differ.
-    """
-    scale = 10.0 ** rng.uniform(0.0, 2.0)
-    span = rng.uniform(1.0, 3.0) * scale
-    height = rng.uniform(1.0, 4.0) * scale
-    half_width = rng.uniform(0.02, 0.3) * scale
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    ox, oy = rng.uniform(-2.0, 2.0) * scale, rng.uniform(-2.0, 2.0) * scale
-    ca, sa = math.cos(ang), math.sin(ang)
-
-    def place(x, y):
-        return Point(ox + ca * x - sa * y, oy + sa * x + ca * y)
-
-    anchor1, anchor2 = place(-span / 2.0, 0.0), place(span / 2.0, 0.0)
-    target = place(rng.uniform(-0.3, 0.3) * scale, height)
-    sensor = place(rng.uniform(-0.6, 0.6) * scale, 0.0)
-    clip = HalfSpace(anchor1, anchor2, 1)
-    ring1 = Ring(
-        anchor1,
-        _distance(target, anchor1) + rng.uniform(-1.0, 1.0) * half_width,
-        half_width,
-        clip,
-    )
-    ring2 = Ring(
-        anchor2,
-        _distance(target, anchor2) + rng.uniform(-1.0, 1.0) * half_width,
-        half_width,
-        clip,
-    )
-    radius = max(
-        _distance(target, sensor) + rng.uniform(-6.0, 6.0) * half_width,
-        0.05 * scale,
-    )
-    return ClippedCircle(sensor, radius, clip), ring1, ring2
-
-
 def test_criterion_09_analytic_matches_discretized():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260809)
@@ -384,7 +342,7 @@ def test_criterion_09_analytic_matches_discretized():
     disagreements = []
     meets = 0
     for _ in range(10_000):
-        circle, ring1, ring2 = _random_region_trial(rng)
+        circle, ring1, ring2 = random_region_trial(rng)
         analytic = circle_meets_region_analytic(circle, ring1, ring2)
         sampled = circle_meets_region_discretized(circle, ring1, ring2, m_points)
         meets += analytic

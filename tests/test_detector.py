@@ -49,6 +49,22 @@ def test_detector_config_validation():
         DetectorConfig(delta=1.0, m_points=2)
 
 
+
+@pytest.mark.parametrize(
+    "bad", [2e5, np.float64(2e5), "200000", None], ids=["float", "np-float", "str", "none"]
+)
+def test_detector_config_m_points_must_be_an_integer(bad):
+    with pytest.raises(DomainError, match="m_points must be an integer"):
+        DetectorConfig(delta=280.0, method="discretized", m_points=bad)
+
+
+def test_detector_config_accepts_numpy_integer_m_points(toy_scenario):
+    cfg = DetectorConfig(delta=5.0, method="discretized", m_points=np.int64(50_000))
+    assert cfg.m_points == 50_000 and type(cfg.m_points) is int
+    report = detect_from_probabilities(toy_scenario, cfg, _exact_probs(toy_scenario))
+    assert report.decisions == {1: 0, 2: 0}
+
+
 def _exact_probs(s):
     ids = [x.id for x in s.sensors]
     return {j: prob_zero(s, j, s.target) for j in ids}

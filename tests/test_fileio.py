@@ -384,3 +384,63 @@ def test_dataset_repeated_sensor_id(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match="sensor id 1 at byte offset 45 repeats"):
         load_dataset(path)
+
+
+_HEADER_BYTES = 36
+
+
+@st.composite
+def _datasets(draw):
+    k = draw(st.integers(1, 40))
+    ids = draw(st.sets(st.integers(-(1 << 63), (1 << 63) - 1), max_size=4))
+    bits = {
+        sid: np.array(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)), dtype=np.uint8)
+        for sid in ids
+    }
+    return QuantizedDataset(
+        bits=bits,
+        k=k,
+        rng_seed=draw(st.integers(0, (1 << 64) - 1)),
+        trial_index=draw(st.integers(0, (1 << 64) - 1)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_datasets())
+def test_dataset_round_trips_byte_identically_and_rejects_prefixes(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("qds1") / "trial.bits"
+    save_dataset(data, path)
+    raw = path.read_bytes()
+    loaded = load_dataset(path)
+    save_dataset(loaded, path)
+    assert path.read_bytes() == raw
+    for sid, arr in data.bits.items():
+        np.testing.assert_array_equal(loaded.bits[sid], arr)
+
+    for end in range(_HEADER_BYTES, len(raw)):
+        path.write_bytes(raw[:end])
+        with pytest.raises(ParseError, match=r"truncated .* byte offset \d+"):
+            load_dataset(path)
+
+
+def test_dataset_rejects_nonzero_padding_bits(tmp_path):
+    k = 13  # three padding bits in each record's second byte
+    bits = {1: np.zeros(k, dtype=np.uint8), 2: np.ones(k, dtype=np.uint8)}
+    path = tmp_path / "trial.bits"
+    save_dataset(QuantizedDataset(bits=bits, k=k, rng_seed=0, trial_index=0), path)
+    raw = path.read_bytes()
+    # record 2 starts after the header and record 1's 8 + 2 bytes
+    for bit in range(3):
+        bad = bytearray(raw)
+        bad[_HEADER_BYTES + 10 + 9] |= 1 << bit
+        path.write_bytes(bytes(bad))
+        with pytest.raises(
+            ParseError,
+            match=r"sensor id 2 at byte offset 46 has nonzero padding bits in byte offset 55",
+        ):
+            load_dataset(path)
+    # the last K bit is data, not padding
+    flipped = bytearray(raw)
+    flipped[_HEADER_BYTES + 9] |= 1 << 3
+    path.write_bytes(bytes(flipped))
+    assert load_dataset(path).bits[1][k - 1] == 1

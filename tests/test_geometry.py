@@ -1,10 +1,12 @@
 """Clipped rings, circle intersections, and the region membership tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import random_region_trial
 from quantloc import (
     ClippedCircle,
     DistanceBounds,
@@ -21,6 +23,7 @@ from quantloc import (
     phi_bound,
     ring_member,
 )
+from quantloc.geometry import _CHUNK, _unit_circle_chunk
 
 PHI_BOUND_REF = 3.11367949538805294166
 
@@ -198,6 +201,104 @@ def test_analytic_matches_stable_discretized_answers():
         fine = circle_meets_region_discretized(circ, r1, r2, 64 * 4096)
         assert fine == analytic
     assert checked > 100
+
+
+def _unpruned_discretized(circle, r1, r2, m_points):
+    """The walk before caching and pruning: every constraint on every point."""
+    cx, cy, r0 = circle.center.x, circle.center.y, circle.radius
+    rings = (
+        (r1.center.x, r1.center.y, r1.r_inner**2, r1.r_outer**2),
+        (r2.center.x, r2.center.y, r2.r_inner**2, r2.r_outer**2),
+    )
+    clips = (circle.clip, r1.clip, r2.clip)
+    for start in range(0, m_points, 1 << 15):
+        idx = np.arange(start, min(start + (1 << 15), m_points))
+        ang = (2.0 * math.pi / m_points) * idx
+        x = cx + r0 * np.cos(ang)
+        y = cy + r0 * np.sin(ang)
+        ok = np.ones(idx.shape, dtype=bool)
+        for clip in clips:
+            ok &= clip.signed(x, y) >= 0.0
+        for qx, qy, lo_sq, hi_sq in rings:
+            dsq = (x - qx) ** 2 + (y - qy) ** 2
+            ok &= (dsq >= lo_sq) & (dsq <= hi_sq)
+        if ok.any():
+            return True
+    return False
+
+
+def _clip_variant(circle, ring1, ring2, variant, rng):
+    """Criterion 09's query, with the circle's clip optionally set apart.
+
+    Variant 0 keeps the shared anchor-line clip.  Variant 1 flips only the
+    circle's side of that line, so deduplicating clips on (a, b) alone would
+    drop a constraint.  Variant 2 cuts the circle with a line through its
+    center at a random angle, so the clip prunes part of every ring arc.
+    """
+    if variant == 1:
+        clip = HalfSpace(circle.clip.a, circle.clip.b, -1)
+    elif variant == 2:
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        c = circle.center
+        clip = HalfSpace(c, Point(c.x + math.cos(t), c.y + math.sin(t)), 1)
+    else:
+        return circle, ring1, ring2
+    return replace(circle, clip=clip), ring1, ring2
+
+
+def test_discretized_walk_matches_unpruned_reference():
+    rng = np.random.default_rng(20260809)
+    m_grid = (3, 7, 4096, 32767, 32768, 32769, 200_000, 3 * 32768 + 11)
+    verdicts = {True: 0, False: 0}
+    for i in range(120):
+        query = _clip_variant(*random_region_trial(rng), i % 3, rng)
+        for m_points in m_grid:
+            expected = _unpruned_discretized(*query, m_points)
+            assert circle_meets_region_discretized(*query, m_points) == expected, (
+                query,
+                m_points,
+            )
+            verdicts[expected] += 1
+    # agreement on all-False verdicts would prove little
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+@pytest.mark.parametrize("m_points", [3, 7, _CHUNK + 1, 3 * _CHUNK + 11])
+def test_discretized_walk_tests_first_last_and_chunk_edge_points(m_points):
+    circle = ClippedCircle(Point(0.0, 0.0), 1.0, OPEN)
+    step = 2.0 * math.pi / m_points
+    edges = {0, m_points - 1} | {e for e in (_CHUNK - 1, _CHUNK) if e < m_points}
+    for m in edges:
+        a = step * m
+        p = Point(math.cos(a), math.sin(a))
+        # two rings tangent to each other at p, across the circle's tangent:
+        # their common area is narrower along the circle than the point spacing
+        t = (-math.sin(a), math.cos(a))
+        r1 = Ring(Point(p.x + 10.0 * t[0], p.y + 10.0 * t[1]), 10.0, 0.1 * step, OPEN)
+        r2 = Ring(Point(p.x - 10.0 * t[0], p.y - 10.0 * t[1]), 10.0, 0.1 * step, OPEN)
+        for n in (m - 1, m + 1):
+            assert not ring_member(Point(math.cos(step * n), math.sin(step * n)), r1, r2)
+        assert circle_meets_region_discretized(circle, r1, r2, m_points), m
+
+
+def test_discretized_chunk_cache_is_bounded_and_read_only():
+    r1, r2 = _sym_rings()
+    # a circle far from both rings walks every chunk without an early exit
+    far = ClippedCircle(Point(0.0, 1000.0), 1.0, OPEN)
+    _unit_circle_chunk.cache_clear()
+    assert not circle_meets_region_discretized(far, r1, r2, 200_000)
+    assert not circle_meets_region_discretized(far, r1, r2, 200_000)
+    chunks = math.ceil(200_000 / _CHUNK)
+    info = _unit_circle_chunk.cache_info()
+    assert (info.misses, info.hits) == (chunks, chunks)  # trig once per (M, chunk)
+    assert not circle_meets_region_discretized(far, r1, r2, 64 * 200_000)
+    info = _unit_circle_chunk.cache_info()
+    assert info.maxsize is not None and chunks < info.maxsize
+    assert info.currsize <= info.maxsize
+    cos, sin = _unit_circle_chunk(200_000, 0)
+    assert not cos.flags.writeable and not sin.flags.writeable
+    with pytest.raises(ValueError):
+        cos[0] = 0.0
 
 
 def test_containment_oracle_two_sided():

@@ -252,3 +252,28 @@ def test_roi_side(toy_scenario):
         kappa=1.0,
     )
     assert roi_side(mirrored) == -1
+
+
+def test_scenario_hash_is_computed_once_at_construction(toy_scenario, monkeypatch):
+    twin = replace(toy_scenario)
+    assert twin == toy_scenario and hash(twin) == hash(toy_scenario)
+    moved = replace(toy_scenario, kappa=0.5)
+    assert hash(moved) != hash(toy_scenario)
+    assert hash(moved) == hash(ScenarioConfig(**{
+        f.name: getattr(moved, f.name) for f in fields(moved) if f.init
+    }))
+
+    calls = []
+    sensor_hash = SensorSpec.__hash__
+
+    def counting_hash(self):
+        calls.append(self.id)
+        return sensor_hash(self)
+
+    monkeypatch.setattr(SensorSpec, "__hash__", counting_hash)
+    s = replace(toy_scenario)
+    assert len(calls) == len(s.sensors)
+    calls.clear()
+    hash(s)
+    hash(s)
+    assert calls == []
