@@ -15,7 +15,6 @@ therefore only triggers an advisory warning.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,9 +22,10 @@ from typing import Mapping, Sequence
 
 from .errors import AdvisoryWarning, DomainError, InvalidScenario, MissingSensorData
 from .geometry import (
-    ClippedCircle,
+    Circle,
     HalfSpace,
     Ring,
+    check_m_points,
     circle_meets_region_analytic,
     circle_meets_region_discretized,
 )
@@ -61,9 +61,11 @@ METHODS = ("analytic", "discretized")
 class DetectorConfig:
     """Detection radius slack delta and the region-test method.
 
-    The analytic method is exact; the discretized one probes m_points
-    evenly spaced points on the sensor circle and is kept as the reference
-    implementation for cross-validation.
+    The analytic method is exact: it checks D_hat against the closed-form
+    interval [dmin, dmax] of distances from the sensor to the ring
+    intersection.  The discretized one probes m_points evenly spaced points
+    on the sensor circle and is kept as the reference implementation for
+    cross-validation.
     """
 
     delta: float
@@ -77,15 +79,7 @@ class DetectorConfig:
             raise DomainError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
-        try:
-            m_points = operator.index(self.m_points)
-        except TypeError:
-            raise DomainError(
-                f"m_points must be an integer, got {self.m_points!r}"
-            ) from None
-        if m_points < 3:
-            raise DomainError(f"m_points must be >= 3, got {m_points}")
-        object.__setattr__(self, "m_points", m_points)
+        object.__setattr__(self, "m_points", check_m_points(self.m_points))
 
 
 @dataclass(frozen=True)
@@ -130,17 +124,15 @@ def _secure_region(
     s: ScenarioConfig,
     cfg: DetectorConfig,
     secure_radii: tuple[float, float],
-) -> tuple[HalfSpace, Ring, Ring]:
+) -> tuple[Ring, Ring]:
     s1, s2 = s.secure_pair()
     clip = HalfSpace(a=s1.position, b=s2.position, side=roi_side(s))
     ring1 = Ring(s1.position, secure_radii[0], cfg.delta, clip)
     ring2 = Ring(s2.position, secure_radii[1], cfg.delta, clip)
-    return clip, ring1, ring2
+    return ring1, ring2
 
 
-def _decide(
-    cfg: DetectorConfig, circle: ClippedCircle, ring1: Ring, ring2: Ring
-) -> int:
+def _decide(cfg: DetectorConfig, circle: Circle, ring1: Ring, ring2: Ring) -> int:
     if cfg.method == "analytic":
         meets = circle_meets_region_analytic(circle, ring1, ring2)
     else:
@@ -170,11 +162,10 @@ def _classify(
     one set of estimates can be re-decided at any delta or method.
     """
     (_, e1), (_, e2) = secure_estimates
-    clip, ring1, ring2 = _secure_region(s, cfg, (e1.value, e2.value))
+    ring1, ring2 = _secure_region(s, cfg, (e1.value, e2.value))
     rows = []
     for sensor, (d_hat, clamped) in zip(s.unsecure(), radii):
-        circle = ClippedCircle(sensor.position, d_hat, clip)
-        decision = _decide(cfg, circle, ring1, ring2)
+        decision = _decide(cfg, Circle(sensor.position, d_hat), ring1, ring2)
         rows.append(SensorDecision(sensor.id, decision, d_hat, clamped))
     return DetectionReport(
         rows=tuple(rows),

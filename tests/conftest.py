@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from quantloc import (
-    ClippedCircle,
+    Circle,
     GaussianNoise,
     HalfSpace,
     Point,
@@ -77,7 +77,7 @@ def random_scenario(
     raise AssertionError("scenario sampler failed 50 times; margins miscalibrated")
 
 
-def random_region_trial(rng: np.random.Generator) -> tuple[ClippedCircle, Ring, Ring]:
+def random_region_trial(rng: np.random.Generator) -> tuple[Circle, Ring, Ring]:
     """A detector-shaped query: two anchor rings and a probe circle.
 
     The probe radius is displaced from its true distance by up to six ring
@@ -115,7 +115,7 @@ def random_region_trial(rng: np.random.Generator) -> tuple[ClippedCircle, Ring, 
         distance(target, sensor) + rng.uniform(-6.0, 6.0) * half_width,
         0.05 * scale,
     )
-    return ClippedCircle(sensor, radius, clip), ring1, ring2
+    return Circle(sensor, radius), ring1, ring2
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, output shapes, file output."""
 
+import warnings
+from pathlib import Path
+
 import pytest
 
 from quantloc import AttackAssignment, Mima, load_scenario, save_scenario
@@ -100,6 +103,27 @@ def test_detect_table_shape(toy_file, capsys):
     assert len(lines) == 3
     assert lines[1].startswith("1\t")
     assert lines[2].startswith("2\t")
+
+
+@pytest.mark.parametrize("scale", ["0.04", "1"])
+def test_detect_matches_golden_table(scale, tmp_path):
+    """The benchmark network's detection table, byte for byte.
+
+    The golden files pin every verdict, radius and the table format; at
+    this delta both scales flag some sensors and clear others.
+    """
+    scenario = tmp_path / "paper.json"
+    out = tmp_path / "detect.tsv"
+    assert main(["paper-setup", "--scale", scale, "--out", str(scenario)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta is above the admissible limit
+        code = main(
+            ["detect", str(scenario), "--delta", "280", "--K", "10000",
+             "--seed", "7", "--out", str(out)]
+        )
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_detect_writes_out_file(toy_file, tmp_path, capsys):

@@ -24,7 +24,6 @@ from quantloc import (
     no_attacks,
     post_attack_prob,
     prob_zero,
-    run_trial,
     sweep_K,
     sweep_delta,
 )
@@ -141,13 +140,6 @@ def test_attack_routes_hit_their_target_probability(toy_scenario, spec):
     # the unattacked sensor is untouched
     xi_clean = data.freq(2).xi
     assert xi_clean == pytest.approx(p, abs=4.0 * math.sqrt(p * (1.0 - p) / k))
-
-
-def test_run_trial_reports_k(toy_scenario):
-    plan = _plan(toy_scenario, no_attacks())
-    report = run_trial(plan, 400, trial_index=0)
-    assert report.k == 400
-    assert set(report.decisions) == {1, 2}
 
 
 def test_parallel_equals_serial(toy_scenario):
