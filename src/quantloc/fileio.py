@@ -418,6 +418,17 @@ def save_dataset(data: QuantizedDataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> QuantizedDataset:
+    """Read a packed dataset file, decoding every record in one pass.
+
+    The header is checked first, and the records the file actually holds
+    are counted before anything is sized from the header's K or sensor
+    count.  The whole records then form one byte matrix, one row per
+    record: the ids, repeats, padding and bits each take one vectorized
+    step, and every sensor's bits are a row view, in file order.  Of
+    several bad records the first in file order is reported; within a
+    record a truncation comes before a repeated id, and that before
+    nonzero padding.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != DATASET_MAGIC:
         raise ParseError(
@@ -431,34 +442,40 @@ def load_dataset(path: str | Path) -> QuantizedDataset:
     k, n_sensors, seed, trial = (int(v) for v in header)
     if k == 0:
         raise ParseError(f"{path}: header field K (byte offset 4) is 0, need K >= 1")
-    packed_len = (k + 7) // 8
-    # Bits past K in a record's last byte; save_dataset writes them as 0.
-    padding_mask = (1 << (-k % 8)) - 1
-    offset = _HEADER_END
-    bits: dict[int, np.ndarray] = {}
-    for i in range(n_sensors):
-        if offset + 8 + packed_len > len(raw):
-            raise ParseError(
-                f"{path}: truncated dataset file: record {i} at byte offset "
-                f"{offset} needs {8 + packed_len} bytes, {len(raw) - offset} remain"
-            )
-        sid = int(np.frombuffer(raw, dtype="<i8", count=1, offset=offset)[0])
-        if sid in bits:
-            raise ParseError(
-                f"{path}: sensor id {sid} at byte offset {offset} repeats an earlier record"
-            )
-        last = offset + 8 + packed_len - 1
-        if raw[last] & padding_mask:
-            raise ParseError(
-                f"{path}: sensor id {sid} at byte offset {offset} has nonzero "
-                f"padding bits in byte offset {last}"
-            )
-        offset += 8
-        packed = np.frombuffer(raw, dtype=np.uint8, count=packed_len, offset=offset)
-        offset += packed_len
-        bits[sid] = np.unpackbits(packed)[:k]
+    width = 8 + (k + 7) // 8
+    n = min(n_sensors, (len(raw) - _HEADER_END) // width)
+    records = np.frombuffer(
+        raw, dtype=np.uint8, count=n * width, offset=_HEADER_END
+    ).reshape(n, width)
+    ids = records[:, :8].view("<i8")[:, 0]
+    # Records that repeat an earlier id, and records with nonzero bits past
+    # K in their last byte (save_dataset writes those as 0).
+    repeats = np.setdiff1d(np.arange(n), np.unique(ids, return_index=True)[1])
+    bad_padding = np.flatnonzero(records[:, -1] & ((1 << (-k % 8)) - 1))
+    # The first bad record; record n is the truncated one when n < n_sensors.
+    i = min(int(bad[0]) if bad.size else n for bad in (repeats, bad_padding))
+    offset = _HEADER_END + i * width
+    if i == n < n_sensors:
+        raise ParseError(
+            f"{path}: truncated dataset file: record {i} at byte offset "
+            f"{offset} needs {width} bytes, {len(raw) - offset} remain"
+        )
+    if i in repeats:
+        raise ParseError(
+            f"{path}: sensor id {ids[i]} at byte offset {offset} repeats an earlier record"
+        )
+    if i < n:
+        raise ParseError(
+            f"{path}: sensor id {ids[i]} at byte offset {offset} has nonzero "
+            f"padding bits in byte offset {offset + width - 1}"
+        )
     if offset != len(raw):
         raise ParseError(
             f"{path}: {len(raw) - offset} trailing bytes from byte offset {offset}"
         )
-    return QuantizedDataset(bits=bits, k=k, rng_seed=seed, trial_index=trial)
+    # Slicing rather than count=k, so a header K past C long still loads
+    # when the file holds no records.
+    bits = np.unpackbits(records[:, 8:], axis=1)[:, :k]
+    return QuantizedDataset(
+        bits=dict(zip(ids.tolist(), bits)), k=k, rng_seed=seed, trial_index=trial
+    )

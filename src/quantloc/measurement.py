@@ -75,8 +75,11 @@ class QuantizedDataset:
                 )
 
     def freq(self, sensor_id: int) -> EmpiricalFreq:
+        """Zero count of one record: its length minus ``np.count_nonzero``."""
         arr = self.bits[sensor_id]
-        return EmpiricalFreq(zeros=int(arr.size - arr.sum()), k_samples=arr.size)
+        return EmpiricalFreq(
+            zeros=arr.size - int(np.count_nonzero(arr)), k_samples=arr.size
+        )
 
 
 def sample_signal(

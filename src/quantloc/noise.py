@@ -25,10 +25,13 @@ __all__ = ["GaussianNoise", "standard_gaussian"]
 class GaussianNoise:
     """Gaussian noise with the given location and scale.
 
-    cdf/inv_cdf delegate to scipy's ndtr/ndtri, whose absolute error is well
-    below 1e-12 over the whole double range; every downstream probability
-    inherits that accuracy.  inv_cdf(cdf(x)) = x within 1e-10 wherever
-    cdf(x) is not within 1e-12 of 0 or 1.
+    cdf/inv_cdf hand scalars and arrays alike straight to scipy's
+    ndtr/ndtri, whose absolute error is well below 1e-12 over the whole
+    double range; every downstream probability inherits that accuracy.
+    inv_cdf returns ndtri(q) * scale + location and raises DomainError
+    unless every q lies in the open interval (0, 1), so 0, 1, values
+    outside [0, 1], inf and nan all raise.  inv_cdf(cdf(x)) = x within
+    1e-10 wherever cdf(x) is not within 1e-12 of 0 or 1.
     """
 
     location: float = 0.0
@@ -46,16 +49,18 @@ class GaussianNoise:
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.location) / self.scale
-        out = ndtr(z)
-        return float(out) if np.ndim(out) == 0 else out
+        out = ndtr((x - self.location) / self.scale)
+        return float(out) if out.ndim == 0 else out
 
     def inv_cdf(self, q):
-        qa = np.asarray(q, dtype=float)
-        if np.any(qa <= 0.0) or np.any(qa >= 1.0):
+        z = ndtri(q)
+        # ndtri is -inf at 0, +inf at 1 and nan outside [0, 1] or at nan, so
+        # q lies in (0, 1) exactly where z is finite.
+        scalar = z.ndim == 0
+        if not (math.isfinite(z) if scalar else np.isfinite(z).all()):
             raise DomainError(f"quantile argument must lie in (0, 1), got {q}")
-        out = ndtri(qa) * self.scale + self.location
-        return float(out) if qa.ndim == 0 else out
+        out = z * self.scale + self.location
+        return float(out) if scalar else out
 
     def mode(self) -> float:
         """Location of the density maximum."""

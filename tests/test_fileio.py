@@ -2,6 +2,9 @@
 
 import re
 import json
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from quantloc import (
     AttackAssignment,
+    DetectorConfig,
     DomainError,
     GaussianNoise,
     Mima,
@@ -20,6 +24,8 @@ from quantloc import (
     SpoofBias,
     QuantizedDataset,
     build_paper_setup,
+    detect_all,
+    generate_dataset,
     load_dataset,
     load_scenario,
     parse_scenario,
@@ -444,3 +450,207 @@ def test_dataset_rejects_nonzero_padding_bits(tmp_path):
     flipped[_HEADER_BYTES + 9] |= 1 << 3
     path.write_bytes(bytes(flipped))
     assert load_dataset(path).bits[1][k - 1] == 1
+
+
+# -- the one-pass decoder against the per-record reference loop -------------
+
+
+def _reference_load(path):
+    """The per-record QDS1 decoder that ``load_dataset`` replaced.
+
+    Kept as the oracle: it walks the records in file order and reports the
+    first fault it meets.
+    """
+    raw = open(path, "rb").read()
+    if raw[:4] != b"QDS1":
+        raise ParseError(f"{path}: not a dataset file (bad magic {raw[:4]!r})")
+    if len(raw) < _HEADER_BYTES:
+        raise ParseError(
+            f"{path}: {len(raw)} bytes, shorter than the {_HEADER_BYTES}-byte header"
+        )
+    header = np.frombuffer(raw, dtype="<u8", count=4, offset=4)
+    k, n_sensors, seed, trial = (int(v) for v in header)
+    if k == 0:
+        raise ParseError(f"{path}: header field K (byte offset 4) is 0, need K >= 1")
+    packed_len = (k + 7) // 8
+    padding_mask = (1 << (-k % 8)) - 1
+    offset = _HEADER_BYTES
+    bits = {}
+    for i in range(n_sensors):
+        if offset + 8 + packed_len > len(raw):
+            raise ParseError(
+                f"{path}: truncated dataset file: record {i} at byte offset "
+                f"{offset} needs {8 + packed_len} bytes, {len(raw) - offset} remain"
+            )
+        sid = int(np.frombuffer(raw, dtype="<i8", count=1, offset=offset)[0])
+        if sid in bits:
+            raise ParseError(
+                f"{path}: sensor id {sid} at byte offset {offset} repeats an earlier record"
+            )
+        last = offset + 8 + packed_len - 1
+        if raw[last] & padding_mask:
+            raise ParseError(
+                f"{path}: sensor id {sid} at byte offset {offset} has nonzero "
+                f"padding bits in byte offset {last}"
+            )
+        offset += 8
+        packed = np.frombuffer(raw, dtype=np.uint8, count=packed_len, offset=offset)
+        offset += packed_len
+        bits[sid] = np.unpackbits(packed)[:k]
+    if offset != len(raw):
+        raise ParseError(
+            f"{path}: {len(raw) - offset} trailing bytes from byte offset {offset}"
+        )
+    return QuantizedDataset(bits=bits, k=k, rng_seed=seed, trial_index=trial)
+
+
+def _qds1(k, records, n_sensors=None, seed=0, trial=0):
+    """A QDS1 file body from (id, packed bytes) records, in the given order."""
+    n = len(records) if n_sensors is None else n_sensors
+    out = b"QDS1" + np.array([k, n, seed, trial], dtype="<u8").tobytes()
+    for sid, packed in records:
+        out += np.array([sid], dtype="<i8").tobytes() + bytes(packed)
+    return out
+
+
+def _outcome(load, path):
+    try:
+        data = load(path)
+    except ParseError as exc:
+        return str(exc)
+    return (
+        data.k,
+        data.rng_seed,
+        data.trial_index,
+        [(sid, arr.dtype.str, arr.tolist()) for sid, arr in data.bits.items()],
+    )
+
+
+_FAULTS = ("none", "repeat", "padding", "both")
+
+
+@st.composite
+def _files(draw):
+    """Well-formed files with ids in any order, and ones broken every way.
+
+    A broken file gives each record a fault (a repeated id, nonzero
+    padding, both or none), may misstate the record count, and may be cut
+    short or run on.
+    """
+    k = draw(st.integers(1, 40))
+    n = draw(st.integers(0, 4))
+    broken = draw(st.booleans())
+    faults = ["none"] * n
+    if broken:
+        faults = draw(st.lists(st.sampled_from(_FAULTS), min_size=n, max_size=n))
+    ids, records = [], []
+    for fault in faults:
+        if fault in ("repeat", "both") and ids:
+            sid = draw(st.sampled_from(ids))
+        else:
+            sid = draw(st.integers(-(1 << 63), (1 << 63) - 1).filter(lambda x: x not in ids))
+        bits = np.array(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)), dtype=np.uint8)
+        packed = bytearray(np.packbits(bits).tobytes())
+        if fault in ("padding", "both") and k % 8:
+            packed[-1] |= draw(st.integers(1, (1 << (-k % 8)) - 1))
+        ids.append(sid)
+        records.append((sid, packed))
+    n_header = draw(st.integers(0, 5)) if broken and draw(st.booleans()) else n
+    raw = _qds1(k, records, n_header, seed=draw(st.integers(0, (1 << 64) - 1)))
+    if broken and draw(st.booleans()):
+        cut = draw(st.integers(1, 12))
+        raw = raw[:-cut] if draw(st.booleans()) else raw + bytes(cut)
+    return raw
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=_files())
+def test_one_pass_decoder_matches_the_reference_loop(raw, tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "trial.bits"
+    path.write_bytes(raw)
+    assert _outcome(load_dataset, path) == _outcome(_reference_load, path)
+
+
+@pytest.mark.parametrize(
+    "records, cut, message",
+    [
+        # bad padding at record 0, a repeat at record 1
+        ([(5, b"\x01"), (5, b"\x00"), (6, b"\x00")], 0,
+         "sensor id 5 at byte offset 36 has nonzero padding bits in byte offset 44"),
+        # a repeat at record 1, record 2 truncated
+        ([(1, b"\x00"), (1, b"\x00"), (2, b"\x00")], 1,
+         "sensor id 1 at byte offset 45 repeats"),
+        # a repeat at record 1, bad padding at record 2
+        ([(1, b"\x00"), (1, b"\x00"), (2, b"\x01")], 0,
+         "sensor id 1 at byte offset 45 repeats"),
+        # record 1 both repeats and has bad padding
+        ([(1, b"\x00"), (1, b"\x01")], 0, "sensor id 1 at byte offset 45 repeats"),
+        # repeats at records 2 and 3
+        ([(3, b"\x00"), (4, b"\x00"), (4, b"\x00"), (3, b"\x00")], 0,
+         "sensor id 4 at byte offset 54 repeats"),
+    ],
+)
+def test_the_first_bad_record_in_file_order_is_named(tmp_path, records, cut, message):
+    # K = 4: the low four bits of each record's one byte are padding
+    path = tmp_path / "trial.bits"
+    raw = _qds1(4, records)
+    path.write_bytes(raw[: len(raw) - cut])
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_dataset(path)
+    assert _outcome(_reference_load, path) == _outcome(load_dataset, path)
+
+
+@pytest.mark.parametrize("k, n_sensors", [(16, 1 << 62), (1 << 62, 1), (1 << 62, 1 << 62)])
+def test_a_huge_header_is_a_truncation_without_a_large_allocation(tmp_path, k, n_sensors):
+    path = tmp_path / "trial.bits"
+    path.write_bytes(_qds1(k, [(1, bytes(2))], n_sensors))
+    needs = 8 + (k + 7) // 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ParseError,
+            match=rf"truncated dataset file: record {1 if k == 16 else 0} at byte "
+            rf"offset \d+ needs {needs} bytes",
+        ):
+            load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "k, n_sensors, body",
+    [
+        ((1 << 64) - 1, 0, b""),
+        (1 << 62, 0, b""),
+        ((1 << 64) - 1, 3, bytes(40)),
+        (8, (1 << 64) - 1, bytes(27)),
+    ],
+)
+def test_extreme_headers_match_the_reference_loop(tmp_path, k, n_sensors, body):
+    path = tmp_path / "trial.bits"
+    path.write_bytes(_qds1(k, [], n_sensors) + body)
+    assert _outcome(load_dataset, path) == _outcome(_reference_load, path)
+
+
+# -- the golden detection tables through the container ----------------------
+
+
+@pytest.mark.parametrize("scale", ["0.04", "1"])
+def test_golden_detect_tables_survive_the_container(scale, tmp_path):
+    """The trial ``quantloc detect`` draws, saved and loaded, detects the same.
+
+    The committed golden tables come from ``quantloc detect`` on the paper
+    setup at delta = 280, K = 1e4 and seed 7; the same trial, read back
+    from its QDS1 file, must give the same table byte for byte.
+    """
+    scenario, assignment = build_paper_setup(scale=float(scale))
+    data = generate_dataset(scenario, assignment, 10000, 7, trial_index=0)
+    path = tmp_path / "trial.bits"
+    save_dataset(data, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta is above the admissible limit
+        report = detect_all(scenario, DetectorConfig(delta=280.0), load_dataset(path))
+    golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
+    assert report.to_table().encode() == golden.read_bytes()

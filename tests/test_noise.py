@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from quantloc import DomainError, GaussianNoise, standard_gaussian
 
@@ -128,12 +129,31 @@ def test_density_extremum_rejects_bad_input():
 
 
 def test_inv_cdf_rejects_out_of_range():
-    g = standard_gaussian()
-    for q in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(DomainError):
+    g = GaussianNoise(location=0.5, scale=2.0)
+    for q in (0.0, 1.0, -0.1, 1.1, -0.5, 1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
             g.inv_cdf(q)
-    with pytest.raises(DomainError):
-        g.inv_cdf(np.array([0.5, 1.0]))
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
+            g.inv_cdf(np.array([0.25, q, 0.75]))
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_scalar_and_array_calls_are_scipy_bit_for_bit():
+    g = GaussianNoise(location=-0.7, scale=3.3)
+    q = np.array([5e-324, 1e-300, 1e-16, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-16])
+    expected = ndtri(q) * 3.3 + -0.7
+    assert _same_bits(g.inv_cdf(q), expected)
+    x = np.array([-40.0, -3.0, -0.7, 0.0, 2.5, 40.0])
+    assert _same_bits(g.cdf(x), ndtr((x - -0.7) / 3.3))
+    for qi, ei in zip(q.tolist(), expected):
+        out = g.inv_cdf(qi)
+        assert type(out) is float and _same_bits(out, ei)
+    for xi in x.tolist():
+        out = g.cdf(xi)
+        assert type(out) is float and _same_bits(out, ndtr((xi - -0.7) / 3.3))
 
 
 def test_constructor_validation():
