@@ -5,12 +5,17 @@ radius around a sensor pass through R, the common area of the two anchor
 rings on the ROI side of the anchor line?  Two answers are provided.
 ``circle_meets_region_discretized`` walks M evenly spaced points along the
 circle and tests each against the region, which is the reference
-formulation and accepts any ring clips.  It takes the unit-circle cos/sin
-table from a small cache of per-(M, chunk) read-only arrays, and prunes as
-it goes: the first ring is tested on every point of a chunk, the second
-ring and then each distinct clip only on the points still in.  Every
-surviving point goes through the same float expressions as an unpruned
-walk, so the verdicts are identical, not merely close.
+formulation and accepts any ring clips.  It walks the points in chunks
+and skips every chunk that some ring or clip rules out whole: along the
+circle each constraint is a sinusoid in the angle, so its range over a
+chunk's arc is known exactly, and a chunk is skipped only when that range
+misses the constraint by far more than the walk's rounding.  The chunks
+left take their cos/sin from a small cache of per-(M, chunk) read-only
+arrays, and are pruned as they go: the first ring is tested on every point
+of a chunk, the second ring and then each distinct clip only on the points
+still in.  Every point that is tested goes through the same float
+expressions as an unpruned walk, so the verdicts are identical, not merely
+close.
 ``circle_meets_region_analytic`` needs both rings clipped by the line
 through their centers, as the detector builds them.  R is then connected,
 so the distances from the circle's center to R fill an interval
@@ -41,7 +46,6 @@ __all__ = [
     "HalfSpace",
     "Circle",
     "Ring",
-    "ring_member",
     "circle_circle_intersection",
     "phi_bound",
     "circle_meets_region_discretized",
@@ -128,17 +132,6 @@ class Ring:
     @property
     def r_outer(self) -> float:
         return self.radius + self.half_width
-
-
-def ring_member(p: Point, r1: Ring, r2: Ring) -> bool:
-    """Whether p lies in both clipped rings (closed inequalities)."""
-    for ring in (r1, r2):
-        if not ring.clip.contains(p):
-            return False
-        d = math.hypot(p.x - ring.center.x, p.y - ring.center.y)
-        if not (-ring.half_width <= d - ring.radius <= ring.half_width):
-            return False
-    return True
 
 
 def circle_circle_intersection(
@@ -238,6 +231,71 @@ def check_m_points(m_points) -> int:
     return m
 
 
+# The walk skips every chunk in which some constraint fails at every point.
+# On the circle c + r0 e(theta) each constraint is an exact sinusoid,
+# base + amp cos(theta - phase):
+#   ring:  |p - q|^2 = |c - q|^2 + r0^2 + 2 r0 |c - q| cos(theta - phi),
+#          phi the direction of c - q;
+#   clip:  signed(p) = signed(c) + r0 |u| cos(theta - psi),
+#          u = b - a and psi the direction of the clip's inward normal.
+# Over a chunk's arc [mid - h, mid + h], with off = |mid - phase| wrapped
+# into [0, pi], cos(theta - phase) spans exactly
+# [cos(min(pi, off + h)), cos(max(0, off - h))].
+#
+# The walk's value at a point differs from the sinusoid's only by rounding:
+# the table angle and its cos/sin (a few ulps of 2 pi), c + r0 cos at the
+# magnitude of the coordinates, the difference to q or a, and the squares or
+# products.  With L the sum of the absolute coordinates involved plus r0,
+# that is a few ulps of L (|c - q| + r0) for a ring's squared distance and of
+# L |u| for a clip's signed value, and the bound's own rounding is smaller.
+# The limits are widened by _SKIP_SLACK = 1e-9 of those products, about
+# 4.5e6 ulps, so a chunk is skipped only when every point of the walk fails
+# the constraint as well.
+_SKIP_SLACK = 1e-9
+# Chunk starts per mask block, so the mask stays small for any M.
+_MASK_BLOCK = 1 << 10
+
+
+def _constraint_sinusoids(cx, cy, r0, rings, clips) -> np.ndarray:
+    """base, amp, phase, lo, hi, each a column over the constraints.
+
+    Constraint k holds where base + amp cos(theta - phase) lies in [lo, hi],
+    with lo and hi its limits widened by the rounding margin.
+    """
+    rows = []
+    for qx, qy, lo_sq, hi_sq in rings:
+        dx, dy = cx - qx, cy - qy
+        dist = math.hypot(dx, dy)
+        tol = _SKIP_SLACK * (abs(cx) + abs(cy) + abs(qx) + abs(qy) + r0) * (dist + r0)
+        rows.append(
+            (dist * dist + r0 * r0, 2.0 * r0 * dist, math.atan2(dy, dx), lo_sq - tol, hi_sq + tol)
+        )
+    for clip in clips:
+        ux, uy = clip.b.x - clip.a.x, clip.b.y - clip.a.y
+        scale = abs(cx) + abs(cy) + abs(clip.a.x) + abs(clip.a.y) + r0
+        tol = _SKIP_SLACK * scale * (abs(ux) + abs(uy))
+        normal = math.atan2(clip.side * ux, -clip.side * uy)
+        rows.append((clip.signed(cx, cy), r0 * math.hypot(ux, uy), normal, -tol, math.inf))
+    return np.array(rows).T[:, :, None]
+
+
+def _live_chunk_starts(m_points: int, sinusoids: np.ndarray):
+    """Ascending starts of the chunks that no constraint rules out."""
+    base, amp, phase, lo, hi = sinusoids
+    step = _TWO_PI / m_points
+    for block in range(0, m_points, _CHUNK * _MASK_BLOCK):
+        starts = np.arange(block, min(block + _CHUNK * _MASK_BLOCK, m_points), _CHUNK)
+        lasts = np.minimum(starts + (_CHUNK - 1), m_points - 1)
+        half = (0.5 * step) * (lasts - starts)
+        off = np.abs(
+            np.remainder((0.5 * step) * (starts + lasts) - phase + math.pi, _TWO_PI) - math.pi
+        )
+        top = base + amp * np.cos(np.maximum(off - half, 0.0))
+        bottom = base + amp * np.cos(np.minimum(off + half, math.pi))
+        live = ((top >= lo) & (bottom <= hi)).all(axis=0)
+        yield from starts[live].tolist()
+
+
 def circle_meets_region_discretized(
     circle: Circle, r1: Ring, r2: Ring, m_points: int
 ) -> bool:
@@ -248,12 +306,19 @@ def circle_meets_region_discretized(
     rings' clip half-spaces.  Distances are compared squared; the loop is
     chunked so the early exit still applies.
 
-    The cos/sin table comes from a small per-(M, chunk) cache.  Each chunk
-    tests the first ring on every point, the second ring only on the points
-    still in, then each distinct clip on what is left.  A surviving point
-    is evaluated with the same float expressions as testing every
-    constraint on every point, and the verdict is an AND over constraints
-    followed by an any over points, so pruning changes which points are
+    Chunks that no point can pass are skipped.  Along the circle each
+    ring's squared distance and each clip's signed value is a sinusoid in
+    the angle, so its range over a chunk's arc is exact.  A chunk whose
+    range misses some constraint by more than 1e-9 of the walk's
+    magnitudes, far beyond its rounding, is not walked: every one of its
+    points would fail.  The bound reads only the rings and clips, never the
+    analytic test.  The chunks left are walked in ascending order, with
+    cos/sin from a small per-(M, chunk) cache.  Each tests the first ring
+    on every point, the second ring only on the points still in, then each
+    distinct clip on what is left.  A point that is tested goes through the
+    same float expressions as in a walk that tests every constraint on
+    every point, and the verdict is an AND over constraints followed by an
+    any over points, so skipping and pruning change which points are
     computed, never the verdict.
     """
     m_points = check_m_points(m_points)
@@ -264,7 +329,8 @@ def circle_meets_region_discretized(
     )
     clips = dict.fromkeys((r1.clip, r2.clip))
 
-    for start in range(0, m_points, _CHUNK):
+    sinusoids = _constraint_sinusoids(cx, cy, r0, rings, clips)
+    for start in _live_chunk_starts(m_points, sinusoids):
         cos, sin = _unit_circle_chunk(m_points, start)
         x = cx + r0 * cos
         y = cy + r0 * sin

@@ -121,11 +121,11 @@ def prob_zero(s: ScenarioConfig, j: int, target: Point) -> float:
 
 
 def empirical_freq(bits: np.ndarray) -> EmpiricalFreq:
-    """Fraction of zero bits in a record."""
+    """Fraction of zero bits in a record, counted as ``QuantizedDataset.freq`` does."""
     arr = np.asarray(bits)
     if arr.size == 0:
         raise EmptyData("cannot form an empirical frequency from zero bits")
-    return EmpiricalFreq(zeros=int(arr.size - arr.sum()), k_samples=int(arr.size))
+    return EmpiricalFreq(zeros=arr.size - int(np.count_nonzero(arr)), k_samples=arr.size)
 
 
 @dataclass(frozen=True)

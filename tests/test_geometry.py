@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_region_trial
 from quantloc import (
@@ -22,7 +24,6 @@ from quantloc import (
     circle_meets_region_discretized,
     containment_oracle,
     phi_bound,
-    ring_member,
 )
 from quantloc.geometry import _CHUNK, _unit_circle_chunk
 
@@ -60,18 +61,6 @@ def test_ring_and_circle_validation():
     with pytest.raises(DomainError):
         Circle(Point(0.0, 0.0), -1.0)
     assert Circle(Point(0.0, 0.0), 0.0).radius == 0.0
-
-
-def test_ring_member_closed_semantics():
-    r1 = Ring(Point(-10.0, 0.0), math.sqrt(125.0), 0.5, UPPER)
-    r2 = Ring(Point(10.0, 0.0), math.sqrt(125.0), 0.5, UPPER)
-    assert ring_member(Point(0.0, 5.0), r1, r2)
-    assert not ring_member(Point(0.0, -5.0), r1, r2)  # fails the clip
-    assert not ring_member(Point(0.0, 20.0), r1, r2)  # outside both rings
-    # exactly on the outer edge of both rings still counts
-    edge = Ring(Point(-3.0, 0.0), 2.0, 1.0, OPEN)
-    edge2 = Ring(Point(3.0, 0.0), 2.0, 1.0, OPEN)
-    assert ring_member(Point(0.0, 0.0), edge, edge2)
 
 
 def test_circle_intersection_hand_case():
@@ -248,6 +237,133 @@ def test_discretized_walk_matches_unpruned_reference():
     assert verdicts[True] > 50 and verdicts[False] > 50
 
 
+def _shifted(query, ox, oy):
+    """The query moved by (ox, oy): circle center, ring centers and clip anchors."""
+    circle, *rings = query
+
+    def move(p):
+        return Point(p.x + ox, p.y + oy)
+
+    def move_ring(ring):
+        clip = HalfSpace(move(ring.clip.a), move(ring.clip.b), ring.clip.side)
+        return Ring(move(ring.center), ring.radius, ring.half_width, clip)
+
+    return (Circle(move(circle.center), circle.radius), *map(move_ring, rings))
+
+
+@st.composite
+def _skip_stress_queries(draw):
+    """Detector-shaped queries bent toward the cases the chunk skip must get right.
+
+    Coordinates offset by up to 1e10, a second clip on the other side of
+    the anchor line or through ring 2's center at any angle, zero radii,
+    circles centered on a ring's center, and radii tangent to a ring edge,
+    exactly or moved one ulp either way.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circle, r1, r2 = random_region_trial(rng)
+    clip_mode = draw(st.sampled_from(["shared", "opposite", "tilted"]))
+    if clip_mode == "opposite":
+        clip = replace(r1.clip, side=-r1.clip.side)
+        r2 = replace(r2, clip=clip)
+    elif clip_mode == "tilted":
+        ang = draw(st.floats(0.0, 2.0 * math.pi))
+        far = Point(r2.center.x + math.cos(ang), r2.center.y + math.sin(ang))
+        r2 = replace(r2, clip=HalfSpace(r2.center, far, draw(st.sampled_from([-1, 1]))))
+    radius_mode = draw(st.sampled_from(["trial", "zero", "ring center", "tangent"]))
+    ring = draw(st.sampled_from([r1, r2]))
+    if radius_mode == "zero":
+        circle = replace(circle, radius=0.0)
+    elif radius_mode == "ring center":
+        circle = replace(circle, center=ring.center)
+    elif radius_mode == "tangent":
+        edge = draw(st.sampled_from([ring.r_inner, ring.r_outer]))
+        d = math.hypot(circle.center.x - ring.center.x, circle.center.y - ring.center.y)
+        radius = draw(st.sampled_from([edge + d, abs(edge - d)]))
+        for _ in range(draw(st.integers(0, 1))):
+            radius = math.nextafter(radius, draw(st.sampled_from([0.0, math.inf])))
+        circle = replace(circle, radius=radius)
+    exponent = draw(st.sampled_from([None, 4, 6, 8, 10]))
+    if exponent is not None:
+        sx, sy = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+        return _shifted((circle, r1, r2), sx * 10.0**exponent, sy * 10.0**exponent)
+    return circle, r1, r2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    query=_skip_stress_queries(),
+    m_points=st.sampled_from([3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200_000]),
+)
+def test_chunk_skip_matches_unpruned_walk_on_stress_queries(query, m_points):
+    expected = _unpruned_discretized(*query, m_points)
+    assert circle_meets_region_discretized(*query, m_points) == expected
+
+
+def _tangent_at_first_point(kind, ox, oy):
+    """A unit circle around (ox, oy) whose point 0, (ox + 1, oy), passes one
+    constraint with no slack at all, while in exact arithmetic every other
+    point of the circle fails it.
+
+    "outer": the point is on ring A's outer edge, the circle outside it;
+    "inner": on ring A's inner edge, the circle inside it;
+    "clip": on the clip line, the circle on its outer side.
+    """
+    open_clip = HalfSpace(Point(ox - 1.0, oy - 100.0), Point(ox + 1.0, oy - 100.0), 1)
+    if kind == "outer":
+        a = Ring(Point(ox + 3.0, oy), 1.5, 0.5, open_clip)
+        b = Ring(Point(ox - 3.0, oy), 4.0, 1.0, open_clip)
+    elif kind == "inner":
+        a = Ring(Point(ox - 3.0, oy), 5.0, 1.0, open_clip)
+        b = Ring(Point(ox + 3.0, oy), 2.0, 0.5, open_clip)
+    else:
+        clip = HalfSpace(Point(ox + 1.0, oy - 5.0), Point(ox + 1.0, oy + 5.0), -1)
+        a = Ring(Point(ox + 3.0, oy), 2.0, 0.5, clip)
+        b = Ring(Point(ox - 3.0, oy), 4.0, 0.5, open_clip)
+    return Circle(Point(ox, oy), 1.0), a, b
+
+
+@pytest.mark.parametrize("kind", ["outer", "inner", "clip"])
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8, 1e10])
+def test_chunk_skip_keeps_a_point_exactly_on_the_edge(kind, offset):
+    circle, a, b = _tangent_at_first_point(kind, offset, -offset)
+    m_grid = (3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200_000, 64 * 200_000)
+    for m_points in m_grid:
+        # point 0 sits exactly on the edge, and closed inequalities keep it
+        assert circle_meets_region_discretized(circle, a, b, m_points), m_points
+        assert _unpruned_discretized(circle, a, b, m_points)
+    for m_points in m_grid[:-1]:
+        for toward in (0.0, math.inf):
+            nudged = replace(circle, radius=math.nextafter(1.0, toward))
+            expected = _unpruned_discretized(nudged, a, b, m_points)
+            assert circle_meets_region_discretized(nudged, a, b, m_points) == expected
+
+
+@pytest.mark.parametrize("kind", ["outer", "inner", "clip"])
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8, 1e10])
+def test_chunk_skip_keeps_a_point_that_rounding_puts_on_the_edge(kind, offset):
+    # three tenths of an ulp of the coordinates short of tangency: the exact
+    # circle misses by about that much, but ox + radius rounds to ox + 1, so
+    # the walk's point 0 lands exactly on the edge and passes
+    circle, a, b = _tangent_at_first_point(kind, offset, -offset)
+    circle = replace(circle, radius=1.0 - 0.3 * math.ulp(offset))
+    assert circle.center.x + circle.radius == offset + 1.0
+    for m_points in (3, _CHUNK + 1, 200_000):
+        assert _unpruned_discretized(circle, a, b, m_points)
+        assert circle_meets_region_discretized(circle, a, b, m_points), m_points
+
+
+def _ring_member(p, r1, r2):
+    """Whether p lies in both clipped rings (closed inequalities)."""
+    for ring in (r1, r2):
+        if not ring.clip.contains(p):
+            return False
+        d = math.hypot(p.x - ring.center.x, p.y - ring.center.y)
+        if not (-ring.half_width <= d - ring.radius <= ring.half_width):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("m_points", [3, 7, _CHUNK + 1, 3 * _CHUNK + 11])
 def test_discretized_walk_tests_first_last_and_chunk_edge_points(m_points):
     circle = Circle(Point(0.0, 0.0), 1.0)
@@ -262,22 +378,34 @@ def test_discretized_walk_tests_first_last_and_chunk_edge_points(m_points):
         r1 = Ring(Point(p.x + 10.0 * t[0], p.y + 10.0 * t[1]), 10.0, 0.1 * step, OPEN)
         r2 = Ring(Point(p.x - 10.0 * t[0], p.y - 10.0 * t[1]), 10.0, 0.1 * step, OPEN)
         for n in (m - 1, m + 1):
-            assert not ring_member(Point(math.cos(step * n), math.sin(step * n)), r1, r2)
+            assert not _ring_member(Point(math.cos(step * n), math.sin(step * n)), r1, r2)
         assert circle_meets_region_discretized(circle, r1, r2, m_points), m
 
 
 def test_discretized_chunk_cache_is_bounded_and_read_only():
     r1, r2 = _sym_rings()
-    # a circle far from both rings walks every chunk without an early exit
-    far = Circle(Point(0.0, 1000.0), 1.0)
     _unit_circle_chunk.cache_clear()
+    # a circle far from both rings fails ring 1 on every chunk's whole arc,
+    # so no chunk is walked and no table is read
+    far = Circle(Point(0.0, 1000.0), 1.0)
     assert not circle_meets_region_discretized(far, r1, r2, 200_000)
-    assert not circle_meets_region_discretized(far, r1, r2, 200_000)
+    info = _unit_circle_chunk.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
+    # a point circle a hair (2e-11 relative, squared) outside ring 1's outer
+    # edge and inside ring 2: within the skip's rounding margin, so every
+    # chunk is walked, and every point fails ring 1
+    a, b = r1.r_outer * (1.0 + 1e-11), r2.radius
+    x = (a * a - b * b) / 40.0
+    edge = Circle(Point(x, math.sqrt(a * a - (x + 10.0) ** 2)), 0.0)
+    assert not _unpruned_discretized(edge, r1, r2, 200_000)
+    assert not circle_meets_region_discretized(edge, r1, r2, 200_000)
+    assert not circle_meets_region_discretized(edge, r1, r2, 200_000)
     chunks = math.ceil(200_000 / _CHUNK)
     info = _unit_circle_chunk.cache_info()
     assert (info.misses, info.hits) == (chunks, chunks)  # trig once per (M, chunk)
-    assert not circle_meets_region_discretized(far, r1, r2, 64 * 200_000)
+    assert not circle_meets_region_discretized(edge, r1, r2, 64 * 200_000)
     info = _unit_circle_chunk.cache_info()
+    assert info.misses == chunks + math.ceil(64 * 200_000 / _CHUNK)
     assert info.maxsize is not None and chunks < info.maxsize
     assert info.currsize <= info.maxsize
     cos, sin = _unit_circle_chunk(200_000, 0)

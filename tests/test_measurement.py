@@ -56,6 +56,17 @@ def test_empirical_freq_from_bits():
         empirical_freq(np.array([], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+def test_empirical_freq_counts_zeros_like_the_dataset(dtype):
+    rng = np.random.default_rng(5)
+    full = (rng.random(3 * 1001) < 0.3).astype(dtype)
+    records = {1: full[:1001], 2: full[::3], 3: full[1::3][::-1], 4: full[-1:]}
+    for sid, arr in records.items():
+        data = QuantizedDataset(bits={sid: arr}, k=arr.size, rng_seed=0)
+        expected = EmpiricalFreq(zeros=int((arr == 0).sum()), k_samples=arr.size)
+        assert empirical_freq(arr) == data.freq(sid) == expected, sid
+
+
 def test_quantized_dataset_shape_check():
     bits = {1: np.zeros(10, dtype=np.uint8), 2: np.zeros(9, dtype=np.uint8)}
     with pytest.raises(DomainError):
