@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import AdvisoryWarning, DomainError, InvalidScenario, MissingSensorData
 from .geometry import (
@@ -29,7 +29,13 @@ from .geometry import (
     circle_meets_region_analytic,
     circle_meets_region_discretized,
 )
-from .measurement import DistanceEstimate, attacked_distance, nmle_distance
+from .measurement import (
+    DistanceEstimate,
+    QuantizedDataset,
+    attacked_distance,
+    nmle_distance,
+    nmle_distances,
+)
 from .noise import GaussianNoise
 from .scenario import (
     ScenarioConfig,
@@ -140,11 +146,15 @@ def _decide(cfg: DetectorConfig, circle: Circle, ring1: Ring, ring2: Ring) -> in
     return 0 if meets else 1
 
 
+def _missing(sensor_id) -> MissingSensorData:
+    return MissingSensorData(f"dataset has no record for sensor {sensor_id}")
+
+
 def _estimate(s: ScenarioConfig, data, j: int) -> DistanceEstimate:
     try:
         freq = data.freq(j)
     except KeyError:
-        raise MissingSensorData(f"dataset has no record for sensor {j}") from None
+        raise _missing(j) from None
     return nmle_distance(s, j, freq)
 
 
@@ -152,7 +162,7 @@ def _classify(
     s: ScenarioConfig,
     cfg: DetectorConfig,
     secure_estimates: tuple[tuple[int, DistanceEstimate], ...],
-    radii: Sequence[tuple[float, bool]],
+    radii: Iterable[tuple[float, bool]],
     k: int | None,
 ) -> DetectionReport:
     """Decide every unsecure sensor from its radius against the secure rings.
@@ -176,16 +186,28 @@ def _classify(
     )
 
 
-def detect_all(s: ScenarioConfig, cfg: DetectorConfig, data) -> DetectionReport:
-    """Classify every unsecure sensor against the shared secure rings."""
+def detect_all(
+    s: ScenarioConfig, cfg: DetectorConfig, data: QuantizedDataset
+) -> DetectionReport:
+    """Classify every unsecure sensor against the shared secure rings.
+
+    The two anchors' radii come from ``nmle_distance``, and the report
+    carries their estimates.  The unsecure sensors' zero counts are taken
+    in one pass over their records, and ``nmle_distances`` turns them all
+    into radii at once, with values and clamp flags identical to
+    ``nmle_distance``'s.  A sensor without a record raises
+    MissingSensorData naming it, the anchors first.  The region test then
+    runs once per sensor.
+    """
     _warn_if_inadmissible(s, cfg.delta)
     s1, s2 = s.secure_pair()
     secure = ((s1.id, _estimate(s, data, s1.id)), (s2.id, _estimate(s, data, s2.id)))
-    radii = []
-    for sensor in s.unsecure():
-        est = _estimate(s, data, sensor.id)
-        radii.append((est.value, est.clamped))
-    return _classify(s, cfg, secure, radii, getattr(data, "k", None))
+    try:
+        zeros = data.zero_counts([sensor.id for sensor in s.unsecure()])
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    d_hat, clamped = nmle_distances(s, zeros, data.k)
+    return _classify(s, cfg, secure, zip(d_hat, clamped), data.k)
 
 
 def detect_from_probabilities(

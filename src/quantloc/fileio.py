@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 import numpy as np
 
@@ -55,10 +55,30 @@ def _get(obj: Mapping[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
+def _known_fields(obj: Any, names: Collection[str], path: str) -> Mapping[str, Any]:
+    """``obj`` as a JSON object whose keys are all among ``names``."""
+    if not isinstance(obj, Mapping):
+        raise ParseError(f"{path}: expected an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in names:
+            raise ParseError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+    return obj
+
+
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    out = float(value)
+    if not math.isfinite(out):
+        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+    return out
+
+
+def _positive(value: Any, path: str) -> float:
+    out = _number(value, path)
+    if not out > 0.0:
+        raise ParseError(f"{path}: must be positive, got {value!r}")
+    return out
 
 
 def _integer(value: Any, path: str) -> int:
@@ -80,11 +100,11 @@ def _point(value: Any, path: str) -> Point:
 
 
 def _noise(value: Any, path: str) -> GaussianNoise:
-    kind = _get(value, "kind", path)
+    kind = _get(_known_fields(value, ("kind", "location", "scale"), path), "kind", path)
     if kind == "gaussian":
         return GaussianNoise(
             location=_number(value.get("location", 0.0), f"{path}.location"),
-            scale=_number(value.get("scale", 1.0), f"{path}.scale"),
+            scale=_positive(value.get("scale", 1.0), f"{path}.scale"),
         )
     raise ParseError(f"{path}.kind: unknown noise model {kind!r}")
 
@@ -93,7 +113,11 @@ def _noise_dict(noise: GaussianNoise) -> dict[str, Any]:
     return {"kind": "gaussian", "location": noise.location, "scale": noise.scale}
 
 
-def _linspace_block(block: Mapping[str, Any], path: str) -> list[float]:
+_LINSPACE_FIELDS = ("first_id", "count", "start", "stop", "include_start", "include_stop")
+
+
+def _linspace_block(block: Any, path: str) -> list[float]:
+    block = _known_fields(block, _LINSPACE_FIELDS, path)
     count = _integer(_get(block, "count", path), f"{path}.count")
     if count < 1:
         raise ParseError(f"{path}.count: must be >= 1, got {count}")
@@ -110,6 +134,10 @@ def _linspace_block(block: Mapping[str, Any], path: str) -> list[float]:
     return [float(x) for x in xs]
 
 
+_SENSOR_FIELDS = ("id", "position", "secure", "threshold", "noise")
+_LINSPACE_ENTRY_FIELDS = ("linspace", "y", "threshold", "noise")
+
+
 def _parse_sensors(
     entries: Any,
     default_threshold: float,
@@ -118,10 +146,20 @@ def _parse_sensors(
     if not isinstance(entries, list) or not entries:
         raise ParseError("sensors: expected a nonempty list")
     sensors: list[SensorSpec] = []
+    seen: set[int] = set()
+
+    def add(sensor: SensorSpec, id_path: str) -> None:
+        if sensor.id in seen:
+            raise ParseError(f"{id_path}: sensor id {sensor.id} repeats an earlier sensor")
+        seen.add(sensor.id)
+        sensors.append(sensor)
+
     for i, entry in enumerate(entries):
         path = f"sensors[{i}]"
         if not isinstance(entry, Mapping):
             raise ParseError(f"{path}: expected an object, got {entry!r}")
+        names = _LINSPACE_ENTRY_FIELDS if "linspace" in entry else _SENSOR_FIELDS
+        _known_fields(entry, names, path)
         threshold = _number(entry.get("threshold", default_threshold), f"{path}.threshold")
         noise = (
             _noise(entry["noise"], f"{path}.noise")
@@ -136,24 +174,20 @@ def _parse_sensors(
                 f"{path}.linspace.first_id",
             )
             for offset, x in enumerate(xs):
-                sensors.append(
-                    SensorSpec(
-                        id=first_id + offset,
-                        position=Point(x, y),
-                        threshold=threshold,
-                        noise=noise,
-                        secure=False,
-                    )
+                add(
+                    SensorSpec(first_id + offset, Point(x, y), threshold, noise),
+                    f"{path}.linspace.first_id",
                 )
         else:
-            sensors.append(
+            add(
                 SensorSpec(
                     id=_integer(_get(entry, "id", path), f"{path}.id"),
                     position=_point(_get(entry, "position", path), f"{path}.position"),
                     threshold=threshold,
                     noise=noise,
                     secure=_boolean(entry.get("secure", False), f"{path}.secure"),
-                )
+                ),
+                f"{path}.id",
             )
     return tuple(sensors)
 
@@ -214,6 +248,7 @@ def _parse_attacks(entries: Any) -> AttackAssignment:
         path = f"attacks[{i}]"
         if not isinstance(entry, Mapping):
             raise ParseError(f"{path}: expected an object, got {entry!r}")
+        _known_fields(entry, ("ids", "variant", "params"), path)
         ids = _attack_ids(_get(entry, "ids", path), f"{path}.ids")
         variant = _get(entry, "variant", path)
         spec = _attack_spec(variant, entry.get("params", {}), path)
@@ -222,6 +257,17 @@ def _parse_attacks(entries: Any) -> AttackAssignment:
                 raise ParseError(f"{path}: sensor {j} already has an attack entry")
             specs[j] = spec
     return AttackAssignment(specs=specs)
+
+
+_DOCUMENT_FIELDS = (
+    "schema_version", "constants", "roi", "target", "noise_default",
+    "threshold_default", "sensors", "attacks",
+)
+# Each constant with its default; None marks a required one.
+_CONSTANTS = {
+    "p0": None, "d0": None, "gamma": None,
+    "upsilon1": 1.0, "upsilon2": 1.0, "kappa": 0.005,
+}
 
 
 def parse_scenario(text: str) -> tuple[ScenarioConfig, AttackAssignment]:
@@ -235,7 +281,8 @@ def parse_scenario(text: str) -> tuple[ScenarioConfig, AttackAssignment]:
         raise ParseError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version}"
         )
-    constants = _get(doc, "constants", "document")
+    _known_fields(doc, _DOCUMENT_FIELDS, "")
+    constants = _known_fields(_get(doc, "constants", "document"), _CONSTANTS, "constants")
     default_noise = _noise(
         doc.get("noise_default", {"kind": "gaussian"}), "noise_default"
     )
@@ -243,22 +290,21 @@ def parse_scenario(text: str) -> tuple[ScenarioConfig, AttackAssignment]:
     sensors = _parse_sensors(
         _get(doc, "sensors", "document"), default_threshold, default_noise
     )
-    roi_obj = _get(doc, "roi", "document")
+    roi_obj = _known_fields(_get(doc, "roi", "document"), ("center", "radius"), "roi")
     roi = RoiDisc(
         center=_point(_get(roi_obj, "center", "roi"), "roi.center"),
-        radius=_number(_get(roi_obj, "radius", "roi"), "roi.radius"),
+        radius=_positive(_get(roi_obj, "radius", "roi"), "roi.radius"),
     )
+    values = {}
+    for name, default in _CONSTANTS.items():
+        raw = _get(constants, name, "constants") if default is None else constants.get(name, default)
+        values[name] = _positive(raw, f"constants.{name}")
     try:
         scenario = ScenarioConfig(
             sensors=sensors,
             roi=roi,
             target=_point(_get(doc, "target", "document"), "target"),
-            p0=_number(_get(constants, "p0", "constants"), "constants.p0"),
-            d0=_number(_get(constants, "d0", "constants"), "constants.d0"),
-            gamma=_number(_get(constants, "gamma", "constants"), "constants.gamma"),
-            upsilon1=_number(constants.get("upsilon1", 1.0), "constants.upsilon1"),
-            upsilon2=_number(constants.get("upsilon2", 1.0), "constants.upsilon2"),
-            kappa=_number(constants.get("kappa", 0.005), "constants.kappa"),
+            **values,
         )
     except (DomainError, InvalidScenario) as exc:
         raise ParseError(f"scenario invalid: {exc}") from exc

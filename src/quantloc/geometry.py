@@ -443,6 +443,12 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
     in R with a slack of 1e-12 of R's size, and the interval is widened by
     1e-12 of R's size plus the radius, so tangent and corner ties read as
     "intersects".
+
+    When c lies on the clip line, as every sensor the detector places on
+    its anchor line does, the foot of c is c itself and the ray points are
+    line points the frame already built, bit for bit; those in R are
+    corners.  So a radius that clears the corners' distances by the slack
+    is decided right after the test of c, with no other candidate.
     """
     f = _anchor_frame(r1, r2)
     if not f.corners:
@@ -454,14 +460,22 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
     r = circle.radius
     tol = _SLACK * (f.scale + r)
     corner_dists = [math.hypot(u - cu, v - cv) for u, v in f.corners]
-    if r < min(corner_dists) - tol:
+    nearest = min(corner_dists)
+    if r < nearest - tol:
         if f.contains(cu, cv):
             return True
+        # On the line the candidates below are corners or c; none is within
+        # r + tol unless rounding let a corner through the bracket above.
+        if cv == 0.0 and r + tol < nearest:
+            return False
         near = [(cu, 0.0), *f.ray_points(cu, cv, 1.0)]
         return any(
             math.hypot(u - cu, v - cv) <= r + tol for u, v in near if f.contains(u, v)
         )
-    if r > max(corner_dists) + tol:
+    farthest = max(corner_dists)
+    if r > farthest + tol:
+        if cv == 0.0 and farthest < r - tol:
+            return False
         return any(
             math.hypot(u - cu, v - cv) >= r - tol
             for u, v in f.ray_points(cu, cv, -1.0)

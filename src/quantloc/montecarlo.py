@@ -20,6 +20,7 @@ metrics.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -52,9 +53,21 @@ __all__ = [
 ]
 
 
+def _index(value, name: str) -> int:
+    """An integer, numpy integers included, as a Python int; else DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything a Monte Carlo run depends on, immutably."""
+    """Everything a Monte Carlo run depends on, immutably.
+
+    ``k_grid`` entries, ``trials``, ``base_seed`` and ``threads`` must be
+    integers; numpy integers are stored as Python ints.
+    """
 
     scenario: ScenarioConfig
     assignment: AttackAssignment
@@ -66,6 +79,13 @@ class ExperimentPlan:
     params: ExponentParams = field(default_factory=ExponentParams)
 
     def __post_init__(self) -> None:
+        try:
+            k_grid = tuple(_index(k, f"k_grid[{i}]") for i, k in enumerate(self.k_grid))
+        except TypeError:
+            raise DomainError(f"k_grid must be a sequence, got {self.k_grid!r}") from None
+        object.__setattr__(self, "k_grid", k_grid)
+        for name in ("trials", "base_seed", "threads"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if not self.k_grid:
             raise DomainError("k_grid must be nonempty")
         if any(k < 1 for k in self.k_grid):
@@ -255,6 +275,8 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
     """
     if not deltas:
         raise DomainError("need at least one delta")
+    if len(set(deltas)) != len(deltas):
+        raise DomainError(f"deltas must not repeat a value, got {list(deltas)}")
     scenario, assignment = plan.scenario, plan.assignment
     attacked = frozenset(assignment.attacked_ids())
     unsecure = [sensor.id for sensor in scenario.unsecure()]

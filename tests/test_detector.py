@@ -13,6 +13,7 @@ from quantloc import (
     DomainError,
     Mima,
     MissingSensorData,
+    QuantizedDataset,
     attacked_distance,
     compute_distance_bounds,
     delta_admissible,
@@ -232,3 +233,41 @@ def test_distortion_floor_general_attenuation(rng):
             kappa2 = psi / (1.05 * s.gamma)
             floor2 = lambda_j(s, j, kappa=kappa2)
             assert abs(shifted - d_true) >= floor2 * (1.0 - 1e-9)
+
+
+def _records_with_zero_counts(zeros, k):
+    """One record per id with exactly the given number of zero bits, shuffled."""
+    rng = np.random.default_rng(5)
+    return {
+        j: rng.permutation(np.r_[np.zeros(z, np.uint8), np.ones(k - z, np.uint8)])
+        for j, z in zeros.items()
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 64, 10_000])
+def test_detect_all_rows_equal_per_sensor_nmle_distance(k):
+    from quantloc import nmle_distance
+
+    s = random_scenario(np.random.default_rng(k), n_unsecure=6)
+    rng = np.random.default_rng(k + 1)
+    for _ in range(5):
+        zeros = {x.id: int(rng.integers(0, k, endpoint=True)) for x in s.sensors}
+        data = QuantizedDataset(bits=_records_with_zero_counts(zeros, k), k=k, rng_seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdvisoryWarning)
+            report = detect_all(s, DetectorConfig(delta=1.0), data)
+        assert [row.sensor_id for row in report.rows] == [x.id for x in s.unsecure()]
+        for row in report.rows:
+            est = nmle_distance(s, row.sensor_id, data.freq(row.sensor_id))
+            assert (row.d_hat.hex(), row.clamped) == (est.value.hex(), est.clamped)
+        for sid, est in report.secure_estimates:
+            assert est == nmle_distance(s, sid, data.freq(sid))
+
+
+@pytest.mark.parametrize("missing", [1, 2, 3, 4])
+def test_detect_all_names_the_sensor_without_a_record(toy_scenario, missing):
+    data = generate_dataset(toy_scenario, no_attacks(), 100, base_seed=1, trial_index=0)
+    bits = {j: arr for j, arr in data.bits.items() if j != missing}
+    partial = QuantizedDataset(bits=bits, k=100, rng_seed=1)
+    with pytest.raises(MissingSensorData, match=rf"no record for sensor {missing}\b"):
+        detect_all(toy_scenario, DetectorConfig(delta=5.0), partial)

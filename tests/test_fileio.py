@@ -2,6 +2,7 @@
 
 import re
 import json
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -284,6 +285,187 @@ def test_every_attack_variant_round_trips_byte_identically(toy_scenario_doc, spe
 @pytest.fixture(scope="module")
 def toy_scenario_doc():
     return json.dumps(_base_doc())
+
+
+# -- scenario documents beyond the attack entries ----------------------------
+
+_pos = st.floats(1e-3, 1e3)
+_coord = st.floats(-1e6, 1e6)
+_noises = st.fixed_dictionaries(
+    {"kind": st.just("gaussian")},
+    optional={"location": st.floats(-5.0, 5.0), "scale": st.floats(0.1, 10.0)},
+)
+
+
+@st.composite
+def _scenario_docs(draw):
+    """A valid scenario document with explicit sensors, linspace rows and optional keys."""
+    ids = iter(range(draw(st.integers(-1000, 1000)), 10**6, draw(st.integers(1, 3))))
+    sensors = []
+    for linspace in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        extra = draw(
+            st.fixed_dictionaries({}, optional={"threshold": st.floats(-3.0, 3.0), "noise": _noises})
+        )
+        if linspace:
+            block = draw(
+                st.fixed_dictionaries(
+                    {"count": st.integers(1, 4), "start": _coord, "stop": _coord},
+                    optional={"include_start": st.booleans(), "include_stop": st.booleans()},
+                )
+            )
+            block["first_id"] = next(ids)
+            for _ in range(block["count"] - 1):
+                next(ids)
+            entry = {"linspace": block, **extra}
+            if draw(st.booleans()):
+                entry["y"] = draw(_coord)
+        else:
+            entry = {"id": next(ids), "position": [draw(_coord), draw(_coord)], **extra}
+            if draw(st.booleans()):
+                entry["secure"] = False
+        sensors.append(entry)
+    for x in (-100.0, 100.0):
+        sensors.insert(
+            draw(st.integers(0, len(sensors))),
+            {"id": next(ids), "position": [x, 0.0], "secure": True},
+        )
+    constants = {name: draw(_pos) for name in ("p0", "d0", "gamma")}
+    constants.update(
+        draw(st.fixed_dictionaries({}, optional={k: _pos for k in ("upsilon1", "upsilon2", "kappa")}))
+    )
+    center = [draw(_coord), draw(_coord)]
+    radius = draw(_pos)
+    doc = {
+        "schema_version": 1,
+        "constants": constants,
+        "roi": {"center": center, "radius": radius},
+        "target": [center[0] + draw(st.floats(-0.9, 0.9)) * radius, center[1]],
+        "sensors": sensors,
+    }
+    if draw(st.booleans()):
+        doc["noise_default"] = draw(_noises)
+    if draw(st.booleans()):
+        doc["threshold_default"] = draw(st.floats(-3.0, 3.0))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_scenario_docs())
+def test_valid_scenario_documents_round_trip_byte_identically(doc):
+    s, a = _parse(doc)
+    text = render_scenario(s, a)
+    s2, a2 = parse_scenario(text)
+    assert s2 == s and a2 == a
+    assert render_scenario(s2, a2) == text
+
+
+_NOT_NUMBERS = ["1.0", True, None, [1.0], {"v": 1.0}, math.nan, math.inf, -math.inf]
+_NOT_POSITIVE = [0.0, -1.0, -1e-300]
+_NOT_INTEGERS = [1.5, "1", True, None, 2.0]
+_NOT_POINTS = [[0.0], [0.0, 0.0, 0.0], "0,0", {"x": 0.0}, [math.nan, 0.0], [0.0, "1"]]
+
+
+@st.composite
+def _malformed(draw):
+    """A valid document with one field broken, and the path its error must start with."""
+    doc = draw(_scenario_docs())
+    sensors = doc["sensors"]
+    explicit = [i for i, e in enumerate(sensors) if "linspace" not in e]
+    rows = [i for i, e in enumerate(sensors) if "linspace" in e]
+    kinds = ["constant", "missing_constant", "roi", "unknown", "threshold", "noise", "sensor"]
+    kinds += ["linspace", "repeat"] if rows else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        name = draw(st.sampled_from(["p0", "d0", "gamma", "upsilon1", "upsilon2", "kappa"]))
+        doc["constants"][name] = draw(st.sampled_from(_NOT_NUMBERS + _NOT_POSITIVE))
+        return doc, f"constants.{name}: "
+    if kind == "missing_constant":
+        name = draw(st.sampled_from(["p0", "d0", "gamma"]))
+        del doc["constants"][name]
+        return doc, f"constants: missing required field {name!r}"
+    if kind == "roi":
+        if draw(st.booleans()):
+            doc["roi"]["radius"] = draw(st.sampled_from(_NOT_NUMBERS + _NOT_POSITIVE))
+            return doc, "roi.radius"
+        doc["roi"]["center"] = draw(st.sampled_from(_NOT_POINTS))
+        return doc, "roi.center"
+    if kind == "unknown":
+        where, path = draw(
+            st.sampled_from(
+                [(doc, ""), (doc["constants"], "constants."), (doc["roi"], "roi.")]
+                + [(sensors[i], f"sensors[{i}].") for i in range(len(sensors))]
+                + [(sensors[i]["linspace"], f"sensors[{i}].linspace.") for i in rows]
+            )
+        )
+        key = draw(st.sampled_from(["treshold", "Radius", "comment"]))
+        where[key] = 1.0
+        return doc, f"{path}{key}: unknown field"
+    if kind == "threshold":
+        if draw(st.booleans()):
+            doc["threshold_default"] = draw(st.sampled_from(_NOT_NUMBERS))
+            return doc, "threshold_default"
+        i = draw(st.integers(0, len(sensors) - 1))
+        sensors[i]["threshold"] = draw(st.sampled_from(_NOT_NUMBERS))
+        return doc, f"sensors[{i}].threshold"
+    if kind == "noise":
+        field, bad = draw(
+            st.sampled_from(
+                [("scale", v) for v in _NOT_NUMBERS + _NOT_POSITIVE]
+                + [("location", v) for v in _NOT_NUMBERS]
+                + [("kind", v) for v in ["laplace", None, 1]]
+            )
+        )
+        noise = {"kind": "gaussian", field: bad}
+        if draw(st.booleans()):
+            doc["noise_default"] = noise
+            return doc, f"noise_default.{field}"
+        i = draw(st.integers(0, len(sensors) - 1))
+        sensors[i]["noise"] = noise
+        return doc, f"sensors[{i}].noise.{field}"
+    if kind == "sensor":
+        i = draw(st.sampled_from(explicit))
+        field, bad = draw(
+            st.sampled_from(
+                [("id", v) for v in _NOT_INTEGERS]
+                + [("position", v) for v in _NOT_POINTS]
+                + [("secure", v) for v in ["true", 1, None]]
+            )
+        )
+        sensors[i][field] = bad
+        return doc, f"sensors[{i}].{field}"
+    if kind == "linspace":
+        i = draw(st.sampled_from(rows))
+        field, bad = draw(
+            st.sampled_from(
+                [("count", v) for v in _NOT_INTEGERS + [0, -2]]
+                + [("first_id", v) for v in _NOT_INTEGERS]
+                + [(end, v) for end in ("start", "stop") for v in _NOT_NUMBERS]
+                + [("include_stop", v) for v in ["false", 0]]
+                + [("y", v) for v in _NOT_NUMBERS]
+            )
+        )
+        if field == "y":
+            sensors[i]["y"] = bad
+            return doc, f"sensors[{i}].y"
+        sensors[i]["linspace"][field] = bad
+        return doc, f"sensors[{i}].linspace.{field}"
+    # a row whose first id repeats the id of the first sensor listed before it
+    i = draw(st.sampled_from(rows))
+    first = sensors[0]
+    if i == 0:
+        sensors.append({"id": first["linspace"]["first_id"], "position": [0.0, 0.0]})
+        return doc, f"sensors[{len(sensors) - 1}].id: sensor id"
+    sensors[i]["linspace"]["first_id"] = first["id"] if "id" in first else first["linspace"]["first_id"]
+    return doc, f"sensors[{i}].linspace.first_id: sensor id"
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_malformed())
+def test_malformed_scenario_fields_raise_parse_error_naming_their_path(case):
+    doc, path = case
+    with pytest.raises(ParseError) as info:
+        _parse(doc)
+    assert str(info.value).startswith(path), (str(info.value), path)
 
 
 def test_paper_setup_validation():

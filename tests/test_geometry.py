@@ -25,7 +25,7 @@ from quantloc import (
     containment_oracle,
     phi_bound,
 )
-from quantloc.geometry import _CHUNK, _unit_circle_chunk
+from quantloc.geometry import _CHUNK, _SLACK, _anchor_frame, _unit_circle_chunk
 
 PHI_BOUND_REF = 3.11367949538805294166
 
@@ -476,3 +476,203 @@ def test_split_verdicts_resolve_by_refining_or_by_a_nudge():
     corner = Point(0.0, math.sqrt(r1.r_outer**2 - 100.0))
     circle = Circle(Point(3.0, 0.0), math.hypot(corner.x - 3.0, corner.y))
     assert _resolve_split_verdict(circle, r1, r2, 4096) == "nudged"
+
+
+# -- the on-line shortcut of the analytic test ------------------------------
+
+
+def _analytic_without_line_shortcut(circle, r1, r2):
+    """The analytic test before its on-line shortcut, kept as an oracle."""
+    f = _anchor_frame(r1, r2)
+    if not f.corners:
+        return False
+    px, py = circle.center.x - f.ox, circle.center.y - f.oy
+    cu = px * f.eu[0] + py * f.eu[1]
+    cv = px * f.ev[0] + py * f.ev[1]
+    r = circle.radius
+    tol = _SLACK * (f.scale + r)
+    corner_dists = [math.hypot(u - cu, v - cv) for u, v in f.corners]
+    if r < min(corner_dists) - tol:
+        if f.contains(cu, cv):
+            return True
+        near = [(cu, 0.0), *f.ray_points(cu, cv, 1.0)]
+        return any(
+            math.hypot(u - cu, v - cv) <= r + tol for u, v in near if f.contains(u, v)
+        )
+    if r > max(corner_dists) + tol:
+        return any(
+            math.hypot(u - cu, v - cv) >= r - tol
+            for u, v in f.ray_points(cu, cv, -1.0)
+            if f.contains(u, v)
+        )
+    return True
+
+
+# R meets the clip line on [8, 10]: ring 1 covers |u| in [8, 12] there and
+# ring 2 covers |u - 18| in [8, 12].
+_LINE_RINGS = (
+    Ring(Point(0.0, 0.0), 10.0, 2.0, UPPER),
+    Ring(Point(18.0, 0.0), 10.0, 2.0, UPPER),
+)
+# R far from the line (below it, on the clip side), the way the detector's
+# anchor rings lie.
+_HIGH_RINGS = (
+    Ring(Point(-10.0, 0.0), 105.0, 2.0, LOWER),
+    Ring(Point(10.0, 0.0), 104.0, 1.5, LOWER),
+)
+# ring 1 wide enough to degenerate to a disc (r_inner = 0)
+_DISC_RINGS = (
+    Ring(Point(0.0, 0.0), 3.0, 4.0, UPPER),
+    Ring(Point(5.0, 0.0), 4.0, 1.0, UPPER),
+)
+_ON_LINE_US = (
+    -150.0, -12.0, -10.0, -8.0, -2.0, 0.0, 5.0, 8.0, 8.5, 9.0, 9.75, 10.0, 12.0, 18.0, 30.0, 200.0
+)
+
+
+def _radii_around_corners(rings, u):
+    """Radii at, just inside and just outside every corner distance and bracket edge."""
+    f = _anchor_frame(*rings)
+    dists = sorted({math.hypot(cu - u, cv) for cu, cv in f.corners})
+    radii = {0.0, 0.5 * dists[0], 2.0 * dists[-1] + 1.0}
+    for d in dists:
+        tol = _SLACK * (f.scale + d)
+        for base in (d, d - tol, d + tol):
+            x = base
+            for _ in range(3):
+                radii.update((x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)))
+                x = math.nextafter(x, math.inf)
+    radii.update((a + b) / 2.0 for a, b in zip(dists, dists[1:]))
+    return sorted(r for r in radii if r >= 0.0)
+
+
+@pytest.mark.parametrize("rings", [_LINE_RINGS, _HIGH_RINGS, _DISC_RINGS], ids=["line", "high", "disc"])
+def test_line_shortcut_matches_the_oracle_on_line_centres(rings):
+    for u in _ON_LINE_US:
+        for r in _radii_around_corners(rings, u):
+            circle = Circle(Point(u, 0.0), r)
+            assert circle_meets_region_analytic(circle, *rings) == _analytic_without_line_shortcut(
+                circle, *rings
+            ), (u, r)
+
+
+def test_line_shortcut_hand_cases():
+    # R's corners on the line are u = 8, 9 and 10, so a centre between them
+    # lies in R with every corner farther than these radii: the shortcut
+    # must come after the test of c itself
+    for u in (8.25, 8.5, 9.5, 9.75):
+        for r in (0.0, 0.1, 0.2):
+            assert circle_meets_region_analytic(Circle(Point(u, 0.0), r), *_LINE_RINGS)
+    # beside R on the line: small circles miss, circles reaching R meet it
+    assert not circle_meets_region_analytic(Circle(Point(5.0, 0.0), 2.5), *_LINE_RINGS)
+    assert circle_meets_region_analytic(Circle(Point(5.0, 0.0), 3.0), *_LINE_RINGS)
+    # beyond R: a circle that swallows R whole misses it
+    assert not circle_meets_region_analytic(Circle(Point(9.0, 0.0), 50.0), *_LINE_RINGS)
+    # off the line the nearest point of R can be a ray point on an arc, not a
+    # corner: (13, 7.5) is 3 from R's outer arc of ring 1 and 3.7 from the
+    # nearest corner, so the shortcut must not apply there
+    assert circle_meets_region_analytic(Circle(Point(13.0, 7.5), 3.3), *_LINE_RINGS)
+
+
+@pytest.mark.parametrize(
+    "u, ring2_radius, ring2_half_width, radius, corner",
+    [
+        # nearest corner (8, 0), 3 away: r < fl(3 - tol) passes the bracket,
+        # but fl(r + tol) is 3 (two exact half-ulp ties)
+        (5.0, "0x1.368bd98fbc1d4p+3", "0x1.b45ecc7de0ea0p+0", "0x1.7fffffffe795fp+1", 3.0),
+        # farthest corner (12, 0), 112 away: r > fl(112 + tol), but fl(r - tol) is 112
+        (-100.0, "0x1.44508b116742ep+3", "0x1.08a11622ce85cp+2", "0x1.c000000002af5p+6", 112.0),
+    ],
+    ids=["near", "far"],
+)
+def test_line_shortcut_defers_to_the_candidates_on_a_rounding_tie(
+    u, ring2_radius, ring2_half_width, radius, corner
+):
+    # the corner is also a ray point, which the full test reads as within
+    # the slack, so the shortcut must not decide these radii
+    rings = (
+        Ring(Point(0.0, 0.0), 10.0, 2.0, UPPER),
+        Ring(Point(18.0, 0.0), float.fromhex(ring2_radius), float.fromhex(ring2_half_width), UPPER),
+    )
+    circle = Circle(Point(u, 0.0), float.fromhex(radius))
+    f = _anchor_frame(*rings)
+    tol = _SLACK * (f.scale + circle.radius)
+    dists = [math.hypot(cu - circle.center.x, cv) for cu, cv in f.corners]
+    if corner == 3.0:
+        assert min(dists) == corner and circle.radius < corner - tol
+        assert circle.radius + tol == corner
+    else:
+        assert max(dists) == corner and circle.radius > corner + tol
+        assert circle.radius - tol == corner
+    assert _analytic_without_line_shortcut(circle, *rings)
+    assert circle_meets_region_analytic(circle, *rings)
+
+
+def test_on_line_centres_clear_of_the_corners_build_no_ray_points(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("ray points built for an on-line centre")
+
+    for rings in (_LINE_RINGS, _HIGH_RINGS, _DISC_RINGS):
+        f = _anchor_frame(*rings)
+        for u in _ON_LINE_US:
+            dists = [math.hypot(cu - u, cv) for cu, cv in f.corners]
+            expected = {
+                r: _analytic_without_line_shortcut(Circle(Point(u, 0.0), r), *rings)
+                for r in (0.5 * min(dists), 2.0 * max(dists) + 1.0)
+            }
+            with monkeypatch.context() as m:
+                m.setattr(type(f), "ray_points", forbidden)
+                for r, want in expected.items():
+                    assert circle_meets_region_analytic(Circle(Point(u, 0.0), r), *rings) == want
+
+
+@pytest.mark.parametrize("rings", [_LINE_RINGS, _HIGH_RINGS, _DISC_RINGS], ids=["line", "high", "disc"])
+def test_off_line_centres_still_see_every_candidate(rings):
+    rng = np.random.default_rng(29)
+    f = _anchor_frame(*rings)
+    reach = max(abs(u) + abs(v) for u, v in f.corners) + 10.0
+    for _ in range(3000):
+        c = Point(*rng.uniform(-reach, reach, size=2))
+        far = max(math.hypot(u - c.x, v - c.y) for u, v in f.corners)
+        circle = Circle(c, rng.uniform(0.0, 1.2 * far))
+        assert circle_meets_region_analytic(circle, *rings) == _analytic_without_line_shortcut(
+            circle, *rings
+        ), circle
+
+
+def test_line_shortcut_matches_the_oracle_on_criterion_09_queries():
+    rng = np.random.default_rng(20260809)
+    for _ in range(10_000):
+        query = random_region_trial(rng)
+        assert circle_meets_region_analytic(*query) == _analytic_without_line_shortcut(*query)
+
+
+@st.composite
+def _on_line_queries(draw):
+    """Detector-shaped rings on the x axis and a sensor circle centred on it."""
+    span = draw(st.floats(1.0, 100.0))
+    side = draw(st.sampled_from([-1, 1]))
+    clip = HalfSpace(Point(-span / 2.0, 0.0), Point(span / 2.0, 0.0), side)
+    rings = tuple(
+        Ring(
+            Point(x, 0.0),
+            draw(st.floats(0.1, 3.0)) * span,
+            draw(st.floats(0.0, 1.0)) * span,
+            clip,
+        )
+        for x in (-span / 2.0, span / 2.0)
+    )
+    u = draw(st.floats(-3.0, 3.0)) * span
+    f = _anchor_frame(*rings)
+    dists = [math.hypot(cu - u, cv) for cu, cv in f.corners] or [span]
+    d = draw(st.sampled_from(dists))
+    tol = _SLACK * (f.scale + d)
+    r = d + draw(st.sampled_from([0.0, -tol, tol])) + draw(st.integers(-3, 3)) * math.ulp(d)
+    r = max(0.0, r * draw(st.sampled_from([1.0, 1.0, 0.5, 1.5])))
+    return Circle(Point(u, 0.0), r), *rings
+
+
+@settings(max_examples=500, deadline=None)
+@given(query=_on_line_queries())
+def test_line_shortcut_matches_the_oracle_on_random_line_queries(query):
+    assert circle_meets_region_analytic(*query) == _analytic_without_line_shortcut(*query)

@@ -238,3 +238,113 @@ def test_attacked_distance_examples_and_domain(ref_scenario):
     for bad in (0.0, f_tau, 1.0, -0.1):
         with pytest.raises(DomainError):
             attacked_distance(ref_scenario, 1, bad)
+
+
+# -- every unsecure sensor at once ------------------------------------------
+
+
+def _mixed_scenario(low_threshold=-2.0):
+    """Unsecure sensors with mixed thresholds and non-unit noise laws."""
+    from quantloc import RoiDisc, ScenarioConfig, SensorSpec
+
+    laws = [
+        (1.0, GaussianNoise()),
+        (0.2, GaussianNoise(0.3, 2.0)),
+        (2.5, GaussianNoise(-1.0, 0.5)),
+        (low_threshold, GaussianNoise(0.5, 0.7)),
+        (-0.4, GaussianNoise(-0.25, 3.0)),
+        (4.0, GaussianNoise(1.5, 0.25)),
+    ]
+    sensors = [
+        SensorSpec(10 + i, Point(-60.0 + 20.0 * i, 0.0), tau, noise)
+        for i, (tau, noise) in enumerate(laws)
+    ]
+    sensors += [
+        SensorSpec(1, Point(-100.0, 0.0), 1.0, GaussianNoise(), secure=True),
+        SensorSpec(2, Point(100.0, 0.0), 1.0, GaussianNoise(), secure=True),
+    ]
+    return ScenarioConfig(
+        tuple(sensors), RoiDisc(Point(0.0, 100.0), 5.0), Point(0.0, 100.0), 1.0, 100.0, 2.5
+    )
+
+
+def _count_vectors(s, k, rng):
+    """Zero counts of 0, K, around F(tau) K for every sensor, then random ones."""
+    f_tau = np.array([sensor.zero_prob() for sensor in s.unsecure()])
+    vectors = [np.zeros(f_tau.size, dtype=np.int64), np.full(f_tau.size, k, dtype=np.int64)]
+    for step in range(-3, 4):
+        vectors.append(np.clip(np.floor(f_tau * k).astype(np.int64) + step, 0, k))
+    vectors += list(rng.integers(0, k, size=(20, f_tau.size), endpoint=True))
+    return vectors
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 100, 10_000, 123_457, 2**40])
+def test_array_estimates_equal_nmle_distance_bit_for_bit(k):
+    from quantloc import nmle_distances
+
+    s = _mixed_scenario()
+    for zeros in _count_vectors(s, k, np.random.default_rng(k)):
+        d_hat, clamped = nmle_distances(s, zeros, k)
+        want = [
+            nmle_distance(s, sensor.id, EmpiricalFreq(int(z), k))
+            for sensor, z in zip(s.unsecure(), zeros)
+        ]
+        assert [d.hex() for d in d_hat] == [e.value.hex() for e in want], zeros
+        assert clamped == [e.clamped for e in want], zeros
+        assert all(type(c) is bool for c in clamped)
+
+
+def test_array_estimates_cover_every_clamp_branch():
+    from quantloc import nmle_distances
+
+    s = _mixed_scenario()
+    # K = 1 collapses every interval with F(tau) < 1; K = 1e4 leaves them open
+    _, collapsed = nmle_distances(s, np.ones(6, dtype=np.int64), 1)
+    assert all(collapsed)
+    _, edges = nmle_distances(s, np.zeros(6, dtype=np.int64), 10_000)
+    assert all(edges)
+    f_tau = np.array([sensor.zero_prob() for sensor in s.unsecure()])
+    _, inside = nmle_distances(s, np.rint(f_tau * 5_000).astype(np.int64), 10_000)
+    assert not any(inside)
+
+
+def test_array_estimates_raise_where_nmle_distance_does():
+    from quantloc import nmle_distances
+
+    # F(tau) underflows to 0 for the fourth sensor, so no quantile exists
+    s = _mixed_scenario(low_threshold=-80.0)
+    assert s.unsecure()[3].zero_prob() == 0.0
+    with pytest.raises(DomainError):
+        nmle_distance(s, s.unsecure()[3].id, EmpiricalFreq(0, 100))
+    with pytest.raises(DomainError, match="for sensor 13$"):
+        nmle_distances(s, np.zeros(6, dtype=np.int64), 100)
+
+
+def test_scenario_resolves_unsecure_estimator_constants_once():
+    s = _mixed_scenario()
+    arrays = s.unsecure_arrays()
+    unsecure = s.unsecure()
+    assert arrays.threshold.tolist() == [x.threshold for x in unsecure]
+    assert arrays.location.tolist() == [x.noise.location for x in unsecure]
+    assert arrays.scale.tolist() == [x.noise.scale for x in unsecure]
+    assert [v.hex() for v in arrays.f_tau.tolist()] == [x.zero_prob().hex() for x in unsecure]
+    for arr in arrays:
+        assert not arr.flags.writeable
+    # derived, so neither equality nor the hash sees them
+    again = replace(s)
+    assert again == s and hash(again) == hash(s)
+    assert again.unsecure_arrays() is not arrays
+
+
+def test_zero_counts_count_like_freq():
+    bits = {
+        3: np.array([0, 1, 1, 0, 0], dtype=np.uint8),
+        1: np.array([1, 1, 1, 1, 1], dtype=np.uint8),
+        2: np.zeros(5, dtype=np.bool_),
+    }
+    data = QuantizedDataset(bits=bits, k=5, rng_seed=0)
+    assert data.zero_counts([2, 3, 1]).tolist() == [data.freq(j).zeros for j in (2, 3, 1)]
+    assert data.zero_counts([]).tolist() == []
+    with pytest.raises(KeyError) as info:
+        data.zero_counts([3, 9, 8])
+    assert info.value.args == (9,)

@@ -309,3 +309,47 @@ def test_auto_threads_count_the_cpus_the_process_may_use(toy_scenario, monkeypat
     assert _threads(plan) == 32
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _threads(plan) == 8
+
+
+@pytest.mark.parametrize("deltas", [[5.0, 5.0], [5.0, 6.0, 5], [280.0, 280.0]])
+def test_sweep_delta_rejects_repeated_deltas(toy_scenario, deltas):
+    plan = _plan(toy_scenario, no_attacks(), trials=1)
+    with pytest.raises(DomainError, match="deltas"):
+        sweep_delta(plan, deltas)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("k_grid", (100.0, 200.0)),
+        ("k_grid", (100, np.float64(200))),
+        ("k_grid", ("100",)),
+        ("k_grid", 100),
+        ("trials", 2.0),
+        ("trials", "2"),
+        ("threads", 1.0),
+        ("threads", None),
+        ("base_seed", 1.5),
+        ("base_seed", np.float64(1.0)),
+    ],
+)
+def test_plan_integer_fields_reject_non_integers(toy_scenario, field, bad):
+    with pytest.raises(DomainError, match=field):
+        _plan(toy_scenario, no_attacks(), **{field: bad})
+
+
+def test_plan_integer_fields_take_numpy_integers(toy_scenario):
+    plan = _plan(
+        toy_scenario,
+        no_attacks(),
+        k_grid=np.array([200, 400]),
+        trials=np.int32(3),
+        base_seed=np.uint64(7),
+        threads=np.int64(1),
+    )
+    assert plan.k_grid == (200, 400) and plan.trials == 3
+    assert plan.base_seed == 7 and plan.threads == 1
+    for value in (*plan.k_grid, plan.trials, plan.base_seed, plan.threads):
+        assert type(value) is int
+    same = _plan(toy_scenario, no_attacks(), k_grid=(200, 400), trials=3, base_seed=7)
+    assert sweep_delta(plan, [5.0]) == sweep_delta(same, [5.0])
