@@ -88,7 +88,7 @@ class DetectorConfig:
         object.__setattr__(self, "m_points", check_m_points(self.m_points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorDecision:
     sensor_id: int
     decision: int
@@ -138,14 +138,6 @@ def _secure_region(
     return ring1, ring2
 
 
-def _decide(cfg: DetectorConfig, circle: Circle, ring1: Ring, ring2: Ring) -> int:
-    if cfg.method == "analytic":
-        meets = circle_meets_region_analytic(circle, ring1, ring2)
-    else:
-        meets = circle_meets_region_discretized(circle, ring1, ring2, cfg.m_points)
-    return 0 if meets else 1
-
-
 def _missing(sensor_id) -> MissingSensorData:
     return MissingSensorData(f"dataset has no record for sensor {sensor_id}")
 
@@ -173,9 +165,13 @@ def _classify(
     """
     (_, e1), (_, e2) = secure_estimates
     ring1, ring2 = _secure_region(s, cfg, (e1.value, e2.value))
+    if cfg.method == "analytic":
+        meets, extra = circle_meets_region_analytic, ()
+    else:
+        meets, extra = circle_meets_region_discretized, (cfg.m_points,)
     rows = []
     for sensor, (d_hat, clamped) in zip(s.unsecure(), radii):
-        decision = _decide(cfg, Circle(sensor.position, d_hat), ring1, ring2)
+        decision = 0 if meets(Circle(sensor.position, d_hat), ring1, ring2, *extra) else 1
         rows.append(SensorDecision(sensor.id, decision, d_hat, clamped))
     return DetectionReport(
         rows=tuple(rows),
@@ -192,12 +188,12 @@ def detect_all(
     """Classify every unsecure sensor against the shared secure rings.
 
     The two anchors' radii come from ``nmle_distance``, and the report
-    carries their estimates.  The unsecure sensors' zero counts are taken
-    in one pass over their records, and ``nmle_distances`` turns them all
-    into radii at once, with values and clamp flags identical to
-    ``nmle_distance``'s.  A sensor without a record raises
-    MissingSensorData naming it, the anchors first.  The region test then
-    runs once per sensor.
+    carries their estimates.  The unsecure sensors' zero counts come in
+    one pass (a popcount of a loaded dataset's packed rows, no bits
+    unpacked), and ``nmle_distances`` turns them all into radii at once,
+    with values and clamp flags identical to ``nmle_distance``'s.  A sensor
+    without a record raises MissingSensorData naming it, the anchors first.
+    The region test is picked once, then runs once per sensor.
     """
     _warn_if_inadmissible(s, cfg.delta)
     s1, s2 = s.secure_pair()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .attacks import AttackAssignment, AttackSpec, Mima, NoAttack, PsiOffset, SpoofBias
 from .errors import DomainError, InvalidScenario, ParseError
-from .measurement import QuantizedDataset
+from .measurement import PackedBits, QuantizedDataset
 from .noise import GaussianNoise
 from .scenario import Point, RoiDisc, ScenarioConfig, SensorSpec
 
@@ -464,13 +464,14 @@ def save_dataset(data: QuantizedDataset, path: str | Path) -> None:
 
 
 def load_dataset(path: str | Path) -> QuantizedDataset:
-    """Read a packed dataset file, decoding every record in one pass.
+    """Read a packed dataset file, checking every record in one pass.
 
     The header is checked first, and the records the file actually holds
     are counted before anything is sized from the header's K or sensor
     count.  The whole records then form one byte matrix, one row per
-    record: the ids, repeats, padding and bits each take one vectorized
-    step, and every sensor's bits are a row view, in file order.  Of
+    record: the ids, repeats and padding each take one vectorized step.
+    The bits stay packed (``PackedBits``): zero counts come from one
+    popcount of the matrix, and a record unpacks only when read.  Of
     several bad records the first in file order is reported; within a
     record a truncation comes before a repeated id, and that before
     nonzero padding.
@@ -496,7 +497,9 @@ def load_dataset(path: str | Path) -> QuantizedDataset:
     ids = records[:, :8].view("<i8")[:, 0]
     # Records that repeat an earlier id, and records with nonzero bits past
     # K in their last byte (save_dataset writes those as 0).
-    repeats = np.setdiff1d(np.arange(n), np.unique(ids, return_index=True)[1])
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(ids, return_index=True)[1]] = True
+    repeats = np.flatnonzero(~first)
     bad_padding = np.flatnonzero(records[:, -1] & ((1 << (-k % 8)) - 1))
     # The first bad record; record n is the truncated one when n < n_sensors.
     i = min(int(bad[0]) if bad.size else n for bad in (repeats, bad_padding))
@@ -519,9 +522,6 @@ def load_dataset(path: str | Path) -> QuantizedDataset:
         raise ParseError(
             f"{path}: {len(raw) - offset} trailing bytes from byte offset {offset}"
         )
-    # Slicing rather than count=k, so a header K past C long still loads
-    # when the file holds no records.
-    bits = np.unpackbits(records[:, 8:], axis=1)[:, :k]
     return QuantizedDataset(
-        bits=dict(zip(ids.tolist(), bits)), k=k, rng_seed=seed, trial_index=trial
+        bits=PackedBits(ids.tolist(), records[:, 8:], k), k=k, rng_seed=seed, trial_index=trial
     )

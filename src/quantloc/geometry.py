@@ -417,6 +417,9 @@ class _AnchorFrame:
 
 # One frame per ring pair: a detection tests every sensor against it.
 _anchor_frame = lru_cache(maxsize=16)(_AnchorFrame)
+# The last (ring1, ring2, frame), matched by identity: an LRU hit compares the
+# rings by value.  Threads read or replace the whole tuple, so need no lock.
+_last_frame: tuple = (None, None, None)
 
 
 def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
@@ -450,7 +453,11 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
     corners.  So a radius that clears the corners' distances by the slack
     is decided right after the test of c, with no other candidate.
     """
-    f = _anchor_frame(r1, r2)
+    global _last_frame
+    last_r1, last_r2, f = _last_frame
+    if last_r1 is not r1 or last_r2 is not r2:
+        f = _anchor_frame(r1, r2)
+        _last_frame = (r1, r2, f)
     if not f.corners:
         # every ring circle crosses the clip line, so a nonempty R has a corner
         return False

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -61,9 +61,33 @@ class EmpiricalFreq:
         return self.zeros / self.k_samples
 
 
+class PackedBits(Mapping[int, np.ndarray]):
+    """Bit records packed eight to the byte, MSB first, one row each, with
+    the padding bits past K zero.  A record unpacks only when read."""
+
+    def __init__(self, ids: Sequence[int], packed: np.ndarray, k: int) -> None:
+        self.rows, self.k = dict(zip(ids, range(len(ids)))), k
+        # Rows padded to whole 64-bit words: one popcount per word leaves an
+        # eighth of the counts to add up.
+        words = np.zeros((len(packed), -(-packed.shape[1] // 8)), dtype=np.uint64)
+        self.packed = words.view(np.uint8)
+        self.packed[:, : packed.shape[1]] = packed
+        self.ones = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+    def __getitem__(self, sensor_id: int) -> np.ndarray:
+        return np.unpackbits(self.packed[self.rows[sensor_id]], count=self.k)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 @dataclass(frozen=True)
 class QuantizedDataset:
-    """Per-sensor bit records of common length K."""
+    """Per-sensor bit records of common length K, as (K,) arrays of 0/1 or
+    as ``PackedBits``."""
 
     bits: Mapping[int, np.ndarray]
     k: int
@@ -71,6 +95,8 @@ class QuantizedDataset:
     trial_index: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.bits, PackedBits):
+            return  # rows of ceil(K / 8) bytes unpack to K bits
         for sid, arr in self.bits.items():
             if arr.shape != (self.k,):
                 raise DomainError(
@@ -78,17 +104,17 @@ class QuantizedDataset:
                 )
 
     def freq(self, sensor_id: int) -> EmpiricalFreq:
-        """Zero count of one record: its length minus ``np.count_nonzero``."""
-        arr = self.bits[sensor_id]
-        return EmpiricalFreq(
-            zeros=arr.size - int(np.count_nonzero(arr)), k_samples=arr.size
-        )
+        """Zero count of one record, taken as ``zero_counts`` takes it."""
+        return EmpiricalFreq(zeros=int(self.zero_counts((sensor_id,))[0]), k_samples=self.k)
 
     def zero_counts(self, sensor_ids) -> np.ndarray:
-        """Zero counts of several records, in order, counted as ``freq`` does.
+        """Zero counts of several records, in order: K minus a popcount of
+        packed rows, or minus ``np.count_nonzero`` of in-memory arrays.
 
         Raises KeyError with the first id that has no record.
         """
+        if isinstance(self.bits, PackedBits):
+            return self.k - self.bits.ones[[self.bits.rows[sid] for sid in sensor_ids]]
         records = [self.bits[sid] for sid in sensor_ids]
         ones = np.fromiter(map(np.count_nonzero, records), dtype=np.int64, count=len(records))
         return self.k - ones

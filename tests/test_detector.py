@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from quantloc import (
     Mima,
     MissingSensorData,
     QuantizedDataset,
+    SensorDecision,
     attacked_distance,
     compute_distance_bounds,
     delta_admissible,
@@ -22,12 +24,14 @@ from quantloc import (
     detect_from_probabilities,
     distance,
     generate_dataset,
+    load_dataset,
     lambda_from,
     lambda_j,
     lambda_min,
     no_attacks,
     prob_zero,
     rho_bounds,
+    save_dataset,
     standard_gaussian,
 )
 
@@ -265,9 +269,20 @@ def test_detect_all_rows_equal_per_sensor_nmle_distance(k):
 
 
 @pytest.mark.parametrize("missing", [1, 2, 3, 4])
-def test_detect_all_names_the_sensor_without_a_record(toy_scenario, missing):
+def test_detect_all_names_the_sensor_without_a_record(toy_scenario, missing, tmp_path):
     data = generate_dataset(toy_scenario, no_attacks(), 100, base_seed=1, trial_index=0)
     bits = {j: arr for j, arr in data.bits.items() if j != missing}
     partial = QuantizedDataset(bits=bits, k=100, rng_seed=1)
-    with pytest.raises(MissingSensorData, match=rf"no record for sensor {missing}\b"):
-        detect_all(toy_scenario, DetectorConfig(delta=5.0), partial)
+    # the same records, loaded packed from their QDS1 file
+    save_dataset(partial, tmp_path / "partial.bits")
+    for records in (partial, load_dataset(tmp_path / "partial.bits")):
+        with pytest.raises(MissingSensorData, match=rf"no record for sensor {missing}\b"):
+            detect_all(toy_scenario, DetectorConfig(delta=5.0), records)
+
+
+def test_sensor_decisions_are_frozen_slotted_rows():
+    row = SensorDecision(sensor_id=3, decision=1, d_hat=2.5, clamped=False)
+    assert SensorDecision.__slots__ == ("sensor_id", "decision", "d_hat", "clamped")
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        row.decision = 0

@@ -26,6 +26,7 @@ from quantloc import (
     QuantizedDataset,
     build_paper_setup,
     detect_all,
+    empirical_freq,
     generate_dataset,
     load_dataset,
     load_scenario,
@@ -523,6 +524,24 @@ def test_dataset_round_trip(tmp_path):
     for j in bits:
         np.testing.assert_array_equal(loaded.bits[j], bits[j])
 
+    # Packed zero counts equal the unpacked ones, around the byte edges and
+    # on all-zero and all-one rows.
+    for k in (1, 7, 8, 9, 10001):
+        bits = {
+            1: rng.integers(0, 2, size=k).astype(np.uint8),
+            2: np.zeros(k, dtype=np.uint8),
+            3: np.ones(k, dtype=np.uint8),
+        }
+        save_dataset(QuantizedDataset(bits=bits, k=k, rng_seed=0), path)
+        loaded = load_dataset(path)
+        counts = [k - int(np.count_nonzero(bits[j])) for j in (3, 1, 2)]
+        assert loaded.zero_counts([3, 1, 2]).tolist() == counts
+        assert [loaded.freq(j) for j in (3, 1, 2)] == [empirical_freq(bits[j]) for j in (3, 1, 2)]
+        assert 2 in loaded.bits and 4 not in loaded.bits and len(loaded.bits) == 3
+        for j in bits:
+            assert loaded.bits[j].dtype == np.uint8 and loaded.bits[j].shape == (k,)
+            np.testing.assert_array_equal(loaded.bits[j], bits[j])
+
 
 def test_dataset_error_paths(tmp_path):
     rng = np.random.default_rng(4)
@@ -705,6 +724,7 @@ def _outcome(load, path):
         data.rng_seed,
         data.trial_index,
         [(sid, arr.dtype.str, arr.tolist()) for sid, arr in data.bits.items()],
+        [data.freq(sid).zeros for sid in data.bits],
     )
 
 
@@ -831,8 +851,13 @@ def test_golden_detect_tables_survive_the_container(scale, tmp_path):
     data = generate_dataset(scenario, assignment, 10000, 7, trial_index=0)
     path = tmp_path / "trial.bits"
     save_dataset(data, path)
+    loaded = load_dataset(path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # delta is above the admissible limit
-        report = detect_all(scenario, DetectorConfig(delta=280.0), load_dataset(path))
+        report = detect_all(scenario, DetectorConfig(delta=280.0), loaded)
+        # the packed records decide as the in-memory ones do, by either method
+        discretized = DetectorConfig(delta=280.0, method="discretized", m_points=4096)
+        for cfg in (DetectorConfig(delta=280.0), discretized):
+            assert detect_all(scenario, cfg, loaded) == detect_all(scenario, cfg, data)
     golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
     assert report.to_table().encode() == golden.read_bytes()

@@ -1,7 +1,9 @@
 """Clipped rings, circle intersections, and the region membership tests."""
 
 import math
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from quantloc import (
     containment_oracle,
     phi_bound,
 )
+from quantloc import geometry
 from quantloc.geometry import _CHUNK, _SLACK, _anchor_frame, _unit_circle_chunk
 
 PHI_BOUND_REF = 3.11367949538805294166
@@ -676,3 +679,48 @@ def _on_line_queries(draw):
 @given(query=_on_line_queries())
 def test_line_shortcut_matches_the_oracle_on_random_line_queries(query):
     assert circle_meets_region_analytic(*query) == _analytic_without_line_shortcut(*query)
+
+
+# -- the last-frame fast path under threads ---------------------------------
+
+
+def test_frame_fast_path_gives_fresh_frame_verdicts_across_threads(monkeypatch):
+    """Threads alternating ring pairs, some equal but distinct, get the
+    verdicts that a frame built afresh for every call gives."""
+    a1, a2 = _sym_rings()
+    b1, b2 = _HIGH_RINGS
+    pairs = [(a1, a2), (b1, b2), (replace(a1), replace(a2)), (replace(b1), b2), (a1, replace(a2))]
+    circles = [
+        Circle(Point(u, v), r)
+        for u in (-30.0, -10.0, 0.0, 7.0, 25.0)
+        for v in (0.0, 4.0, -60.0)
+        for r in (1.0, 8.0, 12.0, 60.0, 100.0, 130.0)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_anchor_frame", geometry._AnchorFrame)
+        expected = {}
+        for p, pair in enumerate(pairs):
+            for c, circle in enumerate(circles):
+                m.setattr(geometry, "_last_frame", (None, None, None))
+                expected[p, c] = circle_meets_region_analytic(circle, *pair)
+    # the two ring shapes decide some circles differently, so a frame
+    # served for the wrong pair would show
+    assert any(expected[0, c] != expected[1, c] for c in range(len(circles)))
+
+    def verdicts(offset):
+        out = []
+        for step in range(100 * len(circles)):
+            p, c = (step + offset) % len(pairs), step % len(circles)
+            out.append(((p, c), circle_meets_region_analytic(circles[c], *pairs[p])))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(verdicts, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [v for out in results for _, v in out] == [
+        expected[key] for out in results for key, _ in out
+    ]
