@@ -5,17 +5,15 @@ radius around a sensor pass through R, the common area of the two anchor
 rings on the ROI side of the anchor line?  Two answers are provided.
 ``circle_meets_region_discretized`` walks M evenly spaced points along the
 circle and tests each against the region, which is the reference
-formulation and accepts any ring clips.  It walks the points in chunks
-and skips every chunk that some ring or clip rules out whole: along the
-circle each constraint is a sinusoid in the angle, so its range over a
-chunk's arc is known exactly, and a chunk is skipped only when that range
-misses the constraint by far more than the walk's rounding.  The chunks
-left take their cos/sin from a small cache of per-(M, chunk) read-only
-arrays, and are pruned as they go: the first ring is tested on every point
-of a chunk, the second ring and then each distinct clip only on the points
-still in.  Every point that is tested goes through the same float
-expressions as an unpruned walk, so the verdicts are identical, not merely
-close.
+formulation and accepts any ring clips.  Along the circle each ring or
+clip constraint is a sinusoid in the angle with an exact range over any
+arc, so the walk skips what some constraint rules out by far more than
+its rounding: the whole circle, then 16,384-point chunks, then 1024-point
+blocks inside a live chunk.  It walks each live chunk's first live block,
+then one slice to the end of its last, with cos/sin from a small cache of
+read-only tables, testing each constraint only on the points still in.
+Every point that is tested goes through the same float expressions as an
+unpruned walk, so the verdicts are identical, not merely close.
 ``circle_meets_region_analytic`` needs both rings clipped by the line
 through their centers, as the detector builds them.  R is then connected,
 so the distances from the circle's center to R fill an interval
@@ -69,12 +67,18 @@ class HalfSpace:
     a: Point
     b: Point
     side: int
+    # Hashed once, as Ring is: the discretized walk dedupes clips on every call.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.a.x, self.a.y) == (self.b.x, self.b.y):
             raise DomainError("half-space anchors must differ")
         if self.side not in (-1, 1):
             raise DomainError(f"side must be +1 or -1, got {self.side}")
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.side)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, p: Point) -> bool:
         return self.signed(p.x, p.y) >= 0.0
@@ -231,16 +235,16 @@ def check_m_points(m_points) -> int:
     return m
 
 
-# The walk skips every chunk in which some constraint fails at every point.
-# On the circle c + r0 e(theta) each constraint is an exact sinusoid,
-# base + amp cos(theta - phase):
+# The walk skips every run of points (the whole circle, a chunk, a block) in
+# which some constraint fails at every point.  On the circle c + r0 e(theta)
+# each constraint is an exact sinusoid, base + amp cos(theta - phase):
 #   ring:  |p - q|^2 = |c - q|^2 + r0^2 + 2 r0 |c - q| cos(theta - phi),
 #          phi the direction of c - q;
 #   clip:  signed(p) = signed(c) + r0 |u| cos(theta - psi),
 #          u = b - a and psi the direction of the clip's inward normal.
-# Over a chunk's arc [mid - h, mid + h], with off = |mid - phase| wrapped
-# into [0, pi], cos(theta - phase) spans exactly
-# [cos(min(pi, off + h)), cos(max(0, off - h))].
+# Over the whole circle it spans [base - amp, base + amp].  Over a run's arc
+# [mid - h, mid + h], with off = |mid - phase| wrapped into [0, pi],
+# cos(theta - phase) spans exactly [cos(min(pi, off + h)), cos(max(0, off - h))].
 #
 # The walk's value at a point differs from the sinusoid's only by rounding:
 # the table angle and its cos/sin (a few ulps of 2 pi), c + r0 cos at the
@@ -249,19 +253,18 @@ def check_m_points(m_points) -> int:
 # that is a few ulps of L (|c - q| + r0) for a ring's squared distance and of
 # L |u| for a clip's signed value, and the bound's own rounding is smaller.
 # The limits are widened by _SKIP_SLACK = 1e-9 of those products, about
-# 4.5e6 ulps, so a chunk is skipped only when every point of the walk fails
+# 4.5e6 ulps, so a run is skipped only when every point of the walk fails
 # the constraint as well.
 _SKIP_SLACK = 1e-9
-# Chunk starts per mask block, so the mask stays small for any M.
-_MASK_BLOCK = 1 << 10
+# Points per block inside a live chunk, and chunk starts per bound call so
+# the bound's arrays stay small for any M.  A walk of M <= _BLOCK is unbounded.
+_BLOCK = 1 << 10
 
 
-def _constraint_sinusoids(cx, cy, r0, rings, clips) -> np.ndarray:
-    """base, amp, phase, lo, hi, each a column over the constraints.
-
-    Constraint k holds where base + amp cos(theta - phase) lies in [lo, hi],
-    with lo and hi its limits widened by the rounding margin.
-    """
+def _constraint_sinusoids(cx, cy, r0, rings, clips) -> list | None:
+    """Rows (base, amp, phase, lo, hi): constraint k holds where
+    base + amp cos(theta - phase) lies in [lo, hi], its limits widened by the
+    rounding margin.  None when some constraint fails on the whole circle."""
     rows = []
     for qx, qy, lo_sq, hi_sq in rings:
         dx, dy = cx - qx, cy - qy
@@ -276,24 +279,35 @@ def _constraint_sinusoids(cx, cy, r0, rings, clips) -> np.ndarray:
         tol = _SKIP_SLACK * scale * (abs(ux) + abs(uy))
         normal = math.atan2(clip.side * ux, -clip.side * uy)
         rows.append((clip.signed(cx, cy), r0 * math.hypot(ux, uy), normal, -tol, math.inf))
-    return np.array(rows).T[:, :, None]
+    if any(base + amp < lo or base - amp > hi for base, amp, _, lo, hi in rows):
+        return None
+    return rows
 
 
-def _live_chunk_starts(m_points: int, sinusoids: np.ndarray):
-    """Ascending starts of the chunks that no constraint rules out."""
+def _live_starts(sinusoids, step, starts, size, m_points) -> np.ndarray:
+    """Those of the given starts whose run of ``size`` points no constraint rules out."""
     base, amp, phase, lo, hi = sinusoids
-    step = _TWO_PI / m_points
-    for block in range(0, m_points, _CHUNK * _MASK_BLOCK):
-        starts = np.arange(block, min(block + _CHUNK * _MASK_BLOCK, m_points), _CHUNK)
-        lasts = np.minimum(starts + (_CHUNK - 1), m_points - 1)
-        half = (0.5 * step) * (lasts - starts)
-        off = np.abs(
-            np.remainder((0.5 * step) * (starts + lasts) - phase + math.pi, _TWO_PI) - math.pi
-        )
-        top = base + amp * np.cos(np.maximum(off - half, 0.0))
-        bottom = base + amp * np.cos(np.minimum(off + half, math.pi))
-        live = ((top >= lo) & (bottom <= hi)).all(axis=0)
-        yield from starts[live].tolist()
+    lasts = np.minimum(starts + (size - 1), m_points - 1)
+    half = (0.5 * step) * (lasts - starts)
+    mid = (0.5 * step) * (starts + lasts)
+    off = np.abs(np.remainder(mid - phase + math.pi, _TWO_PI) - math.pi)
+    top = base + amp * np.cos(np.maximum(off - half, 0.0))
+    bottom = base + amp * np.cos(np.minimum(off + half, math.pi))
+    return starts[((top >= lo) & (bottom <= hi)).all(axis=0)]
+
+
+def _walk(cx, cy, r0, rings, clips, cos, sin) -> bool:
+    """Whether some point c + r0 (cos, sin) lies in both rings and every clip."""
+    x = cx + r0 * cos
+    y = cy + r0 * sin
+    for qx, qy, lo_sq, hi_sq in rings:
+        dsq = (x - qx) ** 2 + (y - qy) ** 2
+        keep = np.flatnonzero((dsq >= lo_sq) & (dsq <= hi_sq))
+        x, y = x[keep], y[keep]
+    for clip in clips:
+        keep = np.flatnonzero(clip.signed(x, y) >= 0.0)
+        x, y = x[keep], y[keep]
+    return x.size > 0
 
 
 def circle_meets_region_discretized(
@@ -302,24 +316,22 @@ def circle_meets_region_discretized(
     """Reference test: M evenly spaced circle points against the region.
 
     Point m (1-based) sits at angle 2 pi (m - 1) / M.  Returns True on the
-    first chunk holding a point that lies inside both rings and in both
-    rings' clip half-spaces.  Distances are compared squared; the loop is
-    chunked so the early exit still applies.
+    first walked run holding a point that lies inside both rings and in
+    both rings' clip half-spaces.  Distances are compared squared.
 
-    Chunks that no point can pass are skipped.  Along the circle each
-    ring's squared distance and each clip's signed value is a sinusoid in
-    the angle, so its range over a chunk's arc is exact.  A chunk whose
-    range misses some constraint by more than 1e-9 of the walk's
-    magnitudes, far beyond its rounding, is not walked: every one of its
-    points would fail.  The bound reads only the rings and clips, never the
-    analytic test.  The chunks left are walked in ascending order, with
-    cos/sin from a small per-(M, chunk) cache.  Each tests the first ring
-    on every point, the second ring only on the points still in, then each
-    distinct clip on what is left.  A point that is tested goes through the
-    same float expressions as in a walk that tests every constraint on
-    every point, and the verdict is an AND over constraints followed by an
-    any over points, so skipping and pruning change which points are
-    computed, never the verdict.
+    A run of points is skipped when the exact range of some constraint's
+    sinusoid over its arc misses it by more than 1e-9 of the walk's
+    magnitudes, far beyond its rounding; the bound reads only the rings and
+    clips, never the analytic test.  The whole circle comes first, with no
+    numpy call, and at M <= 1024 every point is then walked.  Larger M
+    bounds its 16,384-point chunks (past M = 16,384), then the 1024-point
+    blocks of each live chunk, walking the first live block alone, then one
+    slice from the second live block to the end of the last, where a dead
+    block fails like any skipped point.  cos/sin come from a small
+    per-(M, chunk) cache.  A walk tests the first ring on every point and
+    each later constraint only on the points still in, with the same float
+    expressions as a walk that tests every constraint on every point, so
+    skipping and pruning change which points are computed, never the verdict.
     """
     m_points = check_m_points(m_points)
     cx, cy, r0 = circle.center.x, circle.center.y, circle.radius
@@ -329,20 +341,28 @@ def circle_meets_region_discretized(
     )
     clips = dict.fromkeys((r1.clip, r2.clip))
 
-    sinusoids = _constraint_sinusoids(cx, cy, r0, rings, clips)
-    for start in _live_chunk_starts(m_points, sinusoids):
-        cos, sin = _unit_circle_chunk(m_points, start)
-        x = cx + r0 * cos
-        y = cy + r0 * sin
-        for qx, qy, lo_sq, hi_sq in rings:
-            dsq = (x - qx) ** 2 + (y - qy) ** 2
-            keep = np.flatnonzero((dsq >= lo_sq) & (dsq <= hi_sq))
-            x, y = x[keep], y[keep]
-        for clip in clips:
-            keep = np.flatnonzero(clip.signed(x, y) >= 0.0)
-            x, y = x[keep], y[keep]
-        if x.size:
-            return True
+    rows = _constraint_sinusoids(cx, cy, r0, rings, clips)
+    if rows is None:
+        return False
+    if m_points <= _BLOCK:
+        return _walk(cx, cy, r0, rings, clips, *_unit_circle_chunk(m_points, 0))
+    sinusoids = np.array(rows).T[:, :, None]
+    step = _TWO_PI / m_points
+    for group in range(0, m_points, _CHUNK * _BLOCK):
+        chunks = np.arange(group, min(group + _CHUNK * _BLOCK, m_points), _CHUNK)
+        if m_points > _CHUNK:  # a lone chunk is the circle less a step, bounded already
+            chunks = _live_starts(sinusoids, step, chunks, _CHUNK, m_points)
+        for start in chunks.tolist():
+            blocks = np.arange(start, min(start + _CHUNK, m_points), _BLOCK)
+            live = _live_starts(sinusoids, step, blocks, _BLOCK, m_points).tolist()
+            if not live:
+                continue
+            cos, sin = _unit_circle_chunk(m_points, start)
+            # the first live block, then the second live block to the last's end
+            for lo, hi in zip(live[:2], (live[0] + _BLOCK, live[-1] + _BLOCK)):
+                span = slice(lo - start, hi - start)
+                if _walk(cx, cy, r0, rings, clips, cos[span], sin[span]):
+                    return True
     return False
 
 

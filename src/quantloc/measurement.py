@@ -84,10 +84,10 @@ class PackedBits(Mapping[int, np.ndarray]):
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedDataset:
     """Per-sensor bit records of common length K, as (K,) arrays of 0/1 or
-    as ``PackedBits``."""
+    as ``PackedBits``.  Equal by value, packed or not; unhashable."""
 
     bits: Mapping[int, np.ndarray]
     k: int
@@ -103,6 +103,16 @@ class QuantizedDataset:
                     f"sensor {sid} record has length {arr.shape}, expected ({self.k},)"
                 )
 
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuantizedDataset):
+            return NotImplemented
+        head = (self.k, self.rng_seed, self.trial_index, self.bits.keys())
+        if head != (other.k, other.rng_seed, other.trial_index, other.bits.keys()):
+            return False
+        return all(np.array_equal(self.bits[sid], other.bits[sid]) for sid in self.bits)
+
     def freq(self, sensor_id: int) -> EmpiricalFreq:
         """Zero count of one record, taken as ``zero_counts`` takes it."""
         return EmpiricalFreq(zeros=int(self.zero_counts((sensor_id,))[0]), k_samples=self.k)
@@ -114,10 +124,10 @@ class QuantizedDataset:
         Raises KeyError with the first id that has no record.
         """
         if isinstance(self.bits, PackedBits):
-            return self.k - self.bits.ones[[self.bits.rows[sid] for sid in sensor_ids]]
-        records = [self.bits[sid] for sid in sensor_ids]
-        ones = np.fromiter(map(np.count_nonzero, records), dtype=np.int64, count=len(records))
-        return self.k - ones
+            ones = self.bits.ones[[self.bits.rows[sid] for sid in sensor_ids]]
+        else:
+            ones = np.array([np.count_nonzero(self.bits[sid]) for sid in sensor_ids], np.int64)
+        return self.k - ones if ones.size else ones  # with no ids, K may pass int64
 
 
 def sample_signal(

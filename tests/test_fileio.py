@@ -35,6 +35,7 @@ from quantloc import (
     save_dataset,
     save_scenario,
 )
+from quantloc.measurement import PackedBits
 
 
 def _base_doc():
@@ -834,6 +835,51 @@ def test_extreme_headers_match_the_reference_loop(tmp_path, k, n_sensors, body):
     path = tmp_path / "trial.bits"
     path.write_bytes(_qds1(k, [], n_sensors) + body)
     assert _outcome(load_dataset, path) == _outcome(_reference_load, path)
+
+
+def test_loaded_dataset_equals_its_in_memory_source(tmp_path):
+    rng = np.random.default_rng(5)
+    k = 13
+    bits = {j: rng.integers(0, 2, size=k).astype(np.uint8) for j in (4, 1, 9)}
+    data = QuantizedDataset(bits=bits, k=k, rng_seed=(1 << 63) + 5, trial_index=7)
+    path = tmp_path / "trial.bits"
+    save_dataset(data, path)
+    loaded = load_dataset(path)
+    assert loaded == data and data == loaded and loaded == load_dataset(path)
+    assert not (loaded != data)
+    # records compare by value, so 0/1 booleans in another id order match too
+    as_bool = {j: bits[j].astype(bool) for j in (9, 4, 1)}
+    assert loaded == QuantizedDataset(bits=as_bool, k=k, rng_seed=data.rng_seed, trial_index=7)
+
+    def variant(bits=bits, k=k, rng_seed=data.rng_seed, trial_index=7):
+        return QuantizedDataset(bits=bits, k=k, rng_seed=rng_seed, trial_index=trial_index)
+
+    flipped = {**bits, 9: 1 - bits[9]}
+    longer = {j: np.append(b, np.uint8(0)) for j, b in bits.items()}
+    for other in (
+        variant(rng_seed=5),
+        variant(trial_index=0),
+        variant(bits={j: bits[j] for j in (4, 1)}),
+        variant(bits={**bits, 2: bits[1]}),
+        variant(bits=flipped),
+        variant(bits=longer, k=k + 1),
+    ):
+        assert loaded != other and other != loaded and data != other
+    assert data != bits and loaded != "trial.bits"
+    for unhashable in (data, loaded):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+@pytest.mark.parametrize("k", [1 << 63, (1 << 64) - 1])
+def test_zero_counts_of_no_ids_leave_a_huge_k_alone(tmp_path, k):
+    path = tmp_path / "trial.bits"
+    path.write_bytes(_qds1(k, []))
+    loaded = load_dataset(path)
+    assert loaded.k == k and isinstance(loaded.bits, PackedBits)
+    for data in (loaded, QuantizedDataset(bits={}, k=k, rng_seed=0)):
+        counts = data.zero_counts([])
+        assert counts.dtype == np.int64 and counts.shape == (0,)
 
 
 # -- the golden detection tables through the container ----------------------

@@ -28,7 +28,7 @@ from quantloc import (
     phi_bound,
 )
 from quantloc import geometry
-from quantloc.geometry import _CHUNK, _SLACK, _anchor_frame, _unit_circle_chunk
+from quantloc.geometry import _BLOCK, _CHUNK, _SLACK, _anchor_frame, _unit_circle_chunk
 
 PHI_BOUND_REF = 3.11367949538805294166
 
@@ -296,7 +296,10 @@ def _skip_stress_queries(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     query=_skip_stress_queries(),
-    m_points=st.sampled_from([3, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200_000]),
+    m_points=st.sampled_from(
+        [3, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+         _CHUNK + _BLOCK + 1, 200_000]
+    ),
 )
 def test_chunk_skip_matches_unpruned_walk_on_stress_queries(query, m_points):
     expected = _unpruned_discretized(*query, m_points)
@@ -367,11 +370,18 @@ def _ring_member(p, r1, r2):
     return True
 
 
-@pytest.mark.parametrize("m_points", [3, 7, _CHUNK + 1, 3 * _CHUNK + 11])
+@pytest.mark.parametrize(
+    "m_points",
+    [3, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK + 1, _CHUNK + _BLOCK + 1, 3 * _CHUNK + 11],
+)
 def test_discretized_walk_tests_first_last_and_chunk_edge_points(m_points):
     circle = Circle(Point(0.0, 0.0), 1.0)
     step = 2.0 * math.pi / m_points
-    edges = {0, m_points - 1} | {e for e in (_CHUNK - 1, _CHUNK) if e < m_points}
+    inner = (
+        _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, _CHUNK - _BLOCK - 1, _CHUNK - _BLOCK,
+        _CHUNK - 1, _CHUNK, _CHUNK + _BLOCK - 1, _CHUNK + _BLOCK,
+    )
+    edges = {0, m_points - 1} | {e for e in inner if e < m_points}
     for m in edges:
         a = step * m
         p = Point(math.cos(a), math.sin(a))
@@ -383,6 +393,63 @@ def test_discretized_walk_tests_first_last_and_chunk_edge_points(m_points):
         for n in (m - 1, m + 1):
             assert not _ring_member(Point(math.cos(step * n), math.sin(step * n)), r1, r2)
         assert circle_meets_region_discretized(circle, r1, r2, m_points), m
+
+
+def _arc_ring(phi, t_lo, t_hi, clip, d=3.0):
+    """A ring that a unit circle around the origin enters exactly where the
+    angle from phi lies in [t_lo, t_hi] in absolute value; t_lo = 0 gives a
+    disc, entered on one arc."""
+    center = Point(d * math.cos(phi), d * math.sin(phi))
+
+    def dist(t):
+        return math.sqrt(d * d + 1.0 - 2.0 * d * math.cos(t))
+
+    lo, hi = (0.0 if t_lo == 0.0 else dist(t_lo)), dist(t_hi)
+    return Ring(center, 0.5 * (lo + hi), 0.5 * (hi - lo), clip)
+
+
+def _chord_clip(t1, t2):
+    """The half-plane holding the origin, whose line meets the unit circle at
+    angles t1 and t2: the circle leaves it exactly on the arc between them."""
+    a, b = Point(math.cos(t1), math.sin(t1)), Point(math.cos(t2), math.sin(t2))
+    side = 1 if HalfSpace(a, b, 1).signed(0.0, 0.0) > 0.0 else -1
+    return HalfSpace(a, b, side)
+
+
+def test_span_walk_finds_a_point_past_a_live_block_with_none(monkeypatch):
+    # In block units w along the unit circle, at M = 2e5 (all in chunk 0):
+    #   clip 1 passes all but (2.3, 5.5), clip 2 all but (5.9, 8.1),
+    #   ring 1 on [2.0, 5.4] and [7.6, 11.0], ring 2 (a disc) on [2.5, 8.9].
+    # Blocks 2, 5 and 8 are live.  Block 2 has ring 1 and the clips on
+    # [2.0, 2.3] and ring 2 on [2.5, 3); block 5 ring 1 on [5, 5.4] and the
+    # clips on [5.5, 5.9]; so only block 8 holds passing points, and it is
+    # reached through a span whose blocks 6 and 7 are dead.
+    m_points = 200_000
+    w = 2.0 * math.pi * _BLOCK / m_points
+    r1 = _arc_ring(6.5 * w, 1.1 * w, 4.5 * w, _chord_clip(2.3 * w, 5.5 * w))
+    r2 = _arc_ring(5.7 * w, 0.0, 3.2 * w, _chord_clip(5.9 * w, 8.1 * w))
+    circle = Circle(Point(0.0, 0.0), 1.0)
+    members = [
+        m // _BLOCK
+        for m in range(0, 16 * _BLOCK)
+        if _ring_member(Point(math.cos(m * w / _BLOCK), math.sin(m * w / _BLOCK)), r1, r2)
+    ]
+    assert members and set(members) == {8}
+    walks = []
+    walk = geometry._walk
+
+    def spy(cx, cy, r0, rings, clips, cos, sin):
+        walks.append((cos.size, float(cos[0]), walk(cx, cy, r0, rings, clips, cos, sin)))
+        return walks[-1][-1]
+
+    monkeypatch.setattr(geometry, "_walk", spy)
+    assert _unpruned_discretized(circle, r1, r2, m_points)
+    assert circle_meets_region_discretized(circle, r1, r2, m_points)
+    table = _unit_circle_chunk(m_points, 0)[0]
+    assert walks == [
+        (_BLOCK, float(table[2 * _BLOCK]), False),
+        (4 * _BLOCK, float(table[5 * _BLOCK]), True),
+    ]
 
 
 def test_discretized_chunk_cache_is_bounded_and_read_only():
