@@ -10,6 +10,10 @@ The module also carries the distortion floor lambda_j and the admissible
 range of delta for which the floor provably exceeds the geometric slack.
 Practical runs routinely use larger delta; exceeding the admissible value
 therefore only triggers an advisory warning.
+
+A ``DetectionReport`` is columnar: tuples ``ids``, ``flags`` (1 = attacked),
+``d_hat`` and ``clamped`` in ``s.unsecure()`` order, so reports compare by
+value.  ``rows`` views them as ``SensorDecision``s, built on first read.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping
+from functools import cached_property, lru_cache
+from typing import Mapping, Sequence
 
 from .errors import AdvisoryWarning, DomainError, InvalidScenario, MissingSensorData
 from .geometry import (
@@ -98,44 +102,39 @@ class SensorDecision:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Decisions for every unsecure sensor plus the shared secure radii."""
+    """Per-sensor columns in ``s.unsecure()`` order plus the shared secure radii."""
 
-    rows: tuple[SensorDecision, ...]
+    ids: tuple[int, ...]
+    flags: tuple[int, ...]
+    d_hat: tuple[float, ...]
+    clamped: tuple[bool, ...]
     secure_estimates: tuple[tuple[int, DistanceEstimate], ...]
     method: str
     delta: float
     k: int | None = None
 
+    @cached_property
+    def rows(self) -> tuple[SensorDecision, ...]:
+        return tuple(map(SensorDecision, self.ids, self.flags, self.d_hat, self.clamped))
+
     def decision_for(self, sensor_id: int) -> int:
-        for row in self.rows:
-            if row.sensor_id == sensor_id:
-                return row.decision
-        raise MissingSensorData(f"no decision for sensor {sensor_id}")
+        try:
+            return self.flags[self.ids.index(sensor_id)]
+        except ValueError:
+            raise MissingSensorData(f"no decision for sensor {sensor_id}") from None
 
     @property
     def decisions(self) -> dict[int, int]:
-        return {row.sensor_id: row.decision for row in self.rows}
+        return dict(zip(self.ids, self.flags))
 
     def to_table(self) -> str:
         lines = ["sensor_id\tdecision\tD_hat\tclamped\tmethod\tdelta"]
-        for row in self.rows:
-            lines.append(
-                f"{row.sensor_id}\t{row.decision}\t{row.d_hat:.6f}"
-                f"\t{int(row.clamped)}\t{self.method}\t{self.delta:g}"
-            )
+        tail = f"\t{self.method}\t{self.delta:g}"
+        lines += [
+            f"{sid}\t{flag}\t{d_hat:.6f}\t{int(clamped)}{tail}"
+            for sid, flag, d_hat, clamped in zip(self.ids, self.flags, self.d_hat, self.clamped)
+        ]
         return "\n".join(lines) + "\n"
-
-
-def _secure_region(
-    s: ScenarioConfig,
-    cfg: DetectorConfig,
-    secure_radii: tuple[float, float],
-) -> tuple[Ring, Ring]:
-    s1, s2 = s.secure_pair()
-    clip = HalfSpace(a=s1.position, b=s2.position, side=roi_side(s))
-    ring1 = Ring(s1.position, secure_radii[0], cfg.delta, clip)
-    ring2 = Ring(s2.position, secure_radii[1], cfg.delta, clip)
-    return ring1, ring2
 
 
 def _missing(sensor_id) -> MissingSensorData:
@@ -154,27 +153,34 @@ def _classify(
     s: ScenarioConfig,
     cfg: DetectorConfig,
     secure_estimates: tuple[tuple[int, DistanceEstimate], ...],
-    radii: Iterable[tuple[float, bool]],
+    d_hat: Sequence[float],
+    clamped: Sequence[bool],
     k: int | None,
 ) -> DetectionReport:
     """Decide every unsecure sensor from its radius against the secure rings.
 
-    ``radii`` holds one (D_hat, clamped) pair per sensor of ``s.unsecure()``,
-    in that order.  Nothing here depends on how the radii were estimated, so
-    one set of estimates can be re-decided at any delta or method.
+    ``d_hat`` and ``clamped`` are columns in ``s.unsecure()`` order.  Nothing
+    here depends on how the radii were estimated, so one set of estimates
+    can be re-decided at any delta or method.
     """
     (_, e1), (_, e2) = secure_estimates
-    ring1, ring2 = _secure_region(s, cfg, (e1.value, e2.value))
+    s1, s2 = s.secure_pair()
+    clip = HalfSpace(a=s1.position, b=s2.position, side=roi_side(s))
+    ring1 = Ring(s1.position, e1.value, cfg.delta, clip)
+    ring2 = Ring(s2.position, e2.value, cfg.delta, clip)
     if cfg.method == "analytic":
         meets, extra = circle_meets_region_analytic, ()
     else:
         meets, extra = circle_meets_region_discretized, (cfg.m_points,)
-    rows = []
-    for sensor, (d_hat, clamped) in zip(s.unsecure(), radii):
-        decision = 0 if meets(Circle(sensor.position, d_hat), ring1, ring2, *extra) else 1
-        rows.append(SensorDecision(sensor.id, decision, d_hat, clamped))
+    flags = tuple(
+        0 if meets(Circle(sensor.position, r), ring1, ring2, *extra) else 1
+        for sensor, r in zip(s.unsecure(), d_hat)
+    )
     return DetectionReport(
-        rows=tuple(rows),
+        ids=tuple(sensor.id for sensor in s.unsecure()),
+        flags=flags,
+        d_hat=tuple(d_hat),
+        clamped=tuple(clamped),
         secure_estimates=secure_estimates,
         method=cfg.method,
         delta=cfg.delta,
@@ -203,7 +209,7 @@ def detect_all(
     except KeyError as exc:
         raise _missing(exc.args[0]) from None
     d_hat, clamped = nmle_distances(s, zeros, data.k)
-    return _classify(s, cfg, secure, zip(d_hat, clamped), data.k)
+    return _classify(s, cfg, secure, d_hat, clamped, data.k)
 
 
 def detect_from_probabilities(
@@ -222,8 +228,8 @@ def detect_from_probabilities(
         value = attacked_distance(s, sid, probs[sid])
         estimates[sid] = DistanceEstimate(value=value, clamped=False, xi_used=probs[sid])
     secure = ((s1.id, estimates[s1.id]), (s2.id, estimates[s2.id]))
-    radii = [(estimates[sensor.id].value, False) for sensor in s.unsecure()]
-    return _classify(s, cfg, secure, radii, None)
+    radii = [estimates[sensor.id].value for sensor in s.unsecure()]
+    return _classify(s, cfg, secure, radii, (False,) * len(radii), None)
 
 
 # -- distortion floor and admissible delta ---------------------------------
@@ -275,6 +281,8 @@ def lambda_j(s: ScenarioConfig, j: int, kappa: float | None = None) -> float:
 
 def lambda_min(s: ScenarioConfig, kappa: float | None = None) -> float:
     """The network-wide floor: minimum of lambda_j over unsecure sensors."""
+    if not s.unsecure():
+        raise DomainError("the scenario has no unsecure sensors, so lambda_min is undefined")
     return min(lambda_j(s, sensor.id, kappa) for sensor in s.unsecure())
 
 

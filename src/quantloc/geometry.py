@@ -89,7 +89,7 @@ class HalfSpace:
         return self.side * (ux * (y - self.a.y) - uy * (x - self.a.x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     center: Point
     radius: float
@@ -389,9 +389,9 @@ class _AnchorFrame:
         ux, uy = clip.b.x - clip.a.x, clip.b.y - clip.a.y
         norm = math.hypot(ux, uy)
         self.ox, self.oy = r1.center.x, r1.center.y
-        self.eu = (ux / norm, uy / norm)
-        self.ev = (-clip.side * self.eu[1], clip.side * self.eu[0])
-        x2 = (r2.center.x - self.ox) * self.eu[0] + (r2.center.y - self.oy) * self.eu[1]
+        self.eux, self.euy = ux / norm, uy / norm
+        self.evx, self.evy = -clip.side * self.euy, clip.side * self.eux
+        x2 = (r2.center.x - self.ox) * self.eux + (r2.center.y - self.oy) * self.euy
         self.scale = abs(x2) + r1.r_outer + r2.r_outer
         self.tol = _SLACK * self.scale
         for ring in (r1, r2):
@@ -461,11 +461,11 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
     nearest (for dmin) and farthest (for dmax) point of each ring circle on
     the ray from its center through c, and, for dmin, the foot of c on the
     clip line.  dmin is 0 when c lies in R.  The corners bracket the
-    interval, so the other candidates are needed only on the side where
-    the radius falls outside the corners' distances.  A candidate counts as
-    in R with a slack of 1e-12 of R's size, and the interval is widened by
-    1e-12 of R's size plus the radius, so tangent and corner ties read as
-    "intersects".
+    interval, their nearest and farthest found in one pass, so the other
+    candidates are needed only on the side where the radius falls outside
+    that bracket.  A candidate counts as in R with a slack of 1e-12 of R's
+    size, and the interval is widened by 1e-12 of R's size plus the radius,
+    so tangent and corner ties read as "intersects".
 
     When c lies on the clip line, as every sensor the detector places on
     its anchor line does, the foot of c is c itself and the ray points are
@@ -482,12 +482,15 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
         # every ring circle crosses the clip line, so a nonempty R has a corner
         return False
     px, py = circle.center.x - f.ox, circle.center.y - f.oy
-    cu = px * f.eu[0] + py * f.eu[1]
-    cv = px * f.ev[0] + py * f.ev[1]
+    cu = px * f.eux + py * f.euy
+    cv = px * f.evx + py * f.evy
     r = circle.radius
     tol = _SLACK * (f.scale + r)
-    corner_dists = [math.hypot(u - cu, v - cv) for u, v in f.corners]
-    nearest = min(corner_dists)
+    nearest, farthest = math.inf, 0.0
+    for u, v in f.corners:
+        dist = math.hypot(u - cu, v - cv)
+        nearest = dist if dist < nearest else nearest
+        farthest = dist if dist > farthest else farthest
     if r < nearest - tol:
         if f.contains(cu, cv):
             return True
@@ -499,7 +502,6 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
         return any(
             math.hypot(u - cu, v - cv) <= r + tol for u, v in near if f.contains(u, v)
         )
-    farthest = max(corner_dists)
     if r > farthest + tol:
         if cv == 0.0 and farthest < r - tol:
             return False

@@ -246,9 +246,9 @@ def nmle_distances(
     ``ndtri`` and one inversion cover them all, with the scenario's
     per-sensor constants resolved at construction.  Every value and clamp
     flag equals ``nmle_distance(s, j, EmpiricalFreq(zeros_j, k))`` bit for
-    bit.  The final power runs per element through Python's float power:
-    numpy's vectorized power can differ from it in the last bit (about 5 %
-    of inputs on an AVX-512 host).
+    bit.  The final step inlines ``_distance``, with Python's float power
+    per element: numpy's vectorized power can differ from it in the last
+    bit (about 5 % of inputs on an AVX-512 host).
     """
     arrays = s.unsecure_arrays()
     used, clamped = _clamp(np.asarray(zeros) / k, 1.0 / (2.0 * k), arrays.f_tau)
@@ -259,7 +259,8 @@ def nmle_distances(
             f"quantile argument must lie in (0, 1), got {used[bad]} "
             f"for sensor {s.unsecure()[bad].id}"
         )
-    return [_distance(s, base) for base in (arrays.threshold - x).tolist()], clamped.tolist()
+    d0, p0, power = s.d0, s.p0, 1.0 / s.gamma
+    return [d0 * (p0 / base) ** power for base in (arrays.threshold - x).tolist()], clamped.tolist()
 
 
 def attacked_distance(s: ScenarioConfig, j: int, tp: float) -> float:

@@ -216,11 +216,11 @@ class _CellCounts:
 
 def _tally(report: DetectionReport, attacked: frozenset[int]) -> _CellCounts:
     counts = _CellCounts()
-    for row in report.rows:
-        if row.sensor_id in attacked:
-            counts.miss_count += 1 - row.decision
+    for sensor_id, flag in zip(report.ids, report.flags):
+        if sensor_id in attacked:
+            counts.miss_count += 1 - flag
         else:
-            counts.fa_count += row.decision
+            counts.fa_count += flag
     counts.err_count = counts.fa_count + counts.miss_count
     return counts
 
@@ -248,9 +248,8 @@ def _count_trial(
             trial_index=trial_index,
         )
         first = detect_all(plan.scenario, configs[0], data)
-        radii = [(row.d_hat, row.clamped) for row in first.rows]
         reports = [first] + [
-            _classify(plan.scenario, cfg, first.secure_estimates, radii, k)
+            _classify(plan.scenario, cfg, first.secure_estimates, first.d_hat, first.clamped, k)
             for cfg in configs[1:]
         ]
         out.append([_tally(report, attacked) for report in reports])

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, file output."""
 
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,14 @@ def test_detect_matches_golden_table(scale, tmp_path):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_detect_on_anchors_only_prints_the_header(toy_scenario, tmp_path, capsys):
+    anchors = replace(toy_scenario, sensors=tuple(x for x in toy_scenario.sensors if x.secure))
+    path = tmp_path / "anchors.json"
+    save_scenario(anchors, path)
+    assert main(["detect", str(path), "--K", "100", "--delta", "5"]) == 0
+    assert capsys.readouterr().out == "sensor_id\tdecision\tD_hat\tclamped\tmethod\tdelta\n"
 
 
 def test_detect_writes_out_file(toy_file, tmp_path, capsys):

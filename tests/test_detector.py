@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from quantloc import (
     distance,
     generate_dataset,
     load_dataset,
+    load_scenario,
     lambda_from,
     lambda_j,
     lambda_min,
@@ -32,6 +33,7 @@ from quantloc import (
     prob_zero,
     rho_bounds,
     save_dataset,
+    save_scenario,
     standard_gaussian,
 )
 
@@ -286,3 +288,49 @@ def test_sensor_decisions_are_frozen_slotted_rows():
     assert not hasattr(row, "__dict__")
     with pytest.raises(FrozenInstanceError):
         row.decision = 0
+
+
+def test_report_columns_and_their_rows_view(toy_scenario):
+    s = toy_scenario
+    assignment = AttackAssignment(specs={1: Mima(0.0, 0.2)})
+    data = generate_dataset(s, assignment, 20_000, base_seed=1, trial_index=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdvisoryWarning)
+        report = detect_all(s, DetectorConfig(delta=5.0), data)
+        again = detect_all(s, DetectorConfig(delta=5.0), data)
+    assert report.ids == tuple(x.id for x in s.unsecure())
+    assert report.flags == (1, 0)
+    assert all(type(c) is tuple for c in (report.ids, report.flags, report.d_hat, report.clamped))
+    # rows is a view built on first read, not a field: equality ignores it
+    assert "rows" not in {f.name for f in fields(report)}
+    rows = report.rows
+    assert rows is report.rows
+    assert rows == tuple(
+        SensorDecision(sid, flag, d_hat, clamped)
+        for sid, flag, d_hat, clamped in zip(
+            report.ids, report.flags, report.d_hat, report.clamped
+        )
+    )
+    assert report == again and "rows" not in vars(again)
+    assert report != replace(again, flags=(0, 0))
+    assert report.decisions == {1: 1, 2: 0}
+    with pytest.raises(MissingSensorData, match="sensor 99"):
+        report.decision_for(99)
+
+
+def test_scenario_without_unsecure_sensors_gives_an_empty_report(toy_scenario, tmp_path):
+    anchors = replace(toy_scenario, sensors=tuple(x for x in toy_scenario.sensors if x.secure))
+    path = tmp_path / "anchors.json"
+    save_scenario(anchors, path)
+    s, assignment = load_scenario(path)
+    assert s.unsecure() == ()
+    with pytest.raises(DomainError, match="no unsecure sensors"):
+        lambda_min(s)
+    with pytest.raises(DomainError, match="no unsecure sensors"):
+        delta_admissible(s)
+    data = generate_dataset(s, assignment, 100, base_seed=1, trial_index=0)
+    for method in ("analytic", "discretized"):
+        report = detect_all(s, DetectorConfig(delta=5.0, method=method, m_points=64), data)
+        assert report.ids == report.flags == report.d_hat == report.clamped == report.rows == ()
+        assert report.to_table() == "sensor_id\tdecision\tD_hat\tclamped\tmethod\tdelta\n"
+        assert [sid for sid, _ in report.secure_estimates] == [3, 4]

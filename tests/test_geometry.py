@@ -557,8 +557,8 @@ def _analytic_without_line_shortcut(circle, r1, r2):
     if not f.corners:
         return False
     px, py = circle.center.x - f.ox, circle.center.y - f.oy
-    cu = px * f.eu[0] + py * f.eu[1]
-    cv = px * f.ev[0] + py * f.ev[1]
+    cu = px * f.eux + py * f.euy
+    cv = px * f.evx + py * f.evy
     r = circle.radius
     tol = _SLACK * (f.scale + r)
     corner_dists = [math.hypot(u - cu, v - cv) for u, v in f.corners]
@@ -746,6 +746,85 @@ def _on_line_queries(draw):
 @given(query=_on_line_queries())
 def test_line_shortcut_matches_the_oracle_on_random_line_queries(query):
     assert circle_meets_region_analytic(*query) == _analytic_without_line_shortcut(*query)
+
+
+# -- the one-pass corner bracket of the analytic test --------------------------
+
+
+def _analytic_with_corner_list(circle, r1, r2):
+    """The analytic test as it was before its one-pass corner bracket: every
+    corner distance in a list, then min and max of it.  Kept as an oracle."""
+    f = _anchor_frame(r1, r2)
+    if not f.corners:
+        return False
+    px, py = circle.center.x - f.ox, circle.center.y - f.oy
+    cu = px * f.eux + py * f.euy
+    cv = px * f.evx + py * f.evy
+    r = circle.radius
+    tol = _SLACK * (f.scale + r)
+    corner_dists = [math.hypot(u - cu, v - cv) for u, v in f.corners]
+    nearest = min(corner_dists)
+    if r < nearest - tol:
+        if f.contains(cu, cv):
+            return True
+        if cv == 0.0 and r + tol < nearest:
+            return False
+        near = [(cu, 0.0), *f.ray_points(cu, cv, 1.0)]
+        return any(
+            math.hypot(u - cu, v - cv) <= r + tol for u, v in near if f.contains(u, v)
+        )
+    farthest = max(corner_dists)
+    if r > farthest + tol:
+        if cv == 0.0 and farthest < r - tol:
+            return False
+        return any(
+            math.hypot(u - cu, v - cv) >= r - tol
+            for u, v in f.ray_points(cu, cv, -1.0)
+            if f.contains(u, v)
+        )
+    return True
+
+
+def test_one_pass_bracket_matches_the_corner_list_on_criterion_09_queries():
+    rng = np.random.default_rng(20260809)
+    for _ in range(10_000):
+        query = random_region_trial(rng)
+        assert circle_meets_region_analytic(*query) == _analytic_with_corner_list(*query)
+
+
+def _ulps_around(x, n=2):
+    """x and the n doubles on each side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("rings", [_LINE_RINGS, _HIGH_RINGS, _DISC_RINGS], ids=["line", "high", "disc"])
+def test_one_pass_bracket_matches_the_corner_list_at_the_bracket_edges(rings):
+    """Radii within 2 ulps of nearest - tol and farthest + tol, for centres on
+    the clip line and off it, decide as the corner-list oracle does."""
+    f = _anchor_frame(*rings)
+    rng = np.random.default_rng(31)
+    reach = max(abs(u) + abs(v) for u, v in f.corners) + 10.0
+    centres = [Point(u, 0.0) for u in _ON_LINE_US]
+    centres += [Point(*rng.uniform(-reach, reach, size=2)) for _ in range(40)]
+    tested = Counter()
+    for c in centres:
+        dists = [math.hypot(u - c.x, v - c.y) for u, v in f.corners]
+        for edge, sign in ((min(dists), -1.0), (max(dists), 1.0)):
+            tol = _SLACK * (f.scale + edge)
+            for r in _ulps_around(edge + sign * tol):
+                if r < 0.0:
+                    continue
+                circle = Circle(c, r)
+                assert circle_meets_region_analytic(circle, *rings) == _analytic_with_corner_list(
+                    circle, *rings
+                ), (c, r)
+                tested[c.y == 0.0, sign] += 1
+    assert len(tested) == 4  # both edges, on and off the line
 
 
 # -- the last-frame fast path under threads ---------------------------------
