@@ -76,7 +76,7 @@ class AttackSpec:
 
         ``seed`` keys the sensor's attack stream, for variants that draw.
         """
-        return (samples > sensor.threshold).astype(np.uint8)
+        return (samples > sensor.threshold).view(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class PsiOffset(AttackSpec):
             return np.ones(samples.size, dtype=np.uint8)
         if tp >= 1.0:
             return np.zeros(samples.size, dtype=np.uint8)
-        return (samples > mean + float(sensor.noise.inv_cdf(tp))).astype(np.uint8)
+        return (samples > mean + sensor.noise.inv_cdf(tp)).view(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,9 @@ def apply_attack(spec: AttackSpec, bits: np.ndarray, seed: Entropy) -> np.ndarra
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     rng = make_generator(entropy)
     u = rng.random(arr.size)
-    flips = u < np.where(arr == 0, psi0, psi1)
-    return arr ^ flips.astype(np.uint8)
+    ones = arr.view(np.bool_)
+    flips = (ones & (u < psi1)) | (~ones & (u < psi0))
+    return arr ^ flips.view(np.uint8)
 
 
 def post_attack_prob(
@@ -265,9 +266,7 @@ class AttackAssignment:
 
     def unattacked_ids(self, s: ScenarioConfig) -> tuple[int, ...]:
         attacked = set(self.attacked_ids())
-        return tuple(
-            sensor.id for sensor in s.unsecure() if sensor.id not in attacked
-        )
+        return tuple(j for j in s.unsecure_ids() if j not in attacked)
 
     def __iter__(self) -> Iterator[tuple[int, AttackSpec]]:
         return iter(sorted(self.specs.items()))

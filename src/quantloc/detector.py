@@ -177,7 +177,7 @@ def _classify(
         for sensor, r in zip(s.unsecure(), d_hat)
     )
     return DetectionReport(
-        ids=tuple(sensor.id for sensor in s.unsecure()),
+        ids=s.unsecure_ids(),
         flags=flags,
         d_hat=tuple(d_hat),
         clamped=tuple(clamped),
@@ -205,7 +205,7 @@ def detect_all(
     s1, s2 = s.secure_pair()
     secure = ((s1.id, _estimate(s, data, s1.id)), (s2.id, _estimate(s, data, s2.id)))
     try:
-        zeros = data.zero_counts([sensor.id for sensor in s.unsecure()])
+        zeros = data.zero_counts(s.unsecure_ids())
     except KeyError as exc:
         raise _missing(exc.args[0]) from None
     d_hat, clamped = nmle_distances(s, zeros, data.k)
@@ -222,13 +222,13 @@ def detect_from_probabilities(
     """
     s1, s2 = s.secure_pair()
     estimates = {}
-    for sid in (s1.id, s2.id, *(sensor.id for sensor in s.unsecure())):
+    for sid in (s1.id, s2.id, *s.unsecure_ids()):
         if sid not in probs:
             raise MissingSensorData(f"no probability supplied for sensor {sid}")
         value = attacked_distance(s, sid, probs[sid])
         estimates[sid] = DistanceEstimate(value=value, clamped=False, xi_used=probs[sid])
     secure = ((s1.id, estimates[s1.id]), (s2.id, estimates[s2.id]))
-    radii = [estimates[sensor.id].value for sensor in s.unsecure()]
+    radii = [estimates[sid].value for sid in s.unsecure_ids()]
     return _classify(s, cfg, secure, radii, (False,) * len(radii), None)
 
 
@@ -283,7 +283,7 @@ def lambda_min(s: ScenarioConfig, kappa: float | None = None) -> float:
     """The network-wide floor: minimum of lambda_j over unsecure sensors."""
     if not s.unsecure():
         raise DomainError("the scenario has no unsecure sensors, so lambda_min is undefined")
-    return min(lambda_j(s, sensor.id, kappa) for sensor in s.unsecure())
+    return min(lambda_j(s, sid, kappa) for sid in s.unsecure_ids())
 
 
 def delta_admissible_from(

@@ -278,8 +278,7 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
         raise DomainError(f"deltas must not repeat a value, got {list(deltas)}")
     scenario, assignment = plan.scenario, plan.assignment
     attacked = frozenset(assignment.attacked_ids())
-    unsecure = [sensor.id for sensor in scenario.unsecure()]
-    n_total = len(unsecure)
+    n_total = len(scenario.unsecure_ids())
     if n_total == 0:
         raise DomainError("scenario has no unsecure sensors to classify")
     n_attacked = len(attacked)

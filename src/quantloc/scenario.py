@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import AssumptionWarning, DomainError, InvalidScenario
-from .noise import GaussianNoise
+from .noise import GaussianNoise, ndtr
 
 __all__ = [
     "Point",
@@ -152,6 +151,7 @@ class ScenarioConfig:
     _index: dict[int, SensorSpec] = field(init=False, repr=False, compare=False)
     _secure: tuple[SensorSpec, SensorSpec] = field(init=False, repr=False, compare=False)
     _unsecure: tuple[SensorSpec, ...] = field(init=False, repr=False, compare=False)
+    _unsecure_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Resolved once: detect_all estimates every unsecure sensor in one array pass.
     _unsecure_arrays: SensorArrays = field(init=False, repr=False, compare=False)
     # Hashed once: detector.delta_admissible is cached on the whole scenario,
@@ -172,6 +172,7 @@ class ScenarioConfig:
         object.__setattr__(self, "_secure", tuple(secure))
         unsecure = tuple(s for s in self.sensors if not s.secure)
         object.__setattr__(self, "_unsecure", unsecure)
+        object.__setattr__(self, "_unsecure_ids", tuple(s.id for s in unsecure))
         object.__setattr__(self, "_unsecure_arrays", _sensor_arrays(unsecure))
         for name in ("p0", "d0", "gamma", "upsilon1", "upsilon2", "kappa"):
             v = getattr(self, name)
@@ -199,6 +200,10 @@ class ScenarioConfig:
 
     def unsecure(self) -> tuple[SensorSpec, ...]:
         return self._unsecure
+
+    def unsecure_ids(self) -> tuple[int, ...]:
+        """The unsecure sensors' ids, in ``unsecure()`` order."""
+        return self._unsecure_ids
 
     def unsecure_arrays(self) -> SensorArrays:
         """The unsecure sensors' estimator constants, in ``unsecure()`` order."""

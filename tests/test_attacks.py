@@ -24,6 +24,7 @@ from quantloc import (
     psi_of,
     standard_gaussian,
 )
+from quantloc.rng import make_generator
 
 PHI_M3 = 0.00134989803163009452665
 PHI_075 = 0.773372647623131800672
@@ -135,6 +136,15 @@ def test_apply_attack_flips_nest_monotonically_in_psi1():
     # every bit flipped at psi1 = 0.1 is also flipped at psi1 = 0.25
     assert np.all(strong[weak == 0] == 0)
     assert (strong == 0).sum() > (weak == 0).sum()
+
+
+def test_apply_attack_flips_each_bit_below_its_own_psi():
+    # reference: bit b flips where its uniform falls below psi_b
+    bits = (np.random.default_rng(4).random(20_000) < 0.5).astype(np.uint8)
+    u = make_generator((11,)).random(bits.size)
+    expected = bits ^ (u < np.where(bits == 0, 0.3, 0.05)).astype(np.uint8)
+    out = apply_attack(Mima(0.3, 0.05), bits, seed=11)
+    assert out.dtype == np.uint8 and np.array_equal(out, expected)
 
 
 def _channel_conditional(k, z, m, psi0, psi1):

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, output shapes, file output."""
 
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import quantloc
 from quantloc import AttackAssignment, Mima, load_scenario, save_scenario
 from quantloc.cli import main
 
@@ -124,6 +127,35 @@ def test_detect_matches_golden_table(scale, tmp_path):
         )
     assert code == 0
     golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+WITHOUT_SCIPY = """
+import sys, warnings
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+sys.path.insert(0, sys.argv[1])
+import quantloc
+from quantloc.cli import main
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
+assert not loaded, loaded
+warnings.simplefilter("ignore")
+scenario, out = sys.argv[2], sys.argv[3]
+assert main(["paper-setup", "--scale", "0.04", "--out", scenario]) == 0
+sys.exit(main(["detect", scenario, "--delta", "280", "--K", "10000", "--seed", "7", "--out", out]))
+"""
+
+
+def test_detect_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: with scipy unimportable, the
+    golden table still comes out byte for byte."""
+    src = str(Path(quantloc.__file__).resolve().parents[1])
+    out = tmp_path / "detect.tsv"
+    subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, src, str(tmp_path / "paper.json"), str(out)],
+        check=True,
+        timeout=120,
+    )
+    golden = Path(__file__).parent / "data" / "detect_scale0.04_seed7_K10000_delta280.tsv"
     assert out.read_bytes() == golden.read_bytes()
 
 

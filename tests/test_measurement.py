@@ -92,6 +92,11 @@ def test_sample_signal_reproducible_and_prefix_stable(toy_scenario):
     other_seed = sample_signal(toy_scenario, 1, 1000, seed=8)
     assert not np.array_equal(long, other_sensor)
     assert not np.array_equal(long, other_seed)
+    # reference: signal mean plus location plus scale times the noise stream
+    noise = toy_scenario.sensor(1).noise
+    z = make_generator((7, NOISE_STREAM, 1)).standard_normal(1000)
+    expected = toy_scenario.signal_mean(1) + noise.location + noise.scale * z
+    assert long.tobytes() == expected.tobytes()
     with pytest.raises(DomainError):
         sample_signal(toy_scenario, 1, 0, seed=7)
 
@@ -178,6 +183,9 @@ def test_nmle_clamps_at_the_edges(ref_scenario):
     # the bare-float path defaults to a tiny clamp margin
     est_raw = nmle_distance(ref_scenario, 1, 0.0)
     assert est_raw.clamped and est_raw.xi_used == pytest.approx(1e-12)
+    # a frequency exactly at either end of the interval is used as it is
+    assert not nmle_distance(ref_scenario, 1, 1e-12).clamped
+    assert not nmle_distance(ref_scenario, 1, f_tau - 1e-12).clamped
 
 
 def test_nmle_takes_its_clamp_from_the_frequency_alone(ref_scenario):

@@ -100,6 +100,8 @@ def test_sensor_lookups_are_built_once_and_stay_out_of_eq_and_repr(toy_scenario)
     assert s.sensor(2) is s.sensors[1]
     assert s.secure_pair() is s.secure_pair()
     assert s.unsecure() is s.unsecure()
+    assert s.unsecure_ids() is s.unsecure_ids()
+    assert s.unsecure_ids() == tuple(x.id for x in s.unsecure())
     # the anchors come out lower id first whatever their listing order
     swapped = replace(s, sensors=(s.sensors[3], *s.sensors[:3]))
     assert [x.id for x in swapped.secure_pair()] == [3, 4]
@@ -108,7 +110,7 @@ def test_sensor_lookups_are_built_once_and_stay_out_of_eq_and_repr(toy_scenario)
     assert twin == s and hash(twin) == hash(s)
     assert "_index" not in repr(s)
     init_names = {f.name for f in fields(ScenarioConfig) if f.init}
-    assert not init_names & {"_index", "_secure", "_unsecure"}
+    assert not init_names & {"_index", "_secure", "_unsecure", "_unsecure_ids"}
 
 
 def test_zero_prob_and_power_at(toy_scenario):
