@@ -96,14 +96,14 @@ def xi_factor_from(
     """
     if not (0.0 < eps_l < eps_u < 1.0):
         raise DomainError(f"need 0 < eps_l < eps_u < 1, got {eps_l}, {eps_u}")
-    f_tau = float(noise.cdf(tau))
+    f_tau = noise.cdf(tau)
     if eps_u >= f_tau:
         raise DomainError(
             f"eps_u = {eps_u} must stay below F(tau) = {f_tau}; the "
             "conversion factor diverges at the boundary"
         )
-    x_l = float(noise.inv_cdf(eps_l))
-    x_u = float(noise.inv_cdf(eps_u))
+    x_l = noise.inv_cdf(eps_l)
+    x_u = noise.inv_cdf(eps_u)
     numerator = d0 * p0 ** (1.0 / gamma) * (tau - x_u) ** (-(gamma + 1.0) / gamma)
     inf_f = noise.density_extremum(x_l, x_u, "inf")
     return numerator / inf_f

@@ -170,7 +170,7 @@ class SpoofBias(AttackSpec):
             raise DomainError("spoofing bias needs the sensor's noise model")
         if p <= 0.0 or p >= 1.0:
             return p  # saturated quantizer stays saturated under any finite bias
-        return float(noise.cdf(noise.inv_cdf(p) - self.bias))
+        return noise.cdf(noise.inv_cdf(p) - self.bias)
 
     def bit_record(
         self, samples: np.ndarray, s: ScenarioConfig, sensor: SensorSpec, seed: Entropy

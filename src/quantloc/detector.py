@@ -254,8 +254,8 @@ def lambda_from(
         raise DomainError(f"kappa must be positive, got {kappa}")
     if not (0.0 < rho_l < rho_u < 1.0):
         raise DomainError(f"need 0 < rho_l < rho_u < 1, got {rho_l}, {rho_u}")
-    x_l = float(noise.inv_cdf(rho_l))
-    x_u = float(noise.inv_cdf(rho_u))
+    x_l = noise.inv_cdf(rho_l)
+    x_u = noise.inv_cdf(rho_u)
     numerator = kappa * d0 * p0 ** (1.0 / gamma) * (tau - x_l) ** (
         -(gamma + 1.0) / gamma
     )

@@ -70,7 +70,7 @@ class SensorSpec:
 
     def zero_prob(self, power: float = 0.0) -> float:
         """Pr(bit = 0) at received power ``power``: F(tau - power), F(tau) at 0."""
-        return float(self.noise.cdf(self.threshold - power))
+        return self.noise.cdf(self.threshold - power)
 
 
 @dataclass(frozen=True)

@@ -123,8 +123,7 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20260817)
 
 
-@pytest.fixture
-def toy_scenario() -> ScenarioConfig:
+def make_toy_scenario() -> ScenarioConfig:
     """A small fixed geometry used across detector and analysis tests."""
     noise = GaussianNoise(0.0, 1.0)
     sensors = (
@@ -144,3 +143,8 @@ def toy_scenario() -> ScenarioConfig:
         upsilon2=20.0,
         kappa=1.0,
     )
+
+
+@pytest.fixture
+def toy_scenario() -> ScenarioConfig:
+    return make_toy_scenario()

@@ -1,0 +1,60 @@
+"""Regenerate the seeded golden files from the package's random streams.
+
+Run from the repository root after a change that moves the seeded streams
+(and only then, saying so in CHANGES.md):
+
+    PYTHONPATH=src python tests/data/make_goldens.py
+
+It rewrites ``detect_scale{0.04,1}_seed7_K10000_delta280.tsv`` here with
+what ``quantloc paper-setup`` and ``quantloc detect --delta 280 --K 10000
+--seed 7`` print, and prints the ``PINNED_ZERO_COUNTS`` literal of
+``tests/test_montecarlo.py`` to paste in.
+
+``trial_scale0.04_seed7_K10000_philox.bits`` and its table are not made
+here: they pin the detector on a fixed record, so no stream change may
+regenerate them.  They were written once, by the Philox streams, with
+``save_dataset(generate_dataset(*build_paper_setup(scale=0.04), 10000, 7,
+trial_index=0), path)``.
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parent
+sys.path.insert(0, str(DATA.parent))  # the tests directory: conftest, test_montecarlo
+
+from conftest import make_toy_scenario  # noqa: E402
+from quantloc.cli import main  # noqa: E402
+from test_montecarlo import pinned_zero_counts  # noqa: E402
+
+
+def write_detect_tables() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for scale in ("0.04", "1"):
+            scenario = str(Path(tmp) / f"paper{scale}.json")
+            out = DATA / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
+            assert main(["paper-setup", "--scale", scale, "--out", scenario]) == 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # delta is above the admissible limit
+                code = main(
+                    ["detect", scenario, "--delta", "280", "--K", "10000",
+                     "--seed", "7", "--out", str(out)]
+                )
+            assert code == 0
+            print(f"wrote {out.relative_to(DATA.parent.parent)}")
+
+
+def print_zero_counts() -> None:
+    print("PINNED_ZERO_COUNTS = {")
+    for name, counts in pinned_zero_counts(make_toy_scenario()).items():
+        print(f'    "{name}": {counts},')
+    print("}")
+
+
+if __name__ == "__main__":
+    write_detect_tables()
+    print_zero_counts()

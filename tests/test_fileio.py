@@ -907,3 +907,21 @@ def test_golden_detect_tables_survive_the_container(scale, tmp_path):
             assert detect_all(scenario, cfg, loaded) == detect_all(scenario, cfg, data)
     golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
     assert report.to_table().encode() == golden.read_bytes()
+
+
+def test_committed_trial_detects_as_pinned():
+    """A detector pin that no random stream can move.
+
+    The trial was drawn once (1/25-scale paper setup, K = 1e4, seed 7,
+    trial 0) by the Philox streams the package used before SFC64, and saved
+    as QDS1; its table is what ``quantloc detect`` printed for it then.
+    """
+    data_dir = Path(__file__).parent / "data"
+    scenario, _ = build_paper_setup(scale=0.04)
+    loaded = load_dataset(data_dir / "trial_scale0.04_seed7_K10000_philox.bits")
+    assert (loaded.k, loaded.rng_seed, loaded.trial_index) == (10000, 7, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta is above the admissible limit
+        report = detect_all(scenario, DetectorConfig(delta=280.0), loaded)
+    expected = data_dir / "trial_scale0.04_seed7_K10000_philox_delta280.tsv"
+    assert report.to_table().encode() == expected.read_bytes()

@@ -84,25 +84,42 @@ def test_generate_dataset_prefix_property(toy_scenario):
             np.testing.assert_array_equal(long.bits[j][:500], short.bits[j])
 
 
+def pinned_zero_counts(s) -> dict[str, list[int]]:
+    """Zero counts of sensors 1-4, per variant, at K = 2000, seed 11, trial 3.
+
+    ``tests/data/make_goldens.py`` prints them for ``PINNED_ZERO_COUNTS``.
+    """
+    p1, p2 = prob_zero(s, 1, s.target), prob_zero(s, 2, s.target)
+    cases = {
+        "none": {},
+        "mima": {1: Mima(0.1, 0.2), 2: Mima(0.1, 0.2)},
+        "offset": {1: PsiOffset(0.05), 2: PsiOffset(0.05)},
+        # p + offset lands exactly on 0 and on 1: the quantizer saturates
+        "saturated": {1: PsiOffset(-p1), 2: PsiOffset(1.0 - p2)},
+        "spoof": {1: SpoofBias(0.5), 2: SpoofBias(0.5)},
+    }
+    counts = {}
+    for name, specs in cases.items():
+        data = generate_dataset(s, AttackAssignment(specs=specs), 2000, base_seed=11, trial_index=3)
+        counts[name] = [int(data.bits[j].size - data.bits[j].sum()) for j in (1, 2, 3, 4)]
+    return counts
+
+
+PINNED_ZERO_COUNTS = {
+    "none": [1100, 1032, 1373, 1377],
+    "mima": [1192, 1138, 1373, 1377],
+    "offset": [1195, 1132, 1373, 1377],
+    "saturated": [0, 2000, 1373, 1377],
+    "spoof": [721, 635, 1373, 1377],
+}
+
+
 def test_generate_dataset_zero_counts_are_pinned(toy_scenario):
     """Frozen seeded zero counts per sensor and variant.
 
     Any change to a random stream or to a variant's bit record moves them.
     """
-    s = toy_scenario
-    p1, p2 = prob_zero(s, 1, s.target), prob_zero(s, 2, s.target)
-    cases = {
-        "none": ({}, [1086, 1053, 1406, 1438]),
-        "mima": ({1: Mima(0.1, 0.2), 2: Mima(0.1, 0.2)}, [1180, 1112, 1406, 1438]),
-        "offset": ({1: PsiOffset(0.05), 2: PsiOffset(0.05)}, [1182, 1157, 1406, 1438]),
-        # p + offset lands exactly on 0 and on 1: the quantizer saturates
-        "saturated": ({1: PsiOffset(-p1), 2: PsiOffset(1.0 - p2)}, [0, 2000, 1406, 1438]),
-        "spoof": ({1: SpoofBias(0.5), 2: SpoofBias(0.5)}, [674, 654, 1406, 1438]),
-    }
-    for name, (specs, expected) in cases.items():
-        data = generate_dataset(s, AttackAssignment(specs=specs), 2000, base_seed=11, trial_index=3)
-        zeros = [int(data.bits[j].size - data.bits[j].sum()) for j in (1, 2, 3, 4)]
-        assert zeros == expected, name
+    assert pinned_zero_counts(toy_scenario) == PINNED_ZERO_COUNTS
 
 
 def test_probability_offset_realized_exactly(toy_scenario):

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from quantloc import DomainError, GaussianNoise, standard_gaussian
+from quantloc import (
+    DomainError,
+    GaussianNoise,
+    SpoofBias,
+    lambda_from,
+    standard_gaussian,
+    xi_factor_from,
+)
 
 # Reference values computed with 30-digit arithmetic (mpmath), frozen here.
 PHI_M3 = 0.00134989803163009452665
@@ -155,6 +162,24 @@ def test_scalar_and_array_calls_are_scipy_bit_for_bit():
         out = g.cdf(xi)
         assert type(out) is float and _same_bits(out, ndtr((xi - -0.7) / 3.3))
 
+
+def test_scalar_callers_return_python_floats(toy_scenario):
+    """The per-sensor scalar callers of cdf/inv_cdf hand on Python floats,
+    also from numpy scalar arguments, without wrapping the results."""
+    sensor = toy_scenario.sensor(1)
+    g = standard_gaussian()
+    phi_m1 = g.cdf(-1.0)
+    values = [
+        sensor.zero_prob(),
+        sensor.zero_prob(np.float64(0.25)),
+        SpoofBias(0.5).shift(0.3, g),
+        SpoofBias(0.5).shift(np.float64(0.3), g),
+        lambda_from(g, 1.0, 1.0, 1e5, 2.0, 0.005, phi_m1, 0.5),
+        lambda_from(g, 1.0, 1.0, 1e5, 2.0, 0.005, np.float64(phi_m1), np.float64(0.5)),
+        xi_factor_from(g, 1.0, 1.0, 1e5, 2.0, phi_m1, 0.5),
+        xi_factor_from(g, 1.0, 1.0, 1e5, 2.0, np.float64(phi_m1), np.float64(0.5)),
+    ]
+    assert [type(v) for v in values] == [float] * len(values)
 
 def test_constructor_validation():
     with pytest.raises(DomainError):
