@@ -27,7 +27,7 @@ from .detector import DetectorConfig
 from .errors import DomainError
 from .measurement import prob_zero
 from .noise import GaussianNoise
-from .scenario import ScenarioConfig, compute_distance_bounds, rho_bounds
+from .scenario import ScenarioConfig, rho_bounds
 
 __all__ = [
     "ExponentParams",
@@ -66,11 +66,10 @@ def epsilon_bracket(
     s: ScenarioConfig,
     j: int,
     params: ExponentParams | None = None,
-    bounds=None,
 ) -> tuple[float, float]:
     """The widened frequency bracket (eps_L, eps_U) for sensor j."""
     params = params or ExponentParams()
-    rho_l, rho_u = rho_bounds(s, j, bounds)
+    rho_l, rho_u = rho_bounds(s, j)
     f_tau = s.sensor(j).zero_prob()
     eps_l = params.sigma_l * rho_l
     eps_u = params.sigma_u * rho_u + (1.0 - params.sigma_u) * f_tau
@@ -109,12 +108,10 @@ def xi_factor_from(
     return numerator / inf_f
 
 
-def xi_factor(
-    s: ScenarioConfig, j: int, params: ExponentParams | None = None, bounds=None
-) -> float:
+def xi_factor(s: ScenarioConfig, j: int, params: ExponentParams | None = None) -> float:
     """Conversion factor Xi_j for sensor j under the given bracket weights."""
     sensor = s.sensor(j)
-    eps_l, eps_u = epsilon_bracket(s, j, params, bounds)
+    eps_l, eps_u = epsilon_bracket(s, j, params)
     return xi_factor_from(
         sensor.noise, sensor.threshold, s.p0, s.d0, s.gamma, eps_l, eps_u
     )
@@ -321,7 +318,6 @@ def composite_exponents(
     rates: their records are tamper-proof by construction.
     """
     params = params or ExponentParams()
-    bounds = compute_distance_bounds(s)
     s1, s2 = s.secure_pair()
     delta = cfg.delta
 
@@ -330,7 +326,7 @@ def composite_exponents(
     for sensor in s.sensors:
         j = sensor.id
         p = prob_zero(s, j, s.target)
-        eps_l, eps_u = epsilon_bracket(s, j, params, bounds)
+        eps_l, eps_u = epsilon_bracket(s, j, params)
         xi = xi_factor_from(
             sensor.noise, sensor.threshold, s.p0, s.d0, s.gamma, eps_l, eps_u
         )

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, InvalidScenario, VariantMismatch
 from .noise import GaussianNoise
 from .rng import Entropy, make_generator
-from .scenario import DistanceBounds, ScenarioConfig, SensorSpec, rho_bounds
+from .scenario import ScenarioConfig, SensorSpec, rho_bounds
 
 __all__ = [
     "AttackSpec",
@@ -222,12 +222,7 @@ def psi_of(spec: AttackSpec, p: float, noise: GaussianNoise | None = None) -> fl
     return spec.psi(p, noise)
 
 
-def check_subtle(
-    s: ScenarioConfig,
-    j: int,
-    spec: AttackSpec,
-    bounds: DistanceBounds | None = None,
-) -> bool:
+def check_subtle(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:
     """Whether the attacked zero-probability stays inside [rho_L, rho_U].
 
     A subtle attack keeps sensor j's post-attack statistics inside the
@@ -236,7 +231,7 @@ def check_subtle(
     """
     sensor = s.sensor(j)
     tp = post_attack_prob(spec, sensor.zero_prob(s.signal_mean(j)), noise=sensor.noise)
-    rho_l, rho_u = rho_bounds(s, j, bounds)
+    rho_l, rho_u = rho_bounds(s, j)
     return rho_l <= tp <= rho_u
 
 

@@ -19,7 +19,7 @@ from .detector import DetectorConfig, delta_admissible, detect_all, lambda_min
 from .errors import ParseError, QuantLocError
 from .fileio import build_paper_setup, load_scenario, save_scenario, render_scenario
 from .montecarlo import ExperimentPlan, generate_dataset, sweep_K
-from .scenario import compute_distance_bounds, validate_assumptions
+from .scenario import validate_assumptions
 
 __all__ = ["main"]
 
@@ -59,7 +59,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = validate_assumptions(scenario)
-    bounds = compute_distance_bounds(scenario)
+    bounds = scenario.distance_bounds()
     lines = [
         f"sensors: {len(scenario.unsecure())} unsecure + 2 secure",
         f"attacked: {len(assignment.attacked_ids())}",

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import AdvisoryWarning, DomainError, InvalidScenario, MissingSensorData
 from .geometry import (
     Circle,
@@ -40,13 +42,8 @@ from .measurement import (
     nmle_distance,
     nmle_distances,
 )
-from .noise import GaussianNoise
-from .scenario import (
-    ScenarioConfig,
-    compute_distance_bounds,
-    rho_bounds,
-    roi_side,
-)
+from .noise import GaussianNoise, density_sup, ndtri
+from .scenario import ScenarioConfig, rho_bounds, roi_side, unsecure_rho_bounds
 
 __all__ = [
     "DEFAULT_M",
@@ -235,6 +232,32 @@ def detect_from_probabilities(
 # -- distortion floor and admissible delta ---------------------------------
 
 
+def _floors(tau, location, scale, p0, d0, gamma, kappa, rho_l, rho_u) -> list[float]:
+    """``lambda_from`` of every sensor whose constants the arrays hold.
+
+    Each sensor has its own noise law (location and scale may be scalars).
+    One ``ndtri`` per bracket end and one ``density_sup`` cover all
+    sensors; the power is Python's, per element, as in ``nmle_distances``.
+    """
+    if not (kappa > 0.0):
+        raise DomainError(f"kappa must be positive, got {kappa}")
+    rho_l = np.asarray(rho_l, dtype=float)
+    rho_u = np.asarray(rho_u, dtype=float)
+    bad = ~((0.0 < rho_l) & (rho_l < rho_u) & (rho_u < 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"need 0 < rho_l < rho_u < 1, got {float(rho_l[i])}, {float(rho_u[i])}"
+        )
+    x_l = ndtri(rho_l) * scale + location
+    x_u = ndtri(rho_u) * scale + location
+    sup_f = density_sup(x_l, x_u, location, scale)
+    head, power = kappa * d0 * p0 ** (1.0 / gamma), -(gamma + 1.0) / gamma
+    return [
+        head * base**power / f for base, f in zip((tau - x_l).tolist(), sup_f.tolist())
+    ]
+
+
 def lambda_from(
     noise: GaussianNoise,
     tau: float,
@@ -250,17 +273,9 @@ def lambda_from(
     lambda = kappa * d0 * p0^(1/gamma) * (tau - F^{-1}(rho_l))^(-(gamma+1)/gamma)
              / sup f over [F^{-1}(rho_l), F^{-1}(rho_u)].
     """
-    if not (kappa > 0.0):
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if not (0.0 < rho_l < rho_u < 1.0):
-        raise DomainError(f"need 0 < rho_l < rho_u < 1, got {rho_l}, {rho_u}")
-    x_l = noise.inv_cdf(rho_l)
-    x_u = noise.inv_cdf(rho_u)
-    numerator = kappa * d0 * p0 ** (1.0 / gamma) * (tau - x_l) ** (
-        -(gamma + 1.0) / gamma
-    )
-    sup_f = noise.density_extremum(x_l, x_u, "sup")
-    return numerator / sup_f
+    return _floors(
+        tau, noise.location, noise.scale, p0, d0, gamma, kappa, [rho_l], [rho_u]
+    )[0]
 
 
 def lambda_j(s: ScenarioConfig, j: int, kappa: float | None = None) -> float:
@@ -279,11 +294,19 @@ def lambda_j(s: ScenarioConfig, j: int, kappa: float | None = None) -> float:
     )
 
 
+def _unsecure_floors(s: ScenarioConfig, kappa: float | None) -> list[float]:
+    """``lambda_j`` of every unsecure sensor in one array pass, in ``s.unsecure()`` order."""
+    a = s.unsecure_arrays()
+    rho_l, rho_u = unsecure_rho_bounds(s)
+    kappa = s.kappa if kappa is None else kappa
+    return _floors(a.threshold, a.location, a.scale, s.p0, s.d0, s.gamma, kappa, rho_l, rho_u)
+
+
 def lambda_min(s: ScenarioConfig, kappa: float | None = None) -> float:
     """The network-wide floor: minimum of lambda_j over unsecure sensors."""
     if not s.unsecure():
         raise DomainError("the scenario has no unsecure sensors, so lambda_min is undefined")
-    return min(lambda_j(s, sid, kappa) for sid in s.unsecure_ids())
+    return min(_unsecure_floors(s, kappa))
 
 
 def delta_admissible_from(
@@ -302,7 +325,7 @@ def delta_admissible_from(
 @lru_cache(maxsize=64)
 def delta_admissible(s: ScenarioConfig, kappa: float | None = None) -> float:
     """Supremum of delta values for which detection is provably correct."""
-    bounds = compute_distance_bounds(s)
+    bounds = s.distance_bounds()
     lam = lambda_min(s, kappa)
     return delta_admissible_from(bounds.d_upper, bounds.d_secure, s.upsilon, lam)
 

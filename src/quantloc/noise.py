@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["GaussianNoise", "standard_gaussian", "ndtr", "ndtri"]
+__all__ = ["GaussianNoise", "standard_gaussian", "ndtr", "ndtri", "density_sup"]
 
 # Cephes ndtri.c.  P0/Q0: exp(-2) < y <= 1 - exp(-2), in y - 1/2.  P1/Q1 and
 # P2/Q2: the tails, in 1/x with x = sqrt(-2 ln y), below 8 and from 8.
@@ -236,6 +236,39 @@ def ndtr(a):
     return out
 
 
+def _density(x, location, scale):
+    """The N(location, scale^2) density at x; floats and arrays alike."""
+    z = (x - location) / scale
+    return np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
+
+
+def density_sup(lo, hi, location, scale):
+    """``GaussianNoise.density_extremum(lo, hi, "sup")`` over arrays of intervals.
+
+    Elementwise over [lo, hi] of equal shape, each with its own location
+    and scale (or one shared scalar): the same doubles as the scalar method
+    element by element, and its DomainError for the first interval that is
+    not finite and ordered, or that leaves the positive-density region.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"invalid interval [{float(lo.flat[i])}, {float(hi.flat[i])}]")
+    f_lo = _density(lo, location, scale)
+    f_hi = _density(hi, location, scale)
+    bad = (f_lo <= 0.0) | (f_hi <= 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"interval [{float(lo.flat[i])}, {float(hi.flat[i])}] leaves the "
+            "positive-density region"
+        )
+    inside = (lo <= location) & (location <= hi)
+    return np.where(inside, _density(location, location, scale), np.maximum(f_lo, f_hi))
+
+
 @dataclass(frozen=True)
 class GaussianNoise:
     """Gaussian noise with the given location and scale.
@@ -259,10 +292,13 @@ class GaussianNoise:
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
         if not math.isfinite(self.location):
             raise DomainError(f"location must be finite, got {self.location}")
+        # Stored as Python floats, so scalar cdf/inv_cdf results are floats
+        # whatever numeric type the constants arrived as.
+        object.__setattr__(self, "location", float(self.location))
+        object.__setattr__(self, "scale", float(self.scale))
 
     def density(self, x):
-        z = (np.asarray(x, dtype=float) - self.location) / self.scale
-        out = np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi))
+        out = _density(np.asarray(x, dtype=float), self.location, self.scale)
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
@@ -285,6 +321,8 @@ class GaussianNoise:
 
         The supremum sits at the mode if the interval contains it, else at
         the endpoint nearest the mode; the infimum is always at an endpoint.
+        ``density_sup`` is the supremum over arrays of intervals; this scalar
+        form is its reference, and the cheaper for one interval.
 
         mode: "sup" or "inf".
         """

@@ -32,6 +32,7 @@ __all__ = [
     "distance",
     "compute_distance_bounds",
     "rho_bounds",
+    "unsecure_rho_bounds",
     "validate_assumptions",
     "roi_side",
 ]
@@ -157,6 +158,11 @@ class ScenarioConfig:
     # Hashed once: detector.delta_admissible is cached on the whole scenario,
     # and re-hashing every sensor on each lookup cost 0.28 ms at 502 sensors.
     _hash: int = field(init=False, repr=False, compare=False)
+    # Filled on first use, not here: compute_distance_bounds raises
+    # InvalidScenario for a sensor inside the ROI, which construction allows.
+    _bounds: DistanceBounds | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -209,6 +215,12 @@ class ScenarioConfig:
         """The unsecure sensors' estimator constants, in ``unsecure()`` order."""
         return self._unsecure_arrays
 
+    def distance_bounds(self) -> DistanceBounds:
+        """``compute_distance_bounds(self)``, computed on first use and kept."""
+        if self._bounds is None:
+            object.__setattr__(self, "_bounds", compute_distance_bounds(self))
+        return self._bounds
+
     @property
     def upsilon(self) -> float:
         return min(self.upsilon1, self.upsilon2)
@@ -245,9 +257,7 @@ def compute_distance_bounds(s: ScenarioConfig) -> DistanceBounds:
     return DistanceBounds(d_lower, d_upper, distance(a.position, b.position))
 
 
-def rho_bounds(
-    s: ScenarioConfig, j: int, bounds: DistanceBounds | None = None
-) -> tuple[float, float]:
+def rho_bounds(s: ScenarioConfig, j: int) -> tuple[float, float]:
     """Zero-bit probability bracket (rho_L, rho_U) for sensor j.
 
     rho_L = F_j(tau_j - p0 (d0/d_lower)^gamma) is the smallest possible
@@ -255,18 +265,46 @@ def rho_bounds(
     (farthest target).  Raises InvalidScenario unless
     0 < rho_L < rho_U < F_j(tau_j) <= 1 holds strictly.
     """
-    if bounds is None:
-        bounds = compute_distance_bounds(s)
     sensor = s.sensor(j)
-    rho_l = sensor.zero_prob(s.power_at(bounds.d_lower))
-    rho_u = sensor.zero_prob(s.power_at(bounds.d_upper))
-    f_tau = sensor.zero_prob()
-    if not (0.0 < rho_l < rho_u < f_tau <= 1.0):
-        raise InvalidScenario(
-            f"probability ordering failed for sensor {j}: "
-            f"rho_L={rho_l}, rho_U={rho_u}, F(tau)={f_tau}"
-        )
+    noise, f_tau = sensor.noise, sensor.zero_prob()
+    rho_l, rho_u, ok = _rho_pair(s, sensor.threshold, noise.location, noise.scale, f_tau)
+    if not ok:
+        raise _unordered(j, rho_l, rho_u, f_tau)
     return rho_l, rho_u
+
+
+def unsecure_rho_bounds(s: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``rho_bounds`` of every unsecure sensor at once, in ``s.unsecure()`` order.
+
+    Two arrays, elementwise the same doubles as ``rho_bounds``; the
+    InvalidScenario names the first sensor whose bracket is not ordered.
+    """
+    a = s.unsecure_arrays()
+    rho_l, rho_u, ok = _rho_pair(s, a.threshold, a.location, a.scale, a.f_tau)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _unordered(s.unsecure_ids()[i], rho_l[i], rho_u[i], a.f_tau[i])
+    return rho_l, rho_u
+
+
+def _rho_pair(s: ScenarioConfig, threshold, location, scale, f_tau):
+    """(rho_L, rho_U, whether 0 < rho_L < rho_U < F(tau) <= 1); floats and arrays alike.
+
+    Each end is ``zero_prob`` at the power from d_lower or d_upper, in its
+    float steps: ndtr(((tau - power) - location) / scale).
+    """
+    b = s.distance_bounds()
+    rho_l = ndtr(((threshold - s.power_at(b.d_lower)) - location) / scale)
+    rho_u = ndtr(((threshold - s.power_at(b.d_upper)) - location) / scale)
+    ok = (0.0 < rho_l) & (rho_l < rho_u) & (rho_u < f_tau) & (f_tau <= 1.0)
+    return rho_l, rho_u, ok
+
+
+def _unordered(sensor_id: int, rho_l, rho_u, f_tau) -> InvalidScenario:
+    return InvalidScenario(
+        f"probability ordering failed for sensor {sensor_id}: "
+        f"rho_L={float(rho_l)}, rho_U={float(rho_u)}, F(tau)={float(f_tau)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -328,7 +366,7 @@ def validate_assumptions(s: ScenarioConfig) -> AssumptionReport:
     the distance sum is 2-Lipschitz, so the reported tolerance is twice the
     half-spacing of the boundary samples.
     """
-    bounds = compute_distance_bounds(s)
+    bounds = s.distance_bounds()
     sa, sb = s.secure_pair()
 
     margin_a = bounds.d_secure - (bounds.d_upper - bounds.d_lower + 2.0 * s.upsilon1)

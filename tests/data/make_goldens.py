@@ -10,6 +10,12 @@ what ``quantloc paper-setup`` and ``quantloc detect --delta 280 --K 10000
 --seed 7`` print, and prints the ``PINNED_ZERO_COUNTS`` literal of
 ``tests/test_montecarlo.py`` to paste in.
 
+It also rewrites ``bounds_scale1_delta280.tsv``, what ``quantloc bounds
+--delta 280 --K-grid 20000,100000`` prints for the full-scale paper setup.
+No random stream reaches that table, so a stream change leaves it byte for
+byte as committed; a change to the exponents or the distortion floor that
+moves it must say so in CHANGES.md.
+
 ``trial_scale0.04_seed7_K10000_philox.bits`` and its table are not made
 here: they pin the detector on a fixed record, so no stream change may
 regenerate them.  They were written once, by the Philox streams, with
@@ -48,6 +54,19 @@ def write_detect_tables() -> None:
             print(f"wrote {out.relative_to(DATA.parent.parent)}")
 
 
+def write_bounds_table() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = str(Path(tmp) / "paper1.json")
+        out = DATA / "bounds_scale1_delta280.tsv"
+        assert main(["paper-setup", "--scale", "1", "--out", scenario]) == 0
+        code = main(
+            ["bounds", scenario, "--delta", "280", "--K-grid", "20000,100000",
+             "--out", str(out)]
+        )
+        assert code == 0
+        print(f"wrote {out.relative_to(DATA.parent.parent)}")
+
+
 def print_zero_counts() -> None:
     print("PINNED_ZERO_COUNTS = {")
     for name, counts in pinned_zero_counts(make_toy_scenario()).items():
@@ -57,4 +76,5 @@ def print_zero_counts() -> None:
 
 if __name__ == "__main__":
     write_detect_tables()
+    write_bounds_table()
     print_zero_counts()

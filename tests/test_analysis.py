@@ -14,7 +14,6 @@ from quantloc import (
     PsiOffset,
     bernoulli_kl,
     build_paper_setup,
-    compute_distance_bounds,
     composite_exponents,
     epsilon_bracket,
     no_attacks,
@@ -118,15 +117,14 @@ def test_bernoulli_kl_matches_decimal_oracle_on_the_benchmark(scale):
     subtracts the two terms of the divergence loses half its digits.
     """
     s, assignment = build_paper_setup(scale=scale)
-    bounds = compute_distance_bounds(s)
     for delta in (0.01, 0.1, 1.0, 5.0, 260.0, 280.0, 300.0, 320.0):
         report = composite_exponents(s, assignment, DetectorConfig(delta=delta))
         worst = 0.0
         for sensor in s.sensors:
             j = sensor.id
             p = prob_zero(s, j, s.target)
-            eps_l, eps_u = epsilon_bracket(s, j, None, bounds)
-            t = delta / (2.0 * xi_factor(s, j, None, bounds))
+            eps_l, eps_u = epsilon_bracket(s, j)
+            t = delta / (2.0 * xi_factor(s, j))
             probs = [(p, report.plain[j])]
             if not sensor.secure:
                 tp = post_attack_prob(assignment.spec_for(j), p, noise=sensor.noise)

@@ -130,6 +130,21 @@ def test_detect_matches_golden_table(scale, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_bounds_matches_golden_table(tmp_path):
+    """The full-scale exponent table, byte for byte: lambda_min, the
+    admissible delta, the three exponents and every sensor's bounds."""
+    scenario = tmp_path / "paper.json"
+    out = tmp_path / "bounds.tsv"
+    assert main(["paper-setup", "--scale", "1", "--out", str(scenario)]) == 0
+    code = main(
+        ["bounds", str(scenario), "--delta", "280", "--K-grid", "20000,100000",
+         "--out", str(out)]
+    )
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "bounds_scale1_delta280.tsv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 WITHOUT_SCIPY = """
 import sys, warnings
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

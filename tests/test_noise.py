@@ -12,6 +12,7 @@ from quantloc import (
     DomainError,
     GaussianNoise,
     SpoofBias,
+    density_sup,
     lambda_from,
     standard_gaussian,
     xi_factor_from,
@@ -133,6 +134,46 @@ def test_density_extremum_rejects_bad_input():
     # exp(-0.5 x^2) underflows to exactly zero far in the tail
     with pytest.raises(DomainError):
         g.density_extremum(40.0, 41.0, "inf")
+
+
+def test_density_sup_over_arrays_follows_the_scalar_rule():
+    """Per-element location and scale give the doubles of one noise law at a
+    time: the density at the mode if the interval holds it, else the larger
+    endpoint density."""
+    rng = np.random.default_rng(3)
+    lo = rng.normal(0.0, 2.0, 400)
+    hi = lo + rng.exponential(1.5, 400)
+    loc = rng.normal(0.0, 1.0, 400)
+    scale = rng.uniform(0.2, 3.0, 400)
+    sup = density_sup(lo, hi, loc, scale)
+    for i in range(400):
+        g = GaussianNoise(float(loc[i]), float(scale[i]))
+        f_lo, f_hi = g.density(float(lo[i])), g.density(float(hi[i]))
+        inside = lo[i] <= g.mode() <= hi[i]
+        assert _same_bits(sup[i], g.density(g.mode()) if inside else max(f_lo, f_hi))
+        assert _same_bits(sup[i], g.density_extremum(float(lo[i]), float(hi[i]), "sup"))
+    # both branches occur
+    assert 0 < int(((lo <= loc) & (loc <= hi)).sum()) < 400
+
+
+def test_density_sup_errors_name_the_first_bad_interval():
+    with pytest.raises(DomainError, match=r"^invalid interval \[3\.0, 1\.0\]$"):
+        density_sup([-1.0, 3.0, 5.0], [2.0, 1.0, math.inf], 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"^interval \[40\.0, 41\.0\] leaves"):
+        density_sup([0.0, 40.0, 50.0], [1.0, 41.0, 51.0], 0.0, 1.0)
+
+
+def test_numpy_scalar_constants_are_stored_as_floats():
+    g = GaussianNoise(np.float64(0.0), np.float64(1.0))
+    assert type(g.location) is float and type(g.scale) is float
+    assert g == standard_gaussian()
+    phi_m1 = g.cdf(-1.0)
+    values = [
+        g.inv_cdf(0.3),
+        lambda_from(g, 1.0, 1.0, 1e5, 2.0, 0.005, phi_m1, 0.5),
+        xi_factor_from(g, 1.0, 1.0, 1e5, 2.0, phi_m1, 0.5),
+    ]
+    assert [type(v) for v in values] == [float] * len(values)
 
 
 def test_inv_cdf_rejects_out_of_range():

@@ -175,8 +175,8 @@ def test_rho_bounds_are_cdf_images_of_distance_bounds():
         noise.cdf(1.0 - (s.d0 / b.d_upper) ** 2), rel=1e-15
     )
     assert 0.0 < rho_l < rho_u < noise.cdf(1.0) <= 1.0
-    # same result when the caller supplies precomputed bounds
-    assert rho_bounds(s, 1, b) == (rho_l, rho_u)
+    # the scenario computes its bounds once and keeps them
+    assert s.distance_bounds() == b and s.distance_bounds() is s.distance_bounds()
 
 
 def test_rho_bounds_reject_underflowed_lower_probability():
