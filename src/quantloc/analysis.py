@@ -234,12 +234,11 @@ class RateReport:
 
     @property
     def fa_exponent(self) -> float:
-        unattacked = [
-            j for j in self.fa_exponents if j not in set(self.attacked_ids)
-        ]
-        if not unattacked:
-            return INF
-        return min(self.fa_exponents[j] for j in unattacked)
+        attacked = set(self.attacked_ids)
+        return min(
+            (eta for j, eta in self.fa_exponents.items() if j not in attacked),
+            default=INF,
+        )
 
     @property
     def miss_exponent(self) -> float | None:
@@ -255,7 +254,8 @@ class RateReport:
         )
 
     def fa_bound(self, k: int) -> float:
-        return PREFACTOR * math.exp(-self.fa_exponent * k) if self.fa_exponent != INF else 0.0
+        eta = self.fa_exponent
+        return 0.0 if eta == INF else PREFACTOR * math.exp(-eta * k)
 
     def miss_bound(self, k: int) -> float | None:
         eta = self.miss_exponent

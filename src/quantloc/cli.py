@@ -15,7 +15,14 @@ import warnings
 from pathlib import Path
 
 from .analysis import ExponentParams, composite_exponents
-from .detector import DetectorConfig, delta_admissible, detect_all, lambda_min
+from .detector import (
+    DEFAULT_M,
+    METHODS,
+    DetectorConfig,
+    delta_admissible,
+    detect_all,
+    lambda_min,
+)
 from .errors import ParseError, QuantLocError
 from .fileio import build_paper_setup, load_scenario, save_scenario, render_scenario
 from .montecarlo import ExperimentPlan, generate_dataset, sweep_K
@@ -165,14 +172,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, required=True, help="detection radius slack")
         p.add_argument(
             "--method",
-            choices=("analytic", "discretized"),
+            choices=METHODS,
             default="analytic",
             help="region test implementation",
         )
         p.add_argument(
             "--M",
             type=int,
-            default=200_000,
+            default=DEFAULT_M,
             help="circle discretization points (discretized method)",
         )
 
@@ -184,8 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.set_defaults(func=cmd_detect)
 
     def add_exponent_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sigma-l", type=float, default=0.5, dest="sigma_l")
-        p.add_argument("--sigma-u", type=float, default=0.5, dest="sigma_u")
+        defaults = ExponentParams()
+        p.add_argument("--sigma-l", type=float, default=defaults.sigma_l, dest="sigma_l")
+        p.add_argument("--sigma-u", type=float, default=defaults.sigma_u, dest="sigma_u")
 
     p_bounds = sub.add_parser("bounds", help="error exponents and bound tables")
     add_common(p_bounds)

@@ -31,7 +31,6 @@ import numpy as np
 from .analysis import ExponentParams, RateReport, composite_exponents
 from .attacks import AttackAssignment
 from .detector import (
-    DetectionReport,
     DetectorConfig,
     _classify,
     _warn_if_inadmissible,
@@ -200,46 +199,23 @@ def _rate_and_se(count: int, cells: int) -> tuple[float | None, float | None]:
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / cells)
 
 
-@dataclass
-class _CellCounts:
-    """Mutable per-(delta, K) accumulator; integers keep aggregation exact."""
-
-    fa_count: int = 0
-    miss_count: int = 0
-    err_count: int = 0
-
-    def absorb(self, other: "_CellCounts") -> None:
-        self.fa_count += other.fa_count
-        self.miss_count += other.miss_count
-        self.err_count += other.err_count
-
-
-def _tally(report: DetectionReport, attacked: frozenset[int]) -> _CellCounts:
-    counts = _CellCounts()
-    for sensor_id, flag in zip(report.ids, report.flags):
-        if sensor_id in attacked:
-            counts.miss_count += 1 - flag
-        else:
-            counts.fa_count += flag
-    counts.err_count = counts.fa_count + counts.miss_count
-    return counts
-
-
 def _count_trial(
     plan: ExperimentPlan,
     configs: Sequence[DetectorConfig],
     trial_index: int,
-    attacked: frozenset[int],
-) -> list[list[_CellCounts]]:
-    """Counts for every (K, delta) of one trial, indexed [K][delta].
+    attacked: np.ndarray,
+) -> np.ndarray:
+    """One trial's [false alarms, misses], shape (len(k_grid), len(configs), 2).
 
-    One draw at the largest K serves every K through prefix views; one
-    detect_all per K serves every delta through its radii (module docstring).
+    ``attacked`` marks the attacked sensors in ``s.unsecure()`` order, the
+    order of every report's flags.  One draw at the largest K serves every
+    K through prefix views; one detect_all per K serves every delta through
+    its radii (module docstring).
     """
     full = generate_dataset(
         plan.scenario, plan.assignment, plan.k_grid[-1], plan.base_seed, trial_index
     )
-    out = []
+    flags = []
     for k in plan.k_grid:
         data = QuantizedDataset(
             bits={j: record[:k] for j, record in full.bits.items()},
@@ -248,12 +224,16 @@ def _count_trial(
             trial_index=trial_index,
         )
         first = detect_all(plan.scenario, configs[0], data)
-        reports = [first] + [
-            _classify(plan.scenario, cfg, first.secure_estimates, first.d_hat, first.clamped, k)
+        flags.append([first.flags] + [
+            _classify(
+                plan.scenario, cfg, first.secure_estimates, first.d_hat, first.clamped, k
+            ).flags
             for cfg in configs[1:]
-        ]
-        out.append([_tally(report, attacked) for report in reports])
-    return out
+        ])
+    flagged = np.array(flags, dtype=bool)
+    return np.stack(
+        [(flagged & ~attacked).sum(axis=-1), (~flagged & attacked).sum(axis=-1)], axis=-1
+    )
 
 
 def _threads(plan: ExperimentPlan) -> int:
@@ -270,18 +250,20 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
 
     Every delta sees the identical trial data (the seed key excludes
     delta), so differences between the returned curves are paired
-    comparisons, free of re-sampling noise.
+    comparisons, free of re-sampling noise.  Each trial's counts come back
+    as one integer array (``_count_trial``); the sweep's totals are their
+    sum, so serial and pooled runs agree exactly.
     """
     if not deltas:
         raise DomainError("need at least one delta")
     if len(set(deltas)) != len(deltas):
         raise DomainError(f"deltas must not repeat a value, got {list(deltas)}")
     scenario, assignment = plan.scenario, plan.assignment
-    attacked = frozenset(assignment.attacked_ids())
-    n_total = len(scenario.unsecure_ids())
+    attacked = np.isin(scenario.unsecure_ids(), assignment.attacked_ids())
+    n_total = len(attacked)
     if n_total == 0:
         raise DomainError("scenario has no unsecure sensors to classify")
-    n_attacked = len(attacked)
+    n_attacked = int(attacked.sum())
     n_unattacked = n_total - n_attacked
 
     configs = [replace(plan.detector, delta=delta) for delta in deltas]
@@ -294,11 +276,7 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
     for cfg in configs[1:]:
         _warn_if_inadmissible(scenario, cfg.delta)
 
-    totals: dict[tuple[float, int], _CellCounts] = {
-        (delta, k): _CellCounts() for delta in deltas for k in plan.k_grid
-    }
-
-    def run_trial_counts(trial: int) -> list[list[_CellCounts]]:
+    def run_trial_counts(trial: int) -> np.ndarray:
         return _count_trial(plan, configs, trial, attacked)
 
     workers = _threads(plan)
@@ -310,24 +288,21 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
             results = list(pool.map(run_trial_counts, range(plan.trials)))
         finally:
             pool.shutdown()
-    for per_k in results:
-        for k, per_delta in zip(plan.k_grid, per_k):
-            for delta, counts in zip(deltas, per_delta):
-                totals[(delta, k)].absorb(counts)
+    totals = sum(results).tolist()
 
     out: dict[float, Metrics] = {}
-    for delta in deltas:
+    for d, delta in enumerate(deltas):
         rows = []
-        for k in plan.k_grid:
-            counts = totals[(delta, k)]
+        for k, per_delta in zip(plan.k_grid, totals):
+            fa_count, miss_count = per_delta[d]
             fa_hat, fa_se = _rate_and_se(
-                counts.fa_count, plan.trials * n_unattacked
+                fa_count, plan.trials * n_unattacked
             )
             miss_hat, miss_se = _rate_and_se(
-                counts.miss_count, plan.trials * n_attacked
+                miss_count, plan.trials * n_attacked
             )
             avg_err, avg_err_se = _rate_and_se(
-                counts.err_count, plan.trials * n_total
+                fa_count + miss_count, plan.trials * n_total
             )
             report = reports[delta]
             rows.append(
@@ -343,8 +318,8 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
                     fa_bound=report.fa_bound(k),
                     miss_bound=report.miss_bound(k),
                     pe_bound=report.err_bound(k),
-                    fa_count=counts.fa_count,
-                    miss_count=counts.miss_count,
+                    fa_count=fa_count,
+                    miss_count=miss_count,
                     trials=plan.trials,
                 )
             )

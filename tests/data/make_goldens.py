@@ -7,8 +7,10 @@ Run from the repository root after a change that moves the seeded streams
 
 It rewrites ``detect_scale{0.04,1}_seed7_K10000_delta280.tsv`` here with
 what ``quantloc paper-setup`` and ``quantloc detect --delta 280 --K 10000
---seed 7`` print, and prints the ``PINNED_ZERO_COUNTS`` literal of
-``tests/test_montecarlo.py`` to paste in.
+--seed 7`` print, and ``sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv``
+with what ``quantloc sweep --K-grid 2000,4000 --trials 6 --delta 280 --seed 7``
+prints for the 1/25-scale setup.  It prints the ``PINNED_ZERO_COUNTS``
+literal of ``tests/test_montecarlo.py`` to paste in.
 
 It also rewrites ``bounds_scale1_delta280.tsv``, what ``quantloc bounds
 --delta 280 --K-grid 20000,100000`` prints for the full-scale paper setup.
@@ -54,6 +56,21 @@ def write_detect_tables() -> None:
             print(f"wrote {out.relative_to(DATA.parent.parent)}")
 
 
+def write_sweep_table() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = str(Path(tmp) / "paper0.04.json")
+        out = DATA / "sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv"
+        assert main(["paper-setup", "--scale", "0.04", "--out", scenario]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # delta is above the admissible limit
+            code = main(
+                ["sweep", scenario, "--K-grid", "2000,4000", "--trials", "6",
+                 "--delta", "280", "--seed", "7", "--out", str(out)]
+            )
+        assert code == 0
+        print(f"wrote {out.relative_to(DATA.parent.parent)}")
+
+
 def write_bounds_table() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         scenario = str(Path(tmp) / "paper1.json")
@@ -76,5 +93,6 @@ def print_zero_counts() -> None:
 
 if __name__ == "__main__":
     write_detect_tables()
+    write_sweep_table()
     write_bounds_table()
     print_zero_counts()

@@ -10,7 +10,9 @@ import pytest
 
 import quantloc
 from quantloc import AttackAssignment, Mima, load_scenario, save_scenario
-from quantloc.cli import main
+from quantloc.analysis import ExponentParams
+from quantloc.cli import _build_parser, main
+from quantloc.detector import DEFAULT_M, METHODS, DetectorConfig
 
 
 @pytest.fixture
@@ -143,6 +145,41 @@ def test_bounds_matches_golden_table(tmp_path):
     assert code == 0
     golden = Path(__file__).parent / "data" / "bounds_scale1_delta280.tsv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_matches_golden_table(threads, tmp_path):
+    """The 1/25-scale sweep table, byte for byte and at either thread count:
+    every count, rate, standard error, bound column and the fitted slope."""
+    scenario = tmp_path / "paper.json"
+    out = tmp_path / "sweep.tsv"
+    assert main(["paper-setup", "--scale", "0.04", "--out", str(scenario)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta is above the admissible limit
+        code = main(
+            ["sweep", str(scenario), "--K-grid", "2000,4000", "--trials", "6",
+             "--delta", "280", "--seed", "7", "--threads", threads, "--out", str(out)]
+        )
+    assert code == 0
+    golden = (
+        Path(__file__).parent / "data" / "sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv"
+    )
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_flag_defaults_come_from_the_library():
+    parser = _build_parser()
+    args = parser.parse_args(["sweep", "x.json", "--delta", "5", "--K-grid", "10"])
+    assert args.M == DEFAULT_M
+    assert args.method == DetectorConfig(delta=5.0).method
+    assert (args.sigma_l, args.sigma_u) == (
+        ExponentParams().sigma_l, ExponentParams().sigma_u,
+    )
+    sweep = next(
+        action.choices["sweep"] for action in parser._actions if action.dest == "command"
+    )
+    method = next(action for action in sweep._actions if action.dest == "method")
+    assert tuple(method.choices) == METHODS
 
 
 WITHOUT_SCIPY = """

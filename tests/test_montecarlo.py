@@ -250,6 +250,21 @@ def test_metrics_rows_and_rendering(toy_scenario):
         metrics.row_for(999)
 
 
+def test_every_unsecure_sensor_attacked_empties_the_false_alarm_class(toy_scenario):
+    assignment = AttackAssignment(specs={1: Mima(0.0, 0.2), 2: Mima(0.0, 0.2)})
+    metrics = estimate_error_probs(_plan(toy_scenario, assignment))
+    for row in metrics.rows:
+        # no unattacked sensors: the false-alarm class is empty, not zero
+        assert row.fa_hat is None and row.fa_se is None
+        assert row.fa_bound == 0.0
+        assert type(row.fa_count) is int and type(row.miss_count) is int
+        assert row.fa_count == 0
+        assert row.miss_hat == row.miss_count / (10 * 2)
+        # the average error still counts over every unsecure sensor
+        assert row.avg_err == row.miss_count / (10 * 2)
+    assert "\tnan\tnan\t" in metrics.to_table()
+
+
 def test_bound_columns_come_from_composite_exponents(toy_scenario):
     assignment = AttackAssignment(specs={1: Mima(0.0, 0.2)})
     plan = _plan(toy_scenario, assignment)
