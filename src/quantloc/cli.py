@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import ExponentParams, composite_exponents
@@ -95,16 +96,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     scenario, assignment = load_scenario(args.scenario)
+    if args.kappa is not None:
+        scenario = replace(scenario, kappa=args.kappa)
     cfg = _detector_config(args)
     report = composite_exponents(scenario, assignment, cfg, _params(args))
-    kappa = args.kappa if args.kappa is not None else scenario.kappa
-    lam = lambda_min(scenario, kappa)
-    admissible = delta_admissible(scenario, kappa)
     lines = [
         f"# delta\t{args.delta:g}",
-        f"# kappa\t{kappa:g}",
-        f"# lambda_min\t{lam:.6g}",
-        f"# delta_admissible\t{admissible:.6g}",
+        f"# kappa\t{scenario.kappa:g}",
+        f"# lambda_min\t{lambda_min(scenario):.6g}",
+        f"# delta_admissible\t{delta_admissible(scenario):.6g}",
         f"# eta_fa\t{report.fa_exponent:.6e}",
         f"# eta_miss\t"
         + (

@@ -80,8 +80,19 @@ class DetectorConfig:
     m_points: int = DEFAULT_M
 
     def __post_init__(self) -> None:
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise DomainError(f"delta must be positive and finite, got {self.delta}")
+        delta = self.delta
+        if isinstance(delta, bool) or not isinstance(
+            delta, (int, float, np.integer, np.floating)
+        ):
+            raise DomainError(f"delta must be a real number, got {delta!r}")
+        try:
+            value = float(delta)
+        except OverflowError:  # an int past the float range
+            value = math.inf
+        if not (value > 0.0 and math.isfinite(value)):
+            raise DomainError(f"delta must be positive and finite, got {delta}")
+        # A Python float, so reports and tables read the same for any input type.
+        object.__setattr__(self, "delta", value)
         if self.method not in METHODS:
             raise DomainError(
                 f"method must be one of {METHODS}, got {self.method!r}"
@@ -278,35 +289,27 @@ def lambda_from(
     )[0]
 
 
-def lambda_j(s: ScenarioConfig, j: int, kappa: float | None = None) -> float:
-    """Guaranteed minimum shift of D_hat_j under an attack with |Psi| > kappa."""
+def lambda_j(s: ScenarioConfig, j: int) -> float:
+    """Guaranteed minimum shift of D_hat_j under an attack with |Psi| > s.kappa."""
     sensor = s.sensor(j)
     rho_l, rho_u = rho_bounds(s, j)
     return lambda_from(
-        sensor.noise,
-        sensor.threshold,
-        s.p0,
-        s.d0,
-        s.gamma,
-        s.kappa if kappa is None else kappa,
-        rho_l,
-        rho_u,
+        sensor.noise, sensor.threshold, s.p0, s.d0, s.gamma, s.kappa, rho_l, rho_u
     )
 
 
-def _unsecure_floors(s: ScenarioConfig, kappa: float | None) -> list[float]:
+def _unsecure_floors(s: ScenarioConfig) -> list[float]:
     """``lambda_j`` of every unsecure sensor in one array pass, in ``s.unsecure()`` order."""
     a = s.unsecure_arrays()
     rho_l, rho_u = unsecure_rho_bounds(s)
-    kappa = s.kappa if kappa is None else kappa
-    return _floors(a.threshold, a.location, a.scale, s.p0, s.d0, s.gamma, kappa, rho_l, rho_u)
+    return _floors(a.threshold, a.location, a.scale, s.p0, s.d0, s.gamma, s.kappa, rho_l, rho_u)
 
 
-def lambda_min(s: ScenarioConfig, kappa: float | None = None) -> float:
+def lambda_min(s: ScenarioConfig) -> float:
     """The network-wide floor: minimum of lambda_j over unsecure sensors."""
     if not s.unsecure():
         raise DomainError("the scenario has no unsecure sensors, so lambda_min is undefined")
-    return min(_unsecure_floors(s, kappa))
+    return min(_unsecure_floors(s))
 
 
 def delta_admissible_from(
@@ -323,10 +326,10 @@ def delta_admissible_from(
 
 
 @lru_cache(maxsize=64)
-def delta_admissible(s: ScenarioConfig, kappa: float | None = None) -> float:
+def delta_admissible(s: ScenarioConfig) -> float:
     """Supremum of delta values for which detection is provably correct."""
     bounds = s.distance_bounds()
-    lam = lambda_min(s, kappa)
+    lam = lambda_min(s)
     return delta_admissible_from(bounds.d_upper, bounds.d_secure, s.upsilon, lam)
 
 

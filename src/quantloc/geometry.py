@@ -19,7 +19,8 @@ through their centers, as the detector builds them.  R is then connected,
 so the distances from the circle's center to R fill an interval
 [dmin, dmax], and the circle meets R exactly when its radius lies in it.
 The interval's ends come from a few closed-form candidate points, which
-removes M as an accuracy knob.
+removes M as an accuracy knob.  R's corners, like every two-circle
+crossing here, come from the one kernel ``_crossing``.
 
 All region inequalities are closed: a point exactly on a ring edge or on
 the clip line is inside, and a tangent circle intersects.  The analytic
@@ -67,7 +68,7 @@ class HalfSpace:
     a: Point
     b: Point
     side: int
-    # Hashed once, as Ring is: the discretized walk dedupes clips on every call.
+    # Hashed once: the discretized walk dedupes clips on every call.
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -112,22 +113,12 @@ class Ring:
     radius: float
     half_width: float
     clip: HalfSpace
-    # Hashed once: the analytic test looks up its frame by ring pair on every
-    # call, and re-hashing the nested points took 2.3 us of a 6 us call on a
-    # 2-core x86 host.
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise DomainError(f"ring radius must be positive, got {self.radius}")
         if not (self.half_width >= 0.0 and math.isfinite(self.half_width)):
             raise DomainError(f"half_width must be >= 0, got {self.half_width}")
-        object.__setattr__(
-            self, "_hash", hash((self.center, self.radius, self.half_width, self.clip))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def r_inner(self) -> float:
@@ -138,6 +129,26 @@ class Ring:
         return self.radius + self.half_width
 
 
+def _crossing(r1, r2, d):
+    """(x', y'), y' >= 0: where circles of radii r1 and r2 around (0, 0) and
+    (d, 0) cross, the other crossing being (x', -y').  Floats and arrays alike."""
+    x = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    y_sq = (r1 - x) * (r1 + x)
+    if type(y_sq) is float:
+        return x, math.sqrt(max(y_sq, 0.0))
+    return x, np.sqrt(np.maximum(y_sq, 0.0))
+
+
+def _clip_side(c1: Point, c2: Point, d: float, x, y, clip: HalfSpace):
+    """Of the crossings (x, +-y) in the frame of c1 and c2 at distance d, the one
+    deeper in the clip half-space, in world coordinates; (x, y) wins a tie."""
+    ex, ey = (c2.x - c1.x) / d, (c2.y - c1.y) / d
+    px, py = c1.x + x * ex, c1.y + x * ey
+    ax, ay, bx, by = px - y * ey, py + y * ex, px + y * ey, py - y * ex
+    first = clip.signed(ax, ay) >= clip.signed(bx, by)
+    return np.where(first, ax, bx), np.where(first, ay, by)
+
+
 def circle_circle_intersection(
     c1: Point, r1: float, c2: Point, r2: float, clip: HalfSpace
 ) -> Point:
@@ -146,7 +157,7 @@ def circle_circle_intersection(
     Closed form in the frame where c1 is the origin and c2 sits on the
     positive x axis at distance d: x' = (r1^2 - r2^2 + d^2) / (2 d),
     y' = sqrt(r1^2 - x'^2), mapped back to the original frame.  Of the two
-    mirror-image solutions the one inside the clip half-space is returned.
+    mirror-image solutions the one deeper in the clip half-space is returned.
 
     Raises NoIntersection when |r1 - r2| <= d <= r1 + r2 fails; warns with
     TangentDegenerate when the two solutions coincide (y' = 0).
@@ -158,26 +169,16 @@ def circle_circle_intersection(
         raise NoIntersection(
             f"circles do not intersect: d={d}, r1={r1}, r2={r2}"
         )
-    xp = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    y_sq = r1 * r1 - xp * xp
-    if y_sq <= 0.0:
+    x, y = _crossing(r1, r2, d)
+    if y == 0.0:
         # Tangent (or a hair past it from rounding): the solutions coincide.
-        y_sq = 0.0
         warnings.warn(
             "circle pair is tangent; intersection points coincide",
             TangentDegenerate,
             stacklevel=2,
         )
-    yp = math.sqrt(y_sq)
-    ex = ((c2.x - c1.x) / d, (c2.y - c1.y) / d)
-    ey = (-ex[1], ex[0])
-    cand_a = Point(c1.x + xp * ex[0] + yp * ey[0], c1.y + xp * ex[1] + yp * ey[1])
-    if yp == 0.0:
-        return cand_a
-    cand_b = Point(c1.x + xp * ex[0] - yp * ey[0], c1.y + xp * ex[1] - yp * ey[1])
-    sa = clip.signed(cand_a.x, cand_a.y)
-    sb = clip.signed(cand_b.x, cand_b.y)
-    return cand_a if sa >= sb else cand_b
+    px, py = _clip_side(c1, c2, d, x, y, clip)
+    return Point(float(px), float(py))
 
 
 def phi_bound(bounds: DistanceBounds, upsilon: float, delta: float) -> float:
@@ -406,8 +407,7 @@ class _AnchorFrame:
         if x2 != 0.0:
             for rho1 in (r1.r_inner, r1.r_outer):
                 for rho2 in (r2.r_inner, r2.r_outer):
-                    u = (rho1 * rho1 - rho2 * rho2 + x2 * x2) / (2.0 * x2)
-                    points.append((u, math.sqrt(max((rho1 - u) * (rho1 + u), 0.0))))
+                    points.append(_crossing(rho1, rho2, x2))
         self.corners = tuple(p for p in points if self.contains(*p))
 
     def contains(self, u: float, v: float) -> bool:
@@ -435,10 +435,9 @@ class _AnchorFrame:
         return points
 
 
-# One frame per ring pair: a detection tests every sensor against it.
-_anchor_frame = lru_cache(maxsize=16)(_AnchorFrame)
-# The last (ring1, ring2, frame), matched by identity: an LRU hit compares the
-# rings by value.  Threads read or replace the whole tuple, so need no lock.
+# The last (ring1, ring2, frame), matched by identity: a detection tests
+# every sensor against one ring pair.  Threads read or replace the whole
+# tuple, so need no lock.
 _last_frame: tuple = (None, None, None)
 
 
@@ -476,7 +475,7 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
     global _last_frame
     last_r1, last_r2, f = _last_frame
     if last_r1 is not r1 or last_r2 is not r2:
-        f = _anchor_frame(r1, r2)
+        f = _AnchorFrame(r1, r2)
         _last_frame = (r1, r2, f)
     if not f.corners:
         # every ring circle crosses the clip line, so a nonempty R has a corner
@@ -561,19 +560,7 @@ def _intersection_samples(
     feasible = (np.abs(rho1 - rho2) <= d) & (rho1 + rho2 >= d)
     rho1, rho2 = rho1[feasible], rho2[feasible]
 
-    xp = (rho1**2 - rho2**2 + d * d) / (2.0 * d)
-    y_sq = np.maximum(rho1**2 - xp**2, 0.0)
-    yp = np.sqrt(y_sq)
-    ex = ((c2.x - c1.x) / d, (c2.y - c1.y) / d)
-    ey = (-ex[1], ex[0])
-
-    x_plus = c1.x + xp * ex[0] + yp * ey[0]
-    y_plus = c1.y + xp * ex[1] + yp * ey[1]
-    x_minus = c1.x + xp * ex[0] - yp * ey[0]
-    y_minus = c1.y + xp * ex[1] - yp * ey[1]
-    use_plus = r1.clip.signed(x_plus, y_plus) >= r1.clip.signed(x_minus, y_minus)
-    x = np.where(use_plus, x_plus, x_minus)
-    y = np.where(use_plus, y_plus, y_minus)
+    x, y = _clip_side(c1, c2, d, *_crossing(rho1, rho2, d), r1.clip)
     inside = r1.clip.signed(x, y) >= 0.0
     return x[inside], y[inside]
 

@@ -252,12 +252,25 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
     delta), so differences between the returned curves are paired
     comparisons, free of re-sampling noise.  Each trial's counts come back
     as one integer array (``_count_trial``); the sweep's totals are their
-    sum, so serial and pooled runs agree exactly.
+    sum, so serial and pooled runs agree exactly.  ``deltas`` may be any
+    sequence, a 1-D numpy array included; the metrics are keyed by each
+    delta as a Python float.
     """
-    if not deltas:
+    try:
+        deltas = list(deltas)
+    except TypeError:
+        raise DomainError(f"deltas must be a sequence, got {deltas!r}") from None
+    configs = []
+    for i, delta in enumerate(deltas):
+        try:
+            configs.append(replace(plan.detector, delta=delta))
+        except DomainError as exc:
+            raise DomainError(f"deltas[{i}]: {exc}") from None
+    if not configs:
         raise DomainError("need at least one delta")
+    deltas = [cfg.delta for cfg in configs]
     if len(set(deltas)) != len(deltas):
-        raise DomainError(f"deltas must not repeat a value, got {list(deltas)}")
+        raise DomainError(f"deltas must not repeat a value, got {deltas}")
     scenario, assignment = plan.scenario, plan.assignment
     attacked = np.isin(scenario.unsecure_ids(), assignment.attacked_ids())
     n_total = len(attacked)
@@ -266,7 +279,6 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
     n_attacked = int(attacked.sum())
     n_unattacked = n_total - n_attacked
 
-    configs = [replace(plan.detector, delta=delta) for delta in deltas]
     reports: dict[float, RateReport] = {
         cfg.delta: composite_exponents(scenario, assignment, cfg, plan.params)
         for cfg in configs

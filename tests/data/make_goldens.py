@@ -13,10 +13,12 @@ prints for the 1/25-scale setup.  It prints the ``PINNED_ZERO_COUNTS``
 literal of ``tests/test_montecarlo.py`` to paste in.
 
 It also rewrites ``bounds_scale1_delta280.tsv``, what ``quantloc bounds
---delta 280 --K-grid 20000,100000`` prints for the full-scale paper setup.
-No random stream reaches that table, so a stream change leaves it byte for
-byte as committed; a change to the exponents or the distortion floor that
-moves it must say so in CHANGES.md.
+--delta 280 --K-grid 20000,100000`` prints for the full-scale paper setup,
+and ``bounds_scale0.04_delta280_kappa0.05.tsv``, what the same command
+with ``--kappa 0.05`` prints for the 1/25-scale setup.  No random stream
+reaches those tables, so a stream change leaves them byte for byte as
+committed; a change to the exponents or the distortion floor that moves
+them must say so in CHANGES.md.
 
 ``trial_scale0.04_seed7_K10000_philox.bits`` and its table are not made
 here: they pin the detector on a fixed record, so no stream change may
@@ -71,17 +73,21 @@ def write_sweep_table() -> None:
         print(f"wrote {out.relative_to(DATA.parent.parent)}")
 
 
-def write_bounds_table() -> None:
+def write_bounds_tables() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = str(Path(tmp) / "paper1.json")
-        out = DATA / "bounds_scale1_delta280.tsv"
-        assert main(["paper-setup", "--scale", "1", "--out", scenario]) == 0
-        code = main(
-            ["bounds", scenario, "--delta", "280", "--K-grid", "20000,100000",
-             "--out", str(out)]
-        )
-        assert code == 0
-        print(f"wrote {out.relative_to(DATA.parent.parent)}")
+        for scale, name, extra in (
+            ("1", "bounds_scale1_delta280.tsv", []),
+            ("0.04", "bounds_scale0.04_delta280_kappa0.05.tsv", ["--kappa", "0.05"]),
+        ):
+            scenario = str(Path(tmp) / f"paper{scale}.json")
+            out = DATA / name
+            assert main(["paper-setup", "--scale", scale, "--out", scenario]) == 0
+            code = main(
+                ["bounds", scenario, "--delta", "280", "--K-grid", "20000,100000",
+                 *extra, "--out", str(out)]
+            )
+            assert code == 0
+            print(f"wrote {out.relative_to(DATA.parent.parent)}")
 
 
 def print_zero_counts() -> None:
@@ -94,5 +100,5 @@ def print_zero_counts() -> None:
 if __name__ == "__main__":
     write_detect_tables()
     write_sweep_table()
-    write_bounds_table()
+    write_bounds_tables()
     print_zero_counts()

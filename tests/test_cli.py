@@ -147,6 +147,27 @@ def test_bounds_matches_golden_table(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_bounds_kappa_matches_golden_table(tmp_path):
+    """--kappa moves lambda_min and the admissible delta, byte for byte as
+    when it overrode the scenario's kappa inside the detector."""
+    scenario = tmp_path / "paper.json"
+    out = tmp_path / "bounds.tsv"
+    assert main(["paper-setup", "--scale", "0.04", "--out", str(scenario)]) == 0
+    code = main(
+        ["bounds", str(scenario), "--delta", "280", "--K-grid", "20000,100000",
+         "--kappa", "0.05", "--out", str(out)]
+    )
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "bounds_scale0.04_delta280_kappa0.05.tsv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("kappa", ["0", "-1", "nan", "inf"])
+def test_bounds_rejects_a_kappa_the_scenario_rejects(toy_file, kappa, capsys):
+    assert main(["bounds", toy_file, "--delta", "5", "--kappa", kappa]) == 1
+    assert "kappa must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_matches_golden_table(threads, tmp_path):
     """The 1/25-scale sweep table, byte for byte and at either thread count:

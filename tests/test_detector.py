@@ -47,7 +47,7 @@ PHI_M1 = 0.158655253931457051414
 def test_detector_config_validation():
     cfg = DetectorConfig(delta=1.0)
     assert cfg.method == "analytic" and cfg.m_points == 200_000
-    for bad_delta in (0.0, -1.0, math.inf, math.nan):
+    for bad_delta in (0.0, -1.0, math.inf, math.nan, 2**1024, np.float64(math.nan)):
         with pytest.raises(DomainError):
             DetectorConfig(delta=bad_delta)
     with pytest.raises(DomainError):
@@ -63,6 +63,25 @@ def test_detector_config_validation():
 def test_detector_config_m_points_must_be_an_integer(bad):
     with pytest.raises(DomainError, match="m_points must be an integer"):
         DetectorConfig(delta=280.0, method="discretized", m_points=bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["280", None, True, np.bool_(True), 280j, [280.0]],
+    ids=["str", "none", "bool", "np-bool", "complex", "list"],
+)
+def test_detector_config_delta_must_be_a_real_number(bad):
+    with pytest.raises(DomainError, match="delta must be a real number"):
+        DetectorConfig(delta=bad)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [280, np.int64(280), np.float32(280.0), np.float64(280.0)],
+    ids=["int", "np-int", "np-float32", "np-float64"],
+)
+def test_detector_config_stores_delta_as_a_float(value):
+    cfg = DetectorConfig(delta=value)
+    assert cfg.delta == 280.0 and type(cfg.delta) is float
 
 
 def test_detector_config_accepts_numpy_integer_m_points(toy_scenario):
@@ -172,7 +191,7 @@ def test_lambda_from_frozen_value():
 def test_lambda_j_scales_with_kappa(toy_scenario):
     s = toy_scenario
     base = lambda_j(s, 1)
-    assert lambda_j(s, 1, kappa=2.0 * s.kappa) == pytest.approx(2.0 * base)
+    assert lambda_j(replace(s, kappa=2.0 * s.kappa), 1) == pytest.approx(2.0 * base)
     assert lambda_min(s) == pytest.approx(min(lambda_j(s, 1), lambda_j(s, 2)))
 
 
@@ -186,10 +205,10 @@ def test_delta_admissible_from_frozen_value():
 
 def test_delta_admissible_tracks_kappa(toy_scenario):
     s = toy_scenario
-    small = delta_admissible(s, kappa=0.05)
+    small = delta_admissible(replace(s, kappa=0.05))
     bounds = compute_distance_bounds(s)
     expected = delta_admissible_from(
-        bounds.d_upper, bounds.d_secure, s.upsilon, lambda_min(s, 0.05)
+        bounds.d_upper, bounds.d_secure, s.upsilon, lambda_min(replace(s, kappa=0.05))
     )
     assert small == pytest.approx(expected)
     assert small < delta_admissible(s)
@@ -214,7 +233,7 @@ def test_distortion_floor_linear_attenuation(rng):
                 continue
             psi = 0.9 * room
             shifted = attacked_distance(s, j, p + sign * psi)
-            floor = lambda_j(s, j, kappa=psi / 1.2)
+            floor = lambda_j(replace(s, kappa=psi / 1.2), j)
             assert abs(shifted - d_true) >= floor * (1.0 - 1e-9)
 
 
@@ -231,13 +250,13 @@ def test_distortion_floor_general_attenuation(rng):
             psi = 0.9 * room
             shifted = attacked_distance(s, j, p + sign * psi)
             kappa = psi / 1.2
-            floor = lambda_j(s, j, kappa=kappa)
+            floor = lambda_j(replace(s, kappa=kappa), j)
             assert abs(shifted - d_true) >= (
                 (psi / kappa) * floor / s.gamma
             ) * (1.0 - 1e-9)
             # a shift clearing gamma * kappa attains the plain floor
             kappa2 = psi / (1.05 * s.gamma)
-            floor2 = lambda_j(s, j, kappa=kappa2)
+            floor2 = lambda_j(replace(s, kappa=kappa2), j)
             assert abs(shifted - d_true) >= floor2 * (1.0 - 1e-9)
 
 

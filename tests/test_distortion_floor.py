@@ -68,19 +68,21 @@ def _floor_oracle(s, j, kappa):
 @pytest.mark.parametrize("kappa", [None, 0.05])
 def test_every_floor_matches_the_scipy_oracle(name, kappa):
     s = SCENARIOS[name]()
-    floors = _unsecure_floors(s, kappa)
+    if kappa is not None:
+        s = replace(s, kappa=kappa)
+    floors = _unsecure_floors(s)
     assert [type(v) for v in floors] == [float] * len(s.unsecure())
     # the array pass and the one-sensor pass give the same doubles
-    assert floors == [lambda_j(s, j, kappa) for j in s.unsecure_ids()]
-    assert lambda_min(s, kappa) == min(floors)
+    assert floors == [lambda_j(s, j) for j in s.unsecure_ids()]
+    assert lambda_min(s) == min(floors)
     for j, value in zip(s.unsecure_ids(), floors):
-        expected = _floor_oracle(s, j, s.kappa if kappa is None else kappa)
+        expected = _floor_oracle(s, j, s.kappa)
         assert value == pytest.approx(expected, rel=1e-15, abs=0.0), j
 
 
 def test_the_mixed_scenario_floors_differ():
     """The oracle check above would miss a mix-up of sensors on equal floors."""
-    floors = _unsecure_floors(_mixed_scenario(), None)
+    floors = _unsecure_floors(_mixed_scenario())
     assert len(set(floors)) == len(floors)
 
 
@@ -90,7 +92,7 @@ def test_benchmark_floor_literals(scale):
     s, _ = build_paper_setup(scale=scale)
     assert lambda_min(s) == 992.0696862306802
     assert delta_admissible(s) == 0.0278490447328586
-    assert lambda_min(s, 0.05) == 9920.696862306802
+    assert lambda_min(replace(s, kappa=0.05)) == 9920.696862306802
 
 
 def test_unsecure_rho_bounds_match_rho_bounds():
@@ -131,11 +133,14 @@ def test_rho_ordering_names_the_first_failing_sensor():
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
 def test_nonpositive_kappa_raises(toy_scenario, kappa):
-    for call in (lambda_min, delta_admissible):
-        with pytest.raises(DomainError, match="kappa must be positive"):
-            call(toy_scenario, kappa)
+    # the scenario is the one source of kappa, and it checks it
+    s = toy_scenario
+    with pytest.raises(InvalidScenario, match="kappa must be positive"):
+        replace(s, kappa=kappa)
+    sensor = s.sensor(1)
+    rho_l, rho_u = rho_bounds(s, 1)
     with pytest.raises(DomainError, match="kappa must be positive"):
-        lambda_j(toy_scenario, 1, kappa)
+        lambda_from(sensor.noise, sensor.threshold, s.p0, s.d0, s.gamma, kappa, rho_l, rho_u)
 
 
 def test_an_unordered_bracket_raises():

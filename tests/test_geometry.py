@@ -28,7 +28,7 @@ from quantloc import (
     phi_bound,
 )
 from quantloc import geometry
-from quantloc.geometry import _BLOCK, _CHUNK, _SLACK, _anchor_frame, _unit_circle_chunk
+from quantloc.geometry import _BLOCK, _CHUNK, _SLACK, _AnchorFrame, _unit_circle_chunk
 
 PHI_BOUND_REF = 3.11367949538805294166
 
@@ -553,7 +553,7 @@ def test_split_verdicts_resolve_by_refining_or_by_a_nudge():
 
 def _analytic_without_line_shortcut(circle, r1, r2):
     """The analytic test before its on-line shortcut, kept as an oracle."""
-    f = _anchor_frame(r1, r2)
+    f = _AnchorFrame(r1, r2)
     if not f.corners:
         return False
     px, py = circle.center.x - f.ox, circle.center.y - f.oy
@@ -602,7 +602,7 @@ _ON_LINE_US = (
 
 def _radii_around_corners(rings, u):
     """Radii at, just inside and just outside every corner distance and bracket edge."""
-    f = _anchor_frame(*rings)
+    f = _AnchorFrame(*rings)
     dists = sorted({math.hypot(cu - u, cv) for cu, cv in f.corners})
     radii = {0.0, 0.5 * dists[0], 2.0 * dists[-1] + 1.0}
     for d in dists:
@@ -665,7 +665,7 @@ def test_line_shortcut_defers_to_the_candidates_on_a_rounding_tie(
         Ring(Point(18.0, 0.0), float.fromhex(ring2_radius), float.fromhex(ring2_half_width), UPPER),
     )
     circle = Circle(Point(u, 0.0), float.fromhex(radius))
-    f = _anchor_frame(*rings)
+    f = _AnchorFrame(*rings)
     tol = _SLACK * (f.scale + circle.radius)
     dists = [math.hypot(cu - circle.center.x, cv) for cu, cv in f.corners]
     if corner == 3.0:
@@ -683,7 +683,7 @@ def test_on_line_centres_clear_of_the_corners_build_no_ray_points(monkeypatch):
         raise AssertionError("ray points built for an on-line centre")
 
     for rings in (_LINE_RINGS, _HIGH_RINGS, _DISC_RINGS):
-        f = _anchor_frame(*rings)
+        f = _AnchorFrame(*rings)
         for u in _ON_LINE_US:
             dists = [math.hypot(cu - u, cv) for cu, cv in f.corners]
             expected = {
@@ -699,7 +699,7 @@ def test_on_line_centres_clear_of_the_corners_build_no_ray_points(monkeypatch):
 @pytest.mark.parametrize("rings", [_LINE_RINGS, _HIGH_RINGS, _DISC_RINGS], ids=["line", "high", "disc"])
 def test_off_line_centres_still_see_every_candidate(rings):
     rng = np.random.default_rng(29)
-    f = _anchor_frame(*rings)
+    f = _AnchorFrame(*rings)
     reach = max(abs(u) + abs(v) for u, v in f.corners) + 10.0
     for _ in range(3000):
         c = Point(*rng.uniform(-reach, reach, size=2))
@@ -733,7 +733,7 @@ def _on_line_queries(draw):
         for x in (-span / 2.0, span / 2.0)
     )
     u = draw(st.floats(-3.0, 3.0)) * span
-    f = _anchor_frame(*rings)
+    f = _AnchorFrame(*rings)
     dists = [math.hypot(cu - u, cv) for cu, cv in f.corners] or [span]
     d = draw(st.sampled_from(dists))
     tol = _SLACK * (f.scale + d)
@@ -754,7 +754,7 @@ def test_line_shortcut_matches_the_oracle_on_random_line_queries(query):
 def _analytic_with_corner_list(circle, r1, r2):
     """The analytic test as it was before its one-pass corner bracket: every
     corner distance in a list, then min and max of it.  Kept as an oracle."""
-    f = _anchor_frame(r1, r2)
+    f = _AnchorFrame(r1, r2)
     if not f.corners:
         return False
     px, py = circle.center.x - f.ox, circle.center.y - f.oy
@@ -806,7 +806,7 @@ def _ulps_around(x, n=2):
 def test_one_pass_bracket_matches_the_corner_list_at_the_bracket_edges(rings):
     """Radii within 2 ulps of nearest - tol and farthest + tol, for centres on
     the clip line and off it, decide as the corner-list oracle does."""
-    f = _anchor_frame(*rings)
+    f = _AnchorFrame(*rings)
     rng = np.random.default_rng(31)
     reach = max(abs(u) + abs(v) for u, v in f.corners) + 10.0
     centres = [Point(u, 0.0) for u in _ON_LINE_US]
@@ -843,7 +843,6 @@ def test_frame_fast_path_gives_fresh_frame_verdicts_across_threads(monkeypatch):
         for r in (1.0, 8.0, 12.0, 60.0, 100.0, 130.0)
     ]
     with monkeypatch.context() as m:
-        m.setattr(geometry, "_anchor_frame", geometry._AnchorFrame)
         expected = {}
         for p, pair in enumerate(pairs):
             for c, circle in enumerate(circles):
@@ -870,3 +869,106 @@ def test_frame_fast_path_gives_fresh_frame_verdicts_across_threads(monkeypatch):
     assert [v for out in results for _, v in out] == [
         expected[key] for out in results for key, _ in out
     ]
+
+
+# -- the two-circle crossing kernel -------------------------------------------
+
+
+def _corners_before_the_kernel(f):
+    """R's line points and ring-ring crossings, built as the frame built them
+    before it shared the crossing kernel.  Kept as an oracle."""
+    (_, in1, out1), (x2, in2, out2) = f.rings
+    line = [(xc + rho, 0.0) for xc, lo, hi in f.rings for rho in (-hi, -lo, lo, hi)]
+    crossings = []
+    if x2 != 0.0:
+        for rho1 in (in1, out1):
+            for rho2 in (in2, out2):
+                u = (rho1 * rho1 - rho2 * rho2 + x2 * x2) / (2.0 * x2)
+                crossings.append((u, math.sqrt(max((rho1 - u) * (rho1 + u), 0.0))))
+    return line, crossings
+
+
+def _random_ring_pair(rng, kind):
+    """Two rings whose shared clip line runs through both centres.
+
+    kind 0 is a rotated pair of any radii, kind 1 the same with ring 1 a
+    disc (zero inner radius), and kinds 2 and 3 axis-aligned pairs whose
+    outer circles touch from outside and from inside, in exact arithmetic.
+    Ring 2's centre lies on either side of ring 1's along the clip line.
+    """
+    side = int(rng.choice([-1, 1]))
+    if kind < 2:
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        ca, sa = math.cos(ang), math.sin(ang)
+        c1 = Point(*rng.uniform(-50.0, 50.0, size=2).tolist())
+        x2 = rng.uniform(-40.0, 40.0)
+        c2 = Point(c1.x + x2 * ca, c1.y + x2 * sa)
+        clip = HalfSpace(c1, Point(c1.x + ca, c1.y + sa), side)
+        radius1 = rng.uniform(0.5, 40.0)
+        hw1 = radius1 * rng.uniform(1.0, 2.0) if kind else rng.uniform(0.0, 10.0)
+        return (
+            Ring(c1, radius1, hw1, clip),
+            Ring(c2, rng.uniform(0.5, 40.0), rng.uniform(0.0, 10.0), clip),
+        )
+    x2 = float(rng.integers(2, 40)) * float(rng.choice([-1, 1]))
+    clip = HalfSpace(Point(0.0, 0.0), Point(1.0, 0.0), side)
+    hw1, hw2 = 0.25 * float(rng.integers(0, 8)), 0.25 * float(rng.integers(0, 8))
+    out1 = float(rng.integers(1, abs(x2)))
+    # outer circles externally tangent (out1 + out2 = |x2|) or internally
+    # (out2 - out1 = |x2|)
+    out2 = abs(x2) - out1 if kind == 2 else out1 + abs(x2)
+    return (
+        Ring(Point(0.0, 0.0), out1 + 1.0 - hw1, hw1, clip),
+        Ring(Point(x2, 0.0), out2 + 1.0 - hw2, hw2, clip),
+    )
+
+
+def _hex_points(points):
+    return [(u.hex(), v.hex()) for u, v in points]
+
+
+def test_frame_corners_match_the_corner_loop_bit_for_bit():
+    rng = np.random.default_rng(1904)
+    pairs = [_random_ring_pair(rng, i % 4) for i in range(12_000)]
+    rng = np.random.default_rng(20260809)
+    pairs += [random_region_trial(rng)[1:] for _ in range(10_000)]
+    seen = Counter()
+    for r1, r2 in pairs:
+        f = _AnchorFrame(r1, r2)
+        line, crossings = _corners_before_the_kernel(f)
+        expected = [p for p in line + crossings if f.contains(*p)]
+        assert _hex_points(f.corners) == _hex_points(expected), (r1, r2)
+        assert all(type(u) is float and type(v) is float for u, v in f.corners)
+        seen["negative x2"] += f.rings[1][0] < 0.0
+        seen["disc"] += r1.r_inner == 0.0
+        seen["ring-ring corner"] += any(v > 0.0 and (u, v) in f.corners for u, v in crossings)
+        seen["tangent corner"] += any(v == 0.0 and (u, v) in f.corners for u, v in crossings)
+    assert min(seen.values()) > 1000, seen
+
+
+@pytest.mark.parametrize("rings", [_HIGH_RINGS, _DISC_RINGS, _sym_rings()], ids=["high", "disc", "sym"])
+def test_intersection_samples_lie_at_their_sampled_radii(rings, monkeypatch):
+    r1, r2 = rings
+    drawn = []
+
+    def spy(rho1, rho2, d):
+        drawn.append((rho1, rho2, d))
+        return crossing(rho1, rho2, d)
+
+    crossing = geometry._crossing
+    monkeypatch.setattr(geometry, "_crossing", spy)
+    x, y = geometry._intersection_samples(r1, r2, 4000, np.random.default_rng(8))
+    [(rho1, rho2, d)] = drawn
+    # every kept draw is a feasible radius pair of the two rings
+    assert rho1.size > 2000
+    assert np.all((r1.r_inner <= rho1) & (rho1 <= r1.r_outer))
+    assert np.all((r2.r_inner <= rho2) & (rho2 <= r2.r_outer))
+    assert np.all((np.abs(rho1 - rho2) <= d) & (rho1 + rho2 >= d))
+    # the clip line runs through both centres, so every crossing it keeps
+    # lies on the clip side, at its sampled distances from both centres
+    assert x.size == rho1.size
+    assert np.all(r1.clip.signed(x, y) >= 0.0)
+    scale = r1.r_outer + r2.r_outer + d
+    for c, rho in ((r1.center, rho1), (r2.center, rho2)):
+        gap = np.abs(np.hypot(x - c.x, y - c.y) - rho)
+        assert gap.max() <= 1e-12 * scale

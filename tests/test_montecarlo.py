@@ -350,6 +350,33 @@ def test_sweep_delta_rejects_repeated_deltas(toy_scenario, deltas):
         sweep_delta(plan, deltas)
 
 
+def test_sweep_delta_takes_a_numpy_array_of_deltas(toy_scenario):
+    plan = _plan(toy_scenario, no_attacks(), trials=2)
+    from_array = sweep_delta(plan, np.array([5.0, 6.0]))
+    assert [type(d) for d in from_array] == [float, float]
+    assert from_array == sweep_delta(plan, [5.0, 6.0])
+    assert from_array == sweep_delta(plan, (np.float64(5.0), 6))
+
+
+@pytest.mark.parametrize(
+    "deltas, message",
+    [
+        ([5.0, "6"], r"deltas\[1\]: delta must be a real number, got '6'"),
+        ([None], r"deltas\[0\]: delta must be a real number, got None"),
+        ([5.0, True], r"deltas\[1\]: delta must be a real number, got True"),
+        (np.array([[5.0, 6.0]]), r"deltas\[0\]: delta must be a real number"),
+        ([5.0, -1.0], r"deltas\[1\]: delta must be positive and finite, got -1.0"),
+        (np.array([]), "need at least one delta"),
+        (5.0, "deltas must be a sequence, got 5.0"),
+    ],
+    ids=["str", "none", "bool", "2-d", "negative", "empty-array", "scalar"],
+)
+def test_sweep_delta_names_the_bad_delta(toy_scenario, deltas, message):
+    plan = _plan(toy_scenario, no_attacks(), trials=1)
+    with pytest.raises(DomainError, match=message):
+        sweep_delta(plan, deltas)
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [
