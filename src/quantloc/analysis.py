@@ -281,6 +281,9 @@ class RateReport:
         return _sum_exp(terms, k)
 
     def to_table(self, k_grid: tuple[int, ...]) -> str:
+        for i, k in enumerate(k_grid):
+            if k < 1:
+                raise DomainError(f"k_grid[{i}] must be >= 1, got {k}")
         header = ["sensor_id", "eta0", "eta1"]
         header += [f"fa_bound_K{k}" for k in k_grid]
         header += [f"miss_bound_K{k}" for k in k_grid]

@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AdvisoryWarning, DomainError, InvalidScenario, MissingSensorData
 from .geometry import (
-    Circle,
     HalfSpace,
     Ring,
     check_m_points,
@@ -42,7 +41,7 @@ from .measurement import (
     nmle_distance,
     nmle_distances,
 )
-from .noise import GaussianNoise, density_sup, ndtri
+from .noise import GaussianNoise, density_sup, is_finite, ndtri
 from .scenario import ScenarioConfig, rho_bounds, roi_side, unsecure_rho_bounds
 
 __all__ = [
@@ -85,14 +84,10 @@ class DetectorConfig:
             delta, (int, float, np.integer, np.floating)
         ):
             raise DomainError(f"delta must be a real number, got {delta!r}")
-        try:
-            value = float(delta)
-        except OverflowError:  # an int past the float range
-            value = math.inf
-        if not (value > 0.0 and math.isfinite(value)):
+        if not (delta > 0.0 and is_finite(delta)):
             raise DomainError(f"delta must be positive and finite, got {delta}")
         # A Python float, so reports and tables read the same for any input type.
-        object.__setattr__(self, "delta", value)
+        object.__setattr__(self, "delta", float(delta))
         if self.method not in METHODS:
             raise DomainError(
                 f"method must be one of {METHODS}, got {self.method!r}"
@@ -177,11 +172,11 @@ def _classify(
     ring1 = Ring(s1.position, e1.value, cfg.delta, clip)
     ring2 = Ring(s2.position, e2.value, cfg.delta, clip)
     if cfg.method == "analytic":
-        meets, extra = circle_meets_region_analytic, ()
+        meets = circle_meets_region_analytic
     else:
-        meets, extra = circle_meets_region_discretized, (cfg.m_points,)
+        meets = partial(circle_meets_region_discretized, m_points=cfg.m_points)
     flags = tuple(
-        0 if meets(Circle(sensor.position, r), ring1, ring2, *extra) else 1
+        0 if meets(sensor.position, r, ring1, ring2) else 1
         for sensor, r in zip(s.unsecure(), d_hat)
     )
     return DetectionReport(

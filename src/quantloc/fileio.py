@@ -21,7 +21,7 @@ import numpy as np
 from .attacks import AttackAssignment, AttackSpec, Mima, NoAttack, PsiOffset, SpoofBias
 from .errors import DomainError, InvalidScenario, ParseError
 from .measurement import PackedBits, QuantizedDataset
-from .noise import GaussianNoise
+from .noise import GaussianNoise, is_finite
 from .scenario import Point, RoiDisc, ScenarioConfig, SensorSpec
 
 __all__ = [
@@ -68,10 +68,9 @@ def _known_fields(obj: Any, names: Collection[str], path: str) -> Mapping[str, A
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
+    if not is_finite(value):
         raise ParseError(f"{path}: expected a finite number, got {value!r}")
-    return out
+    return float(value)
 
 
 def _positive(value: Any, path: str) -> float:

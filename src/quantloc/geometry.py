@@ -1,8 +1,10 @@
-"""Geometric kernel: circles, clipped rings, and their intersection tests.
+"""Geometric kernel: clipped rings, circle crossings, and the region tests.
 
 The detector asks one geometric question: does the circle of estimated
 radius around a sensor pass through R, the common area of the two anchor
-rings on the ROI side of the anchor line?  Two answers are provided.
+rings on the ROI side of the anchor line?  Two answers are provided, both
+taking the circle as its center ``Point`` and its radius (finite and >= 0,
+else DomainError), so a detection builds no object per sensor.
 ``circle_meets_region_discretized`` walks M evenly spaced points along the
 circle and tests each against the region, which is the reference
 formulation and accepts any ring clips.  Along the circle each ring or
@@ -43,7 +45,6 @@ from .scenario import DistanceBounds, Point
 
 __all__ = [
     "HalfSpace",
-    "Circle",
     "Ring",
     "circle_circle_intersection",
     "phi_bound",
@@ -88,16 +89,6 @@ class HalfSpace:
         """side * cross product; >= 0 means inside (vectorizes over x, y)."""
         ux, uy = self.b.x - self.a.x, self.b.y - self.a.y
         return self.side * (ux * (y - self.a.y) - uy * (x - self.a.x))
-
-
-@dataclass(frozen=True, slots=True)
-class Circle:
-    center: Point
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (self.radius >= 0.0 and math.isfinite(self.radius)):
-            raise DomainError(f"radius must be finite and >= 0, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -312,11 +303,13 @@ def _walk(cx, cy, r0, rings, clips, cos, sin) -> bool:
 
 
 def circle_meets_region_discretized(
-    circle: Circle, r1: Ring, r2: Ring, m_points: int
+    center: Point, radius: float, r1: Ring, r2: Ring, m_points: int
 ) -> bool:
-    """Reference test: M evenly spaced circle points against the region.
+    """Reference test: M evenly spaced points of the circle of ``radius``
+    around ``center`` against the region.
 
-    Point m (1-based) sits at angle 2 pi (m - 1) / M.  Returns True on the
+    The radius must be finite and >= 0, else DomainError.  Point m
+    (1-based) sits at angle 2 pi (m - 1) / M.  Returns True on the
     first walked run holding a point that lies inside both rings and in
     both rings' clip half-spaces.  Distances are compared squared.
 
@@ -334,8 +327,10 @@ def circle_meets_region_discretized(
     expressions as a walk that tests every constraint on every point, so
     skipping and pruning change which points are computed, never the verdict.
     """
+    if not (radius >= 0.0 and math.isfinite(radius)):
+        raise DomainError(f"radius must be finite and >= 0, got {radius}")
     m_points = check_m_points(m_points)
-    cx, cy, r0 = circle.center.x, circle.center.y, circle.radius
+    cx, cy, r0 = center.x, center.y, radius
     rings = (
         (r1.center.x, r1.center.y, r1.r_inner**2, r1.r_outer**2),
         (r2.center.x, r2.center.y, r2.r_inner**2, r2.r_outer**2),
@@ -441,18 +436,19 @@ class _AnchorFrame:
 _last_frame: tuple = (None, None, None)
 
 
-def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
-    """Exact test: whether the circle's radius lies in R's distance interval.
+def circle_meets_region_analytic(center: Point, radius: float, r1: Ring, r2: Ring) -> bool:
+    """Exact test: whether ``radius`` lies in R's distance interval from ``center``.
 
-    R is the rings' common area on their clip side.  The rings must share
-    one clip whose line passes through both centers, as the detector's
-    anchor rings do; anything else raises DomainError.  On the closed clip
-    half-plane, a point maps one-to-one and continuously onto its distances
-    (rho1, rho2) to the two centers, and the image is the convex set
-    |rho1 - rho2| <= d <= rho1 + rho2.  R is the preimage of a rectangle of
-    radii cut by that set, so R is connected, and the distances from the
-    circle's center c to R fill one interval [dmin, dmax].  The circle meets
-    R exactly when dmin <= radius <= dmax.
+    The circle is given by its center c and its radius, which must be
+    finite and >= 0, else DomainError.  R is the rings' common area on
+    their clip side.  The rings must share one clip whose line passes
+    through both centers, as the detector's anchor rings do; anything else
+    raises DomainError.  On the closed clip half-plane, a point maps
+    one-to-one and continuously onto its distances (rho1, rho2) to the two
+    centers, and the image is the convex set |rho1 - rho2| <= d <= rho1 +
+    rho2.  R is the preimage of a rectangle of radii cut by that set, so R
+    is connected, and the distances from c to R fill one interval
+    [dmin, dmax].  The circle meets R exactly when dmin <= radius <= dmax.
 
     Both ends lie on R's boundary, which is made of arcs of the four ring
     circles and segments of the clip line, so they are among these
@@ -472,6 +468,8 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
     corners.  So a radius that clears the corners' distances by the slack
     is decided right after the test of c, with no other candidate.
     """
+    if not (radius >= 0.0 and math.isfinite(radius)):
+        raise DomainError(f"radius must be finite and >= 0, got {radius}")
     global _last_frame
     last_r1, last_r2, f = _last_frame
     if last_r1 is not r1 or last_r2 is not r2:
@@ -480,32 +478,31 @@ def circle_meets_region_analytic(circle: Circle, r1: Ring, r2: Ring) -> bool:
     if not f.corners:
         # every ring circle crosses the clip line, so a nonempty R has a corner
         return False
-    px, py = circle.center.x - f.ox, circle.center.y - f.oy
+    px, py = center.x - f.ox, center.y - f.oy
     cu = px * f.eux + py * f.euy
     cv = px * f.evx + py * f.evy
-    r = circle.radius
-    tol = _SLACK * (f.scale + r)
+    tol = _SLACK * (f.scale + radius)
     nearest, farthest = math.inf, 0.0
     for u, v in f.corners:
         dist = math.hypot(u - cu, v - cv)
         nearest = dist if dist < nearest else nearest
         farthest = dist if dist > farthest else farthest
-    if r < nearest - tol:
+    if radius < nearest - tol:
         if f.contains(cu, cv):
             return True
         # On the line the candidates below are corners or c; none is within
-        # r + tol unless rounding let a corner through the bracket above.
-        if cv == 0.0 and r + tol < nearest:
+        # radius + tol unless rounding let a corner through the bracket above.
+        if cv == 0.0 and radius + tol < nearest:
             return False
         near = [(cu, 0.0), *f.ray_points(cu, cv, 1.0)]
         return any(
-            math.hypot(u - cu, v - cv) <= r + tol for u, v in near if f.contains(u, v)
+            math.hypot(u - cu, v - cv) <= radius + tol for u, v in near if f.contains(u, v)
         )
-    if r > farthest + tol:
-        if cv == 0.0 and farthest < r - tol:
+    if radius > farthest + tol:
+        if cv == 0.0 and farthest < radius - tol:
             return False
         return any(
-            math.hypot(u - cu, v - cv) >= r - tol
+            math.hypot(u - cu, v - cv) >= radius - tol
             for u, v in f.ray_points(cu, cv, -1.0)
             if f.contains(u, v)
         )

@@ -236,6 +236,14 @@ def ndtr(a):
     return out
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite``, reading an int past the float range as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _density(x, location, scale):
     """The N(location, scale^2) density at x; floats and arrays alike."""
     z = (x - location) / scale
@@ -288,9 +296,9 @@ class GaussianNoise:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+        if not (self.scale > 0.0 and is_finite(self.scale)):
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
-        if not math.isfinite(self.location):
+        if not is_finite(self.location):
             raise DomainError(f"location must be finite, got {self.location}")
         # Stored as Python floats, so scalar cdf/inv_cdf results are floats
         # whatever numeric type the constants arrived as.

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AssumptionWarning, DomainError, InvalidScenario
-from .noise import GaussianNoise, ndtr
+from .noise import GaussianNoise, is_finite, ndtr
 
 __all__ = [
     "Point",
@@ -182,7 +182,7 @@ class ScenarioConfig:
         object.__setattr__(self, "_unsecure_arrays", _sensor_arrays(unsecure))
         for name in ("p0", "d0", "gamma", "upsilon1", "upsilon2", "kappa"):
             v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
+            if not (v > 0.0 and is_finite(v)):
                 raise InvalidScenario(f"{name} must be positive and finite, got {v}")
         if not self.roi.contains(self.target):
             raise InvalidScenario("target must lie inside the ROI disc")

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from quantloc import (
-    Circle,
     GaussianNoise,
     HalfSpace,
     Point,
@@ -77,8 +76,9 @@ def random_scenario(
     raise AssertionError("scenario sampler failed 50 times; margins miscalibrated")
 
 
-def random_region_trial(rng: np.random.Generator) -> tuple[Circle, Ring, Ring]:
-    """A detector-shaped query: two anchor rings and a probe circle.
+def random_region_trial(rng: np.random.Generator) -> tuple[Point, float, Ring, Ring]:
+    """A detector-shaped query: a probe circle's center and radius, then two
+    anchor rings.
 
     The probe radius is displaced from its true distance by up to six ring
     half-widths, so the verdicts concentrate near the decision boundary
@@ -115,7 +115,7 @@ def random_region_trial(rng: np.random.Generator) -> tuple[Circle, Ring, Ring]:
         distance(target, sensor) + rng.uniform(-6.0, 6.0) * half_width,
         0.05 * scale,
     )
-    return Circle(sensor, radius), ring1, ring2
+    return sensor, radius, ring1, ring2
 
 
 @pytest.fixture

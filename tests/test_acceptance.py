@@ -342,23 +342,24 @@ def test_criterion_09_analytic_matches_discretized():
     disagreements = []
     meets = 0
     for _ in range(10_000):
-        circle, ring1, ring2 = random_region_trial(rng)
-        analytic = circle_meets_region_analytic(circle, ring1, ring2)
-        sampled = circle_meets_region_discretized(circle, ring1, ring2, m_points)
+        center, radius, ring1, ring2 = random_region_trial(rng)
+        analytic = circle_meets_region_analytic(center, radius, ring1, ring2)
+        sampled = circle_meets_region_discretized(center, radius, ring1, ring2, m_points)
         meets += analytic
         if analytic != sampled:
-            disagreements.append((circle, ring1, ring2, analytic))
+            disagreements.append((center, radius, ring1, ring2, analytic))
     assert len(disagreements) <= 10
 
     # Any split verdict must be a resolution artifact: a 64x finer walk has
     # to side with the exact test, or a one-part-in-1e9 radius nudge has to
     # flip the exact verdict, which marks the case as a boundary tie.
-    for circle, ring1, ring2, analytic in disagreements:
-        refined = circle_meets_region_discretized(circle, ring1, ring2, 64 * m_points)
+    for center, radius, ring1, ring2, analytic in disagreements:
+        refined = circle_meets_region_discretized(center, radius, ring1, ring2, 64 * m_points)
         if refined != analytic:
             nudged = {
                 circle_meets_region_analytic(
-                    replace(circle, radius=circle.radius * (1.0 + sign * 1e-9)),
+                    center,
+                    radius * (1.0 + sign * 1e-9),
                     ring1,
                     ring2,
                 )

@@ -168,6 +168,19 @@ def test_bounds_rejects_a_kappa_the_scenario_rejects(toy_file, kappa, capsys):
     assert "kappa must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "grid, entry", [("0", "k_grid[0]"), ("-5", "k_grid[0]"), ("100,0,200", "k_grid[1]")]
+)
+def test_bounds_rejects_a_k_grid_entry_below_one(toy_file, grid, entry, capsys):
+    assert main(["bounds", toy_file, "--delta", "5", f"--K-grid={grid}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{entry} must be >= 1" in captured.err
+    # sweep rejects the same grid with the same exit code
+    assert main(["sweep", toy_file, "--delta", "5", f"--K-grid={grid}"]) == 1
+    assert "k_grid entries must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_matches_golden_table(threads, tmp_path):
     """The 1/25-scale sweep table, byte for byte and at either thread count:

@@ -35,6 +35,7 @@ from quantloc import (
     save_dataset,
     save_scenario,
 )
+from quantloc.cli import main
 from quantloc.measurement import PackedBits
 
 
@@ -119,6 +120,21 @@ def test_parse_linspace_open_endpoints():
     s, _ = _parse(doc)
     assert s.sensor(1).position.x == pytest.approx(-950.0)
     assert s.sensor(2).position.x == pytest.approx(-900.0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_past_the_float_range_names_its_field(sign, tmp_path, capsys):
+    doc = _base_doc()
+    doc["sensors"][0]["position"][0] = sign * 10**400
+    with pytest.raises(ParseError, match=re.escape("sensors[0].position[0]: expected a finite")):
+        _parse(doc)
+    # through the CLI: the package's error, not a traceback
+    doc = _base_doc()
+    doc["constants"]["kappa"] = sign * 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "error: constants.kappa: expected a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])

@@ -222,6 +222,14 @@ def test_scalar_callers_return_python_floats(toy_scenario):
     ]
     assert [type(v) for v in values] == [float] * len(values)
 
+@pytest.mark.parametrize("huge", [2**2000, -(2**2000)])
+def test_constructor_names_an_integer_past_the_float_range(huge):
+    with pytest.raises(DomainError, match="scale must be positive and finite"):
+        GaussianNoise(0.0, huge)
+    with pytest.raises(DomainError, match="location must be finite"):
+        GaussianNoise(huge, 1.0)
+
+
 def test_constructor_validation():
     with pytest.raises(DomainError):
         GaussianNoise(0.0, 0.0)

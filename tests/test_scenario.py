@@ -84,6 +84,12 @@ def test_scenario_validation():
         ScenarioConfig(_sensors(noise), roi, Point(0.0, 200.0), 1.0, 100.0, 2.0)
 
 
+@pytest.mark.parametrize("name", ["kappa", "p0", "upsilon2"])
+def test_a_constant_past_the_float_range_is_named(toy_scenario, name):
+    with pytest.raises(InvalidScenario, match=f"{name} must be positive and finite"):
+        replace(toy_scenario, **{name: 2**2000})
+
+
 def test_scenario_accessors(toy_scenario):
     s = toy_scenario
     assert s.sensor(2).position == Point(30.0, 0.0)
