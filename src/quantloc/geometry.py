@@ -7,15 +7,11 @@ taking the circle as its center ``Point`` and its radius (finite and >= 0,
 else DomainError), so a detection builds no object per sensor.
 ``circle_meets_region_discretized`` walks M evenly spaced points along the
 circle and tests each against the region, which is the reference
-formulation and accepts any ring clips.  Along the circle each ring or
-clip constraint is a sinusoid in the angle with an exact range over any
-arc, so the walk skips what some constraint rules out by far more than
-its rounding: the whole circle, then 16,384-point chunks, then 1024-point
-blocks inside a live chunk.  It walks each live chunk's first live block,
-then one slice to the end of its last, with cos/sin from a small cache of
-read-only tables, testing each constraint only on the points still in.
-Every point that is tested goes through the same float expressions as an
-unpruned walk, so the verdicts are identical, not merely close.
+formulation and accepts any ring clips.  Each ring or clip constraint is
+a sinusoid along the circle, so the walk cuts the circle where one crosses
+a limit and walks, in order, only the runs an exact range bound leaves
+live, testing every point it reaches with the float expressions of an
+unpruned walk: the verdicts are identical, not merely close.
 ``circle_meets_region_analytic`` needs both rings clipped by the line
 through their centers, as the detector builds them.  R is then connected,
 so the distances from the circle's center to R fill an interval
@@ -35,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,18 +65,12 @@ class HalfSpace:
     a: Point
     b: Point
     side: int
-    # Hashed once: the discretized walk dedupes clips on every call.
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.a.x, self.a.y) == (self.b.x, self.b.y):
             raise DomainError("half-space anchors must differ")
         if self.side not in (-1, 1):
             raise DomainError(f"side must be +1 or -1, got {self.side}")
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.side)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def contains(self, p: Point) -> bool:
         return self.signed(p.x, p.y) >= 0.0
@@ -205,9 +195,9 @@ def _unit_circle_chunk(m_points: int, start: int) -> tuple[np.ndarray, np.ndarra
     """cos and sin of the angles 2 pi m / M for m in [start, start + _CHUNK).
 
     Read-only, since every walk at this M shares them.  maxsize is one more
-    than the 13 chunks of the default M = 2e5, so a full walk at that M stays
-    cached (3.2 MB) while a much longer walk (64 M in criterion 09's refine
-    step) evicts its own chunks instead of pinning its whole table.
+    than the 13 chunks of the default M = 2e5, so any table a walk at that M
+    reads stays cached (3.2 MB in all) while a much longer walk (64 M in
+    criterion 09's refine step) evicts its own chunks instead of pinning it.
     """
     ang = (_TWO_PI / m_points) * np.arange(start, min(start + _CHUNK, m_points))
     cos, sin = np.cos(ang), np.sin(ang)
@@ -227,9 +217,9 @@ def check_m_points(m_points) -> int:
     return m
 
 
-# The walk skips every run of points (the whole circle, a chunk, a block) in
-# which some constraint fails at every point.  On the circle c + r0 e(theta)
-# each constraint is an exact sinusoid, base + amp cos(theta - phase):
+# The walk skips every run of points (the whole circle, or a run between two
+# cuts) in which some constraint fails at every point.  On the circle
+# c + r0 e(theta) each constraint is an exact sinusoid, base + amp cos(theta - phase):
 #   ring:  |p - q|^2 = |c - q|^2 + r0^2 + 2 r0 |c - q| cos(theta - phi),
 #          phi the direction of c - q;
 #   clip:  signed(p) = signed(c) + r0 |u| cos(theta - psi),
@@ -248,8 +238,7 @@ def check_m_points(m_points) -> int:
 # 4.5e6 ulps, so a run is skipped only when every point of the walk fails
 # the constraint as well.
 _SKIP_SLACK = 1e-9
-# Points per block inside a live chunk, and chunk starts per bound call so
-# the bound's arrays stay small for any M.  A walk of M <= _BLOCK is unbounded.
+_PAD = 2
 _BLOCK = 1 << 10
 
 
@@ -276,16 +265,40 @@ def _constraint_sinusoids(cx, cy, r0, rings, clips) -> list | None:
     return rows
 
 
-def _live_starts(sinusoids, step, starts, size, m_points) -> np.ndarray:
-    """Those of the given starts whose run of ``size`` points no constraint rules out."""
-    base, amp, phase, lo, hi = sinusoids
-    lasts = np.minimum(starts + (size - 1), m_points - 1)
-    half = (0.5 * step) * (lasts - starts)
-    mid = (0.5 * step) * (starts + lasts)
+def _live_spans(rows, m_points) -> list[list[int]]:
+    """[first, head, end) per span of touching runs of points that no row rules
+    out, head ending the span's first run or its first _BLOCK points.
+
+    A row crosses a limit L at theta = phase +- acos((L - base) / amp).  Runs
+    are cut _PAD points either side of each crossing, so a span mostly starts
+    with a crossing's run, holding a hit _PAD points in.  A misplaced cut
+    leaves a run live: a longer walk, never another verdict.
+    """
+    step = _TWO_PI / m_points
+    cuts = {0, m_points}
+    for base, amp, phase, lo, hi in rows:
+        for limit in (lo, hi):
+            if -amp < limit - base < amp:
+                t = math.acos((limit - base) / amp)
+                for theta in (phase - t, phase + t):
+                    m = int(theta % _TWO_PI / step) + 1  # the first point past it
+                    cuts.update(((m - _PAD) % m_points, (m + _PAD) % m_points))
+    cuts = sorted(cuts)
+    firsts, lasts = np.array(cuts[:-1]), np.array(cuts[1:]) - 1
+    base, amp, phase, lo, hi = np.array(rows).T[:, :, None]
+    half = (0.5 * step) * (lasts - firsts)
+    mid = (0.5 * step) * (firsts + lasts)
     off = np.abs(np.remainder(mid - phase + math.pi, _TWO_PI) - math.pi)
     top = base + amp * np.cos(np.maximum(off - half, 0.0))
     bottom = base + amp * np.cos(np.minimum(off + half, math.pi))
-    return starts[((top >= lo) & (bottom <= hi)).all(axis=0)]
+    live = ((top >= lo) & (bottom <= hi)).all(axis=0)
+    spans = []
+    for first, end, ok in zip(cuts, cuts[1:], live.tolist()):
+        if ok and spans and spans[-1][2] == first:
+            spans[-1][2] = end
+        elif ok:
+            spans.append([first, min(end, first + _BLOCK), end])
+    return spans
 
 
 def _walk(cx, cy, r0, rings, clips, cos, sin) -> bool:
@@ -294,10 +307,10 @@ def _walk(cx, cy, r0, rings, clips, cos, sin) -> bool:
     y = cy + r0 * sin
     for qx, qy, lo_sq, hi_sq in rings:
         dsq = (x - qx) ** 2 + (y - qy) ** 2
-        keep = np.flatnonzero((dsq >= lo_sq) & (dsq <= hi_sq))
+        keep = ((dsq >= lo_sq) & (dsq <= hi_sq)).nonzero()[0]
         x, y = x[keep], y[keep]
     for clip in clips:
-        keep = np.flatnonzero(clip.signed(x, y) >= 0.0)
+        keep = (clip.signed(x, y) >= 0.0).nonzero()[0]
         x, y = x[keep], y[keep]
     return x.size > 0
 
@@ -310,22 +323,19 @@ def circle_meets_region_discretized(
 
     The radius must be finite and >= 0, else DomainError.  Point m
     (1-based) sits at angle 2 pi (m - 1) / M.  Returns True on the
-    first walked run holding a point that lies inside both rings and in
-    both rings' clip half-spaces.  Distances are compared squared.
+    first walked point that lies inside both rings and in both rings'
+    clip half-spaces.  Distances are compared squared.
 
-    A run of points is skipped when the exact range of some constraint's
-    sinusoid over its arc misses it by more than 1e-9 of the walk's
-    magnitudes, far beyond its rounding; the bound reads only the rings and
-    clips, never the analytic test.  The whole circle comes first, with no
-    numpy call, and at M <= 1024 every point is then walked.  Larger M
-    bounds its 16,384-point chunks (past M = 16,384), then the 1024-point
-    blocks of each live chunk, walking the first live block alone, then one
-    slice from the second live block to the end of the last, where a dead
-    block fails like any skipped point.  cos/sin come from a small
-    per-(M, chunk) cache.  A walk tests the first ring on every point and
-    each later constraint only on the points still in, with the same float
-    expressions as a walk that tests every constraint on every point, so
-    skipping and pruning change which points are computed, never the verdict.
+    The whole circle is bounded first, with no numpy call.  Then runs are
+    cut two points either side of each angle where a constraint crosses one
+    of its limits, and one bound skips every run where some constraint's
+    exact range misses it by more than 1e-9 of the walk's magnitudes, far
+    beyond its rounding; it reads only the rings and clips, never the
+    analytic test.  Touching live runs merge into spans, walked in order,
+    each span's first run (at most 1024 points) alone.  A walk tests the
+    first ring on every point and each later constraint only on the points
+    still in, with the same float expressions as a walk that tests every
+    constraint on every point, so the verdict is that of an unpruned walk.
     """
     if not (radius >= 0.0 and math.isfinite(radius)):
         raise DomainError(f"radius must be finite and >= 0, got {radius}")
@@ -335,30 +345,20 @@ def circle_meets_region_discretized(
         (r1.center.x, r1.center.y, r1.r_inner**2, r1.r_outer**2),
         (r2.center.x, r2.center.y, r2.r_inner**2, r2.r_outer**2),
     )
-    clips = dict.fromkeys((r1.clip, r2.clip))
+    clips = (r1.clip,) if r2.clip == r1.clip else (r1.clip, r2.clip)
 
     rows = _constraint_sinusoids(cx, cy, r0, rings, clips)
     if rows is None:
         return False
-    if m_points <= _BLOCK:
-        return _walk(cx, cy, r0, rings, clips, *_unit_circle_chunk(m_points, 0))
-    sinusoids = np.array(rows).T[:, :, None]
-    step = _TWO_PI / m_points
-    for group in range(0, m_points, _CHUNK * _BLOCK):
-        chunks = np.arange(group, min(group + _CHUNK * _BLOCK, m_points), _CHUNK)
-        if m_points > _CHUNK:  # a lone chunk is the circle less a step, bounded already
-            chunks = _live_starts(sinusoids, step, chunks, _CHUNK, m_points)
-        for start in chunks.tolist():
-            blocks = np.arange(start, min(start + _CHUNK, m_points), _BLOCK)
-            live = _live_starts(sinusoids, step, blocks, _BLOCK, m_points).tolist()
-            if not live:
-                continue
-            cos, sin = _unit_circle_chunk(m_points, start)
-            # the first live block, then the second live block to the last's end
-            for lo, hi in zip(live[:2], (live[0] + _BLOCK, live[-1] + _BLOCK)):
-                span = slice(lo - start, hi - start)
-                if _walk(cx, cy, r0, rings, clips, cos[span], sin[span]):
+    for first, head, end in _live_spans(rows, m_points):
+        for lo, hi in ((first, head), (head, end)):
+            while lo < hi:  # one slice per table chunk
+                start = lo - lo % _CHUNK
+                cos, sin = _unit_circle_chunk(m_points, start)
+                part = slice(lo - start, min(hi - start, _CHUNK))
+                if _walk(cx, cy, r0, rings, clips, cos[part], sin[part]):
                     return True
+                lo = start + _CHUNK
     return False
 
 

@@ -47,8 +47,9 @@ class Point:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError(f"point coordinates must be finite, got {self}")
+        if not (is_finite(self.x) and is_finite(self.y)):
+            name = "y" if is_finite(self.x) else "x"
+            raise DomainError(f"point {name} must be finite, got {getattr(self, name)}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
@@ -69,6 +70,10 @@ class SensorSpec:
     noise: GaussianNoise
     secure: bool = False
 
+    def __post_init__(self) -> None:
+        if not is_finite(self.threshold):
+            raise DomainError(f"sensor {self.id} threshold must be finite, got {self.threshold}")
+
     def zero_prob(self, power: float = 0.0) -> float:
         """Pr(bit = 0) at received power ``power``: F(tau - power), F(tau) at 0."""
         return self.noise.cdf(self.threshold - power)
@@ -82,8 +87,8 @@ class RoiDisc:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise DomainError(f"ROI radius must be positive, got {self.radius}")
+        if not (self.radius > 0.0 and is_finite(self.radius)):
+            raise DomainError(f"ROI radius must be positive and finite, got {self.radius}")
 
     def contains(self, p: Point) -> bool:
         return distance(self.center, p) <= self.radius

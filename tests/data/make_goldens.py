@@ -7,7 +7,9 @@ Run from the repository root after a change that moves the seeded streams
 
 It rewrites ``detect_scale{0.04,1}_seed7_K10000_delta280.tsv`` here with
 what ``quantloc paper-setup`` and ``quantloc detect --delta 280 --K 10000
---seed 7`` print, and ``sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv``
+--seed 7`` print, ``detect_scale1_seed7_K10000_delta280_discretized.tsv``
+with what the same command prints at full scale with ``--method
+discretized --M 200000``, and ``sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv``
 with what ``quantloc sweep --K-grid 2000,4000 --trials 6 --delta 280 --seed 7``
 prints for the 1/25-scale setup.  It prints the ``PINNED_ZERO_COUNTS``
 literal of ``tests/test_montecarlo.py`` to paste in.
@@ -24,7 +26,10 @@ them must say so in CHANGES.md.
 here: they pin the detector on a fixed record, so no stream change may
 regenerate them.  They were written once, by the Philox streams, with
 ``save_dataset(generate_dataset(*build_paper_setup(scale=0.04), 10000, 7,
-trial_index=0), path)``.
+trial_index=0), path)``.  Its discretized table, ``..._discretized.tsv``,
+is what ``detect_all`` printed for it at M = 2e5 with the walk that bounded
+fixed 16,384-point chunks and 1024-point blocks, so it pins the walk's
+verdicts across a change of how the walk skips.
 """
 
 from __future__ import annotations
@@ -44,15 +49,19 @@ from test_montecarlo import pinned_zero_counts  # noqa: E402
 
 def write_detect_tables() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for scale in ("0.04", "1"):
+        for scale, suffix, method in (
+            ("0.04", "", []),
+            ("1", "", []),
+            ("1", "_discretized", ["--method", "discretized", "--M", "200000"]),
+        ):
             scenario = str(Path(tmp) / f"paper{scale}.json")
-            out = DATA / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
+            out = DATA / f"detect_scale{scale}_seed7_K10000_delta280{suffix}.tsv"
             assert main(["paper-setup", "--scale", scale, "--out", scenario]) == 0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # delta is above the admissible limit
                 code = main(
                     ["detect", scenario, "--delta", "280", "--K", "10000",
-                     "--seed", "7", "--out", str(out)]
+                     "--seed", "7", *method, "--out", str(out)]
                 )
             assert code == 0
             print(f"wrote {out.relative_to(DATA.parent.parent)}")

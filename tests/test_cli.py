@@ -111,12 +111,20 @@ def test_detect_table_shape(toy_file, capsys):
     assert lines[2].startswith("2\t")
 
 
-@pytest.mark.parametrize("scale", ["0.04", "1"])
-def test_detect_matches_golden_table(scale, tmp_path):
+@pytest.mark.parametrize(
+    ("scale", "method"),
+    [
+        pytest.param("0.04", [], id="0.04"),
+        pytest.param("1", [], id="1"),
+        pytest.param("1", ["--method", "discretized", "--M", "200000"], id="1-discretized"),
+    ],
+)
+def test_detect_matches_golden_table(scale, method, tmp_path):
     """The benchmark network's detection table, byte for byte.
 
     The golden files pin every verdict, radius and the table format; at
-    this delta both scales flag some sensors and clear others.
+    this delta both scales flag some sensors and clear others.  The
+    discretized table pins the walk at M = 2e5 on the full-scale network.
     """
     scenario = tmp_path / "paper.json"
     out = tmp_path / "detect.tsv"
@@ -125,10 +133,11 @@ def test_detect_matches_golden_table(scale, tmp_path):
         warnings.simplefilter("ignore")  # delta is above the admissible limit
         code = main(
             ["detect", str(scenario), "--delta", "280", "--K", "10000",
-             "--seed", "7", "--out", str(out)]
+             "--seed", "7", *method, "--out", str(out)]
         )
     assert code == 0
-    golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
+    suffix = "_discretized" if method else ""
+    golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280{suffix}.tsv"
     assert out.read_bytes() == golden.read_bytes()
 
 

@@ -941,3 +941,17 @@ def test_committed_trial_detects_as_pinned():
         report = detect_all(scenario, DetectorConfig(delta=280.0), loaded)
     expected = data_dir / "trial_scale0.04_seed7_K10000_philox_delta280.tsv"
     assert report.to_table().encode() == expected.read_bytes()
+
+
+def test_committed_trial_detects_as_pinned_by_the_discretized_walk():
+    """The discretized walk at M = 2e5 on the committed trial: its table,
+    written by the walk that bounded fixed chunks and blocks, byte for byte."""
+    data_dir = Path(__file__).parent / "data"
+    scenario, _ = build_paper_setup(scale=0.04)
+    loaded = load_dataset(data_dir / "trial_scale0.04_seed7_K10000_philox.bits")
+    cfg = DetectorConfig(delta=280.0, method="discretized", m_points=200_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # delta is above the admissible limit
+        report = detect_all(scenario, cfg, loaded)
+    expected = data_dir / "trial_scale0.04_seed7_K10000_philox_delta280_discretized.tsv"
+    assert report.to_table().encode() == expected.read_bytes()

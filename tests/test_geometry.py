@@ -27,7 +27,7 @@ from quantloc import (
     phi_bound,
 )
 from quantloc import geometry
-from quantloc.geometry import _BLOCK, _CHUNK, _SLACK, _AnchorFrame, _unit_circle_chunk
+from quantloc.geometry import _BLOCK, _CHUNK, _PAD, _SLACK, _AnchorFrame, _unit_circle_chunk
 
 PHI_BOUND_REF = 3.11367949538805294166
 
@@ -432,53 +432,58 @@ def _chord_clip(t1, t2):
     return HalfSpace(a, b, side)
 
 
-def test_span_walk_finds_a_point_past_a_live_block_with_none(monkeypatch):
-    # In block units w along the unit circle, at M = 2e5 (all in chunk 0):
-    #   clip 1 passes all but (2.3, 5.5), clip 2 all but (5.9, 8.1),
-    #   ring 1 on [2.0, 5.4] and [7.6, 11.0], ring 2 (a disc) on [2.5, 8.9].
-    # Blocks 2, 5 and 8 are live.  Block 2 has ring 1 and the clips on
-    # [2.0, 2.3] and ring 2 on [2.5, 3); block 5 ring 1 on [5, 5.4] and the
-    # clips on [5.5, 5.9]; so only block 8 holds passing points, and it is
-    # reached through a span whose blocks 6 and 7 are dead.
+def test_run_walk_goes_past_live_runs_with_no_point_in_the_region(monkeypatch):
+    # At M = 2e5 (all in chunk 0), in units w of 1024 points along the unit
+    # circle: ring 1 is entered on [w, g] and [7w, g + 6w], ring 2 (a disc)
+    # on [g + step / 2, 12 w], g a quarter step past point 3 * 1024.  The
+    # runs cut around g, where ring 1 ends and ring 2 begins, are live but
+    # hold no point of both; the walk goes on, in order, to the run cut
+    # around 7 w and finds the region there, reading no point in between.
     m_points = 200_000
-    w = 2.0 * math.pi * _BLOCK / m_points
-    r1 = _arc_ring(6.5 * w, 1.1 * w, 4.5 * w, _chord_clip(2.3 * w, 5.5 * w))
-    r2 = _arc_ring(5.7 * w, 0.0, 3.2 * w, _chord_clip(5.9 * w, 8.1 * w))
+    step = 2.0 * math.pi / m_points
+    w = _BLOCK * step
+    g = (3 * _BLOCK + 0.25) * step
+    r1 = _arc_ring((g + 7.0 * w) / 2.0, (7.0 * w - g) / 2.0, (g + 5.0 * w) / 2.0, OPEN)
+    r2 = _arc_ring((g + 0.5 * step + 12.0 * w) / 2.0, 0.0, (12.0 * w - g - 0.5 * step) / 2.0, OPEN)
     origin = Point(0.0, 0.0)
     members = [
-        m // _BLOCK
+        m
         for m in range(0, 16 * _BLOCK)
-        if _ring_member(Point(math.cos(m * w / _BLOCK), math.sin(m * w / _BLOCK)), r1, r2)
+        if _ring_member(Point(math.cos(m * step), math.sin(m * step)), r1, r2)
     ]
-    assert members and set(members) == {8}
-    walks = []
+    assert members and min(members) == 7 * _BLOCK
+    table = _unit_circle_chunk(m_points, 0)[0]
+    walks = []  # (first point, points, verdict) of each walk
     walk = geometry._walk
 
     def spy(cx, cy, r0, rings, clips, cos, sin):
-        walks.append((cos.size, float(cos[0]), walk(cx, cy, r0, rings, clips, cos, sin)))
+        first = int(np.flatnonzero(table == cos[0])[0])
+        walks.append((first, cos.size, walk(cx, cy, r0, rings, clips, cos, sin)))
         return walks[-1][-1]
 
     monkeypatch.setattr(geometry, "_walk", spy)
     assert _unpruned_discretized(origin, 1.0, r1, r2, m_points)
     assert circle_meets_region_discretized(origin, 1.0, r1, r2, m_points)
-    table = _unit_circle_chunk(m_points, 0)[0]
-    assert walks == [
-        (_BLOCK, float(table[2 * _BLOCK]), False),
-        (4 * _BLOCK, float(table[5 * _BLOCK]), True),
-    ]
+    firsts = [first for first, _, _ in walks]
+    assert firsts == sorted(firsts) and len(walks) >= 2
+    assert [hit for *_, hit in walks] == [False] * (len(walks) - 1) + [True]
+    assert all(abs(first - 3 * _BLOCK) <= 2 * _PAD for first, _, _ in walks[:-1])
+    assert abs(walks[-1][0] - 7 * _BLOCK) <= 2 * _PAD
+    assert sum(size for _, size, _ in walks) <= 8 * _PAD  # each walk is one crossing's run
 
 
 def test_discretized_chunk_cache_is_bounded_and_read_only():
     r1, r2 = _sym_rings()
     _unit_circle_chunk.cache_clear()
-    # a circle far from both rings fails ring 1 on every chunk's whole arc,
-    # so no chunk is walked and no table is read
+    # a circle far from both rings fails ring 1 on the whole circle, so no
+    # run is walked and no table is read
     assert not circle_meets_region_discretized(Point(0.0, 1000.0), 1.0, r1, r2, 200_000)
     info = _unit_circle_chunk.cache_info()
     assert (info.misses, info.hits) == (0, 0)
     # a point circle a hair (2e-11 relative, squared) outside ring 1's outer
-    # edge and inside ring 2: within the skip's rounding margin, so every
-    # chunk is walked, and every point fails ring 1
+    # edge and inside ring 2: within the skip's rounding margin, and with no
+    # crossing, so the whole circle is one live run, walked to the end, and
+    # every point fails ring 1
     a, b = r1.r_outer * (1.0 + 1e-11), r2.radius
     x = (a * a - b * b) / 40.0
     edge = Point(x, math.sqrt(a * a - (x + 10.0) ** 2))
@@ -487,7 +492,9 @@ def test_discretized_chunk_cache_is_bounded_and_read_only():
     assert not circle_meets_region_discretized(edge, 0.0, r1, r2, 200_000)
     chunks = math.ceil(200_000 / _CHUNK)
     info = _unit_circle_chunk.cache_info()
-    assert (info.misses, info.hits) == (chunks, chunks)  # trig once per (M, chunk)
+    # trig once per (M, chunk); each walk reads chunk 0 for the first run's
+    # 1024 points and again for the rest, and every other chunk once
+    assert (info.misses, info.hits) == (chunks, chunks + 2)
     assert not circle_meets_region_discretized(edge, 0.0, r1, r2, 64 * 200_000)
     info = _unit_circle_chunk.cache_info()
     assert info.misses == chunks + math.ceil(64 * 200_000 / _CHUNK)
@@ -497,6 +504,77 @@ def test_discretized_chunk_cache_is_bounded_and_read_only():
     assert not cos.flags.writeable and not sin.flags.writeable
     with pytest.raises(ValueError):
         cos[0] = 0.0
+
+
+_CUT_M_GRID = (3, 7, _BLOCK + 1, 2 * _CHUNK + 1, 200_000)
+
+
+@pytest.mark.parametrize("shift", [-500, -37, 37, 500])
+def test_misplaced_cuts_change_no_verdict(shift, monkeypatch):
+    # acos only proposes where to cut: moved by many points, the cuts leave
+    # other runs live or skipped, and the exact range bound still decides
+    calls = []
+    acos = math.acos
+
+    def moved(c):
+        calls.append(c)
+        return acos(c) + shift * step
+
+    monkeypatch.setattr(math, "acos", moved)
+    rng = np.random.default_rng(20261019)
+    verdicts = Counter()
+    for m_points in _CUT_M_GRID:
+        step = 2.0 * math.pi / m_points
+        for _ in range(40):
+            query = random_region_trial(rng)
+            expected = _unpruned_discretized(*query, m_points)
+            assert circle_meets_region_discretized(*query, m_points) == expected, query
+            verdicts[expected] += 1
+    assert calls and verdicts[True] > 10 and verdicts[False] > 10
+
+
+@pytest.mark.parametrize("m_points", [_BLOCK + 1, 2 * _CHUNK + 1, 200_000])
+@pytest.mark.parametrize("at", [-3, -1, 0, 1, 2])
+def test_crossings_that_straddle_angle_zero(m_points, at, monkeypatch):
+    # two discs on the unit circle's points at - 2 ... at + 3 (mod M): their
+    # crossings sit on either side of angle 0, so the cuts wrap around it,
+    # and every walk still reads points of [0, M) from tables at [0, M)
+    step = 2.0 * math.pi / m_points
+    origin = Point(0.0, 0.0)
+    table, walk = geometry._unit_circle_chunk, geometry._walk
+
+    def chunk(m, start):
+        assert m == m_points and 0 <= start < m_points and start % _CHUNK == 0
+        return table(m, start)
+
+    def nonempty_walk(cx, cy, r0, rings, clips, cos, sin):
+        assert cos.size > 0
+        return walk(cx, cy, r0, rings, clips, cos, sin)
+
+    monkeypatch.setattr(geometry, "_unit_circle_chunk", chunk)
+    monkeypatch.setattr(geometry, "_walk", nonempty_walk)
+    a = _arc_ring((at + 0.5) * step, 0.0, 1.2 * step, OPEN)  # points at, at + 1
+    for phi, half, meets in ((at + 1.4, 2.3, True), (at - 1.6, 1.5, False), (at + 3.6, 1.5, False)):
+        b = _arc_ring(phi * step, 0.0, half * step, OPEN)
+        assert _unpruned_discretized(origin, 1.0, a, b, m_points) == meets
+        assert circle_meets_region_discretized(origin, 1.0, a, b, m_points) == meets
+
+
+@pytest.mark.parametrize("m_points", _CUT_M_GRID)
+def test_constraints_with_no_amplitude(m_points):
+    # amp == 0: a point circle, and a circle around a ring's center, whose
+    # distance to that center is one number on the whole circle
+    r1, r2 = _sym_rings()
+    inside, outside = Point(0.0, 5.0), Point(0.0, 3.0)
+    queries = [(inside, 0.0), (outside, 0.0), (Point(0.0, 5.0 + 1e-13), 0.0)]
+    queries += [(r1.center, radius) for radius in (r1.radius, r1.r_outer, r1.r_inner, 1.0, 12.0)]
+    for center, radius in queries:
+        expected = _unpruned_discretized(center, radius, r1, r2, m_points)
+        assert circle_meets_region_discretized(center, radius, r1, r2, m_points) == expected
+    assert circle_meets_region_discretized(inside, 0.0, r1, r2, m_points)
+    assert not circle_meets_region_discretized(outside, 0.0, r1, r2, m_points)
+    if m_points > _BLOCK:  # fine enough for the circle through R to land in it
+        assert circle_meets_region_discretized(r1.center, r1.radius, r1, r2, m_points)
 
 
 def test_containment_oracle_two_sided():

@@ -41,6 +41,23 @@ def test_point_rejects_non_finite():
     assert Point(1.0, 2.0).as_array().tolist() == [1.0, 2.0]
 
 
+@pytest.mark.parametrize(
+    ("build", "field"),
+    [
+        (lambda big: Point(big, 0.0), "point x"),
+        (lambda big: Point(0.0, -big), "point y"),
+        (lambda big: RoiDisc(Point(0.0, 0.0), big), "ROI radius"),
+        (lambda big: SensorSpec(7, Point(0.0, 0.0), big, GaussianNoise()), "sensor 7 threshold"),
+    ],
+    ids=["point-x", "point-y", "roi-radius", "sensor-threshold"],
+)
+def test_an_integer_past_the_float_range_is_named(build, field):
+    with pytest.raises(DomainError, match=field):
+        build(10**400)
+    with pytest.raises(DomainError, match=field):
+        build(math.inf)
+
+
 def test_distance():
     assert distance(Point(0.0, 0.0), Point(3.0, 4.0)) == 5.0
 
