@@ -14,11 +14,11 @@ import math
 from quantloc import (
     GaussianNoise,
     Point,
+    QuantizedDataset,
     RoiDisc,
     ScenarioConfig,
     SensorSpec,
     compute_distance_bounds,
-    empirical_freq,
     nmle_distance,
     prob_zero,
     quantize,
@@ -73,9 +73,15 @@ k_ladder = (100, 1_000, 10_000, 100_000, 1_000_000)
 signal = sample_signal(scenario, sensor_id, k_ladder[-1], seed=(2026, 0))
 bits = quantize(scenario, sensor_id, signal)
 
+
+def zero_freq(j, record):
+    """A record's zero-bit frequency, counted as the fusion center counts it."""
+    return QuantizedDataset(bits={j: record}, k=record.size, rng_seed=2026).freq(j)
+
+
 print("\n      K        xi_hat       D_hat    rel_error")
 for k in k_ladder:
-    freq = empirical_freq(bits[:k])
+    freq = zero_freq(sensor_id, bits[:k])
     estimate = nmle_distance(scenario, sensor_id, freq)
     rel = abs(float(estimate) - true_distance) / true_distance
     flag = "  (clamped)" if estimate.clamped else ""
@@ -89,7 +95,7 @@ print()
 for anchor_id in (3, 4):
     sig = sample_signal(scenario, anchor_id, k_ladder[-1], seed=(2026, 0))
     est = nmle_distance(
-        scenario, anchor_id, empirical_freq(quantize(scenario, anchor_id, sig))
+        scenario, anchor_id, zero_freq(anchor_id, quantize(scenario, anchor_id, sig))
     )
     true_d = math.hypot(
         scenario.sensor(anchor_id).position.x - scenario.target.x,

@@ -26,7 +26,6 @@ from .attacks import AttackAssignment, post_attack_prob
 from .detector import DetectorConfig
 from .errors import DomainError
 from .measurement import prob_zero
-from .noise import GaussianNoise
 from .scenario import ScenarioConfig, rho_bounds
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "RateReport",
     "epsilon_bracket",
     "xi_factor",
-    "xi_factor_from",
     "bernoulli_kl",
     "composite_exponents",
 ]
@@ -76,23 +74,19 @@ def epsilon_bracket(
     return eps_l, eps_u
 
 
-def xi_factor_from(
-    noise: GaussianNoise,
-    tau: float,
-    p0: float,
-    d0: float,
-    gamma: float,
-    eps_l: float,
-    eps_u: float,
-) -> float:
-    """Frequency-to-distance conversion factor from explicit constants.
+def xi_factor(s: ScenarioConfig, j: int, params: ExponentParams | None = None) -> float:
+    """Conversion factor Xi_j for sensor j under the given bracket weights.
 
     Xi = d0 * p0^(1/gamma) * (tau - F^{-1}(eps_U))^(-(gamma+1)/gamma)
-         / inf f over [F^{-1}(eps_L), F^{-1}(eps_U)].
+         / inf f over [F^{-1}(eps_L), F^{-1}(eps_U)],
 
-    A distance-estimate deviation of x in frequency is at most Xi * x while
-    the frequency stays inside [eps_L, eps_U].
+    with (eps_L, eps_U) from ``epsilon_bracket``.  A distance-estimate
+    deviation of x in frequency is at most Xi * x while the frequency stays
+    inside [eps_L, eps_U].
     """
+    sensor = s.sensor(j)
+    noise, tau = sensor.noise, sensor.threshold
+    eps_l, eps_u = epsilon_bracket(s, j, params)
     if not (0.0 < eps_l < eps_u < 1.0):
         raise DomainError(f"need 0 < eps_l < eps_u < 1, got {eps_l}, {eps_u}")
     f_tau = noise.cdf(tau)
@@ -103,18 +97,10 @@ def xi_factor_from(
         )
     x_l = noise.inv_cdf(eps_l)
     x_u = noise.inv_cdf(eps_u)
+    d0, p0, gamma = s.d0, s.p0, s.gamma
     numerator = d0 * p0 ** (1.0 / gamma) * (tau - x_u) ** (-(gamma + 1.0) / gamma)
     inf_f = noise.density_extremum(x_l, x_u, "inf")
     return numerator / inf_f
-
-
-def xi_factor(s: ScenarioConfig, j: int, params: ExponentParams | None = None) -> float:
-    """Conversion factor Xi_j for sensor j under the given bracket weights."""
-    sensor = s.sensor(j)
-    eps_l, eps_u = epsilon_bracket(s, j, params)
-    return xi_factor_from(
-        sensor.noise, sensor.threshold, s.p0, s.d0, s.gamma, eps_l, eps_u
-    )
 
 
 def bernoulli_kl(q: float, p: float) -> float:
@@ -133,9 +119,9 @@ def bernoulli_kl(q: float, p: float) -> float:
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
-    if math.isnan(q):
-        raise DomainError("q must be a number, got nan")
     if not (0.0 <= q <= 1.0):
+        if q != q:  # nan; math.isnan would overflow on an int past the float range
+            raise DomainError("q must be a number, got nan")
         return INF
     gap = q - p
     return p * _phi(gap / p) + (1.0 - p) * _phi(-gap / (1.0 - p))
@@ -330,10 +316,7 @@ def composite_exponents(
         j = sensor.id
         p = prob_zero(s, j, s.target)
         eps_l, eps_u = epsilon_bracket(s, j, params)
-        xi = xi_factor_from(
-            sensor.noise, sensor.threshold, s.p0, s.d0, s.gamma, eps_l, eps_u
-        )
-        t = delta / (2.0 * xi)
+        t = delta / (2.0 * xi_factor(s, j, params))
         plain[j] = _sensor_rates(p, t, eps_l, eps_u)
         if not sensor.secure:
             tp = post_attack_prob(assignment.spec_for(j), p, noise=sensor.noise)

@@ -23,7 +23,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DomainError, InvalidScenario, VariantMismatch
-from .noise import GaussianNoise
+from .measurement import quantize
+from .noise import GaussianNoise, is_finite
 from .rng import Entropy, make_generator
 from .scenario import ScenarioConfig, SensorSpec, rho_bounds
 
@@ -76,7 +77,7 @@ class AttackSpec:
 
         ``seed`` keys the sensor's attack stream, for variants that draw.
         """
-        return (samples > sensor.threshold).view(np.uint8)
+        return quantize(s, sensor.id, samples)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class PsiOffset(AttackSpec):
     variant: str = field(default="psi_offset", init=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.offset):
+        if not is_finite(self.offset):
             raise DomainError(f"offset must be finite, got {self.offset}")
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
@@ -161,7 +162,7 @@ class SpoofBias(AttackSpec):
     variant: str = field(default="spoof_bias", init=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.bias):
+        if not is_finite(self.bias):
             raise DomainError(f"bias must be finite, got {self.bias}")
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
@@ -258,10 +259,6 @@ class AttackAssignment:
 
     def attacked_ids(self) -> tuple[int, ...]:
         return tuple(sorted(j for j, sp in self.specs.items() if sp.is_attack))
-
-    def unattacked_ids(self, s: ScenarioConfig) -> tuple[int, ...]:
-        attacked = set(self.attacked_ids())
-        return tuple(j for j in s.unsecure_ids() if j not in attacked)
 
     def __iter__(self) -> Iterator[tuple[int, AttackSpec]]:
         return iter(sorted(self.specs.items()))

@@ -6,10 +6,12 @@ secure sensors' rings of half-width delta, restricted to the ROI side of
 the secure line.  An attack that moves D_hat_j by more than the combined
 slack pulls the circle clear of that region, flipping the decision to 1.
 
-The module also carries the distortion floor lambda_j and the admissible
-range of delta for which the floor provably exceeds the geometric slack.
-Practical runs routinely use larger delta; exceeding the admissible value
-therefore only triggers an advisory warning.
+The module also carries the distortion floor (``lambda_j`` for one sensor,
+``lambda_min`` over all unsecure ones, both from the one formula in
+``_floors``) and the admissible delta (``delta_admissible``), below which
+the floor provably exceeds the geometric slack.  Practical runs routinely
+use larger delta; exceeding the admissible value therefore only triggers
+an advisory warning.
 
 A ``DetectionReport`` is columnar: tuples ``ids``, ``flags`` (1 = attacked),
 ``d_hat`` and ``clamped`` in ``s.unsecure()`` order, so reports compare by
@@ -41,7 +43,7 @@ from .measurement import (
     nmle_distance,
     nmle_distances,
 )
-from .noise import GaussianNoise, density_sup, is_finite, ndtri
+from .noise import density_sup, is_finite, ndtri
 from .scenario import ScenarioConfig, rho_bounds, roi_side, unsecure_rho_bounds
 
 __all__ = [
@@ -51,11 +53,9 @@ __all__ = [
     "DetectionReport",
     "detect_all",
     "detect_from_probabilities",
-    "lambda_from",
     "lambda_j",
     "lambda_min",
     "delta_admissible",
-    "delta_admissible_from",
 ]
 
 DEFAULT_M = 200_000
@@ -239,7 +239,10 @@ def detect_from_probabilities(
 
 
 def _floors(tau, location, scale, p0, d0, gamma, kappa, rho_l, rho_u) -> list[float]:
-    """``lambda_from`` of every sensor whose constants the arrays hold.
+    """The distortion floor of every sensor whose constants the arrays hold:
+
+    lambda = kappa * d0 * p0^(1/gamma) * (tau - F^{-1}(rho_l))^(-(gamma+1)/gamma)
+             / sup f over [F^{-1}(rho_l), F^{-1}(rho_u)].
 
     Each sensor has its own noise law (location and scale may be scalars).
     One ``ndtri`` per bracket end and one ``density_sup`` cover all
@@ -264,33 +267,15 @@ def _floors(tau, location, scale, p0, d0, gamma, kappa, rho_l, rho_u) -> list[fl
     ]
 
 
-def lambda_from(
-    noise: GaussianNoise,
-    tau: float,
-    p0: float,
-    d0: float,
-    gamma: float,
-    kappa: float,
-    rho_l: float,
-    rho_u: float,
-) -> float:
-    """Distortion floor from explicit constants.
-
-    lambda = kappa * d0 * p0^(1/gamma) * (tau - F^{-1}(rho_l))^(-(gamma+1)/gamma)
-             / sup f over [F^{-1}(rho_l), F^{-1}(rho_u)].
-    """
-    return _floors(
-        tau, noise.location, noise.scale, p0, d0, gamma, kappa, [rho_l], [rho_u]
-    )[0]
-
-
 def lambda_j(s: ScenarioConfig, j: int) -> float:
     """Guaranteed minimum shift of D_hat_j under an attack with |Psi| > s.kappa."""
     sensor = s.sensor(j)
     rho_l, rho_u = rho_bounds(s, j)
-    return lambda_from(
-        sensor.noise, sensor.threshold, s.p0, s.d0, s.gamma, s.kappa, rho_l, rho_u
-    )
+    noise = sensor.noise
+    return _floors(
+        sensor.threshold, noise.location, noise.scale,
+        s.p0, s.d0, s.gamma, s.kappa, [rho_l], [rho_u],
+    )[0]
 
 
 def _unsecure_floors(s: ScenarioConfig) -> list[float]:
@@ -307,10 +292,16 @@ def lambda_min(s: ScenarioConfig) -> float:
     return min(_unsecure_floors(s))
 
 
-def delta_admissible_from(
-    d_upper: float, d_secure: float, upsilon: float, lam: float
-) -> float:
-    """Supremum of provably safe delta from explicit geometry constants."""
+@lru_cache(maxsize=64)
+def delta_admissible(s: ScenarioConfig) -> float:
+    """Supremum of delta values for which detection is provably correct.
+
+    min(upsilon, (lambda_min / B)^2), with B set by the distance bound
+    d_upper and the anchor separation d_secure.
+    """
+    bounds = s.distance_bounds()
+    lam = lambda_min(s)
+    d_upper, d_secure, upsilon = bounds.d_upper, bounds.d_secure, s.upsilon
     bracket = math.sqrt(2.0 * d_upper + upsilon) * math.sqrt(
         (6.0 * d_upper + 3.0 * upsilon)
         / (2.0 * d_secure)
@@ -318,14 +309,6 @@ def delta_admissible_from(
         + 3.0
     ) + 0.5 * math.sqrt(upsilon)
     return min(upsilon, (lam / bracket) ** 2)
-
-
-@lru_cache(maxsize=64)
-def delta_admissible(s: ScenarioConfig) -> float:
-    """Supremum of delta values for which detection is provably correct."""
-    bounds = s.distance_bounds()
-    lam = lambda_min(s)
-    return delta_admissible_from(bounds.d_upper, bounds.d_secure, s.upsilon, lam)
 
 
 def _warn_if_inadmissible(s: ScenarioConfig, delta: float) -> None:

@@ -6,7 +6,6 @@ __all__ = [
     "QuantLocError",
     "DomainError",
     "InvalidScenario",
-    "EmptyData",
     "NoIntersection",
     "ParseError",
     "VariantMismatch",
@@ -27,10 +26,6 @@ class DomainError(QuantLocError, ValueError):
 
 class InvalidScenario(QuantLocError, ValueError):
     """The world description violates a structural requirement."""
-
-
-class EmptyData(QuantLocError, ValueError):
-    """An operation received an empty sequence where data is required."""
 
 
 class VariantMismatch(QuantLocError, TypeError):

@@ -1,11 +1,11 @@
 """Observation pipeline: signals, one-bit quantization, distance estimation.
 
 The received sample at sensor j is s_jk = p0 (d0 / D_j)^gamma + n_jk with
-Gaussian noise n_jk; the sensor forwards u_jk = 1{s_jk > tau_j} (open at
-tau_j).  The zero-bit probability is therefore F_j(tau_j - power), given by
+Gaussian noise n_jk; the sensor forwards u_jk = 1{s_jk > tau_j}, open at
+tau_j (``quantize``).  The zero-bit probability is F_j(tau_j - power),
 ``SensorSpec.zero_prob``, and tends to F_j(tau_j) as the target recedes.
-From the zero-bit fraction xi the fusion center inverts that map to get the
-naive maximum-likelihood distance estimate
+From the zero-bit fraction xi (``QuantizedDataset.freq``) the fusion
+center inverts that map to the naive maximum-likelihood distance estimate
 
     D_hat = d0 * p0^(1/gamma) * (tau_j - F_j^{-1}(xi))^(-1/gamma),
 
@@ -17,15 +17,14 @@ estimator over every unsecure sensor at once.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EmptyData
-from .noise import ndtri
+from .errors import DomainError
+from .noise import is_finite, ndtri
 from .rng import NOISE_STREAM, Entropy, make_generator
 from .scenario import Point, ScenarioConfig, SensorSpec
 
@@ -36,7 +35,6 @@ __all__ = [
     "sample_signal",
     "quantize",
     "prob_zero",
-    "empirical_freq",
     "nmle_distance",
     "nmle_distances",
     "attacked_distance",
@@ -157,7 +155,7 @@ def quantize(s: ScenarioConfig, j: int, samples: np.ndarray) -> np.ndarray:
     to 0.
     """
     tau = s.sensor(j).threshold
-    return (np.asarray(samples) > tau).astype(np.uint8)
+    return (np.asarray(samples) > tau).view(np.uint8)
 
 
 def prob_zero(s: ScenarioConfig, j: int, target: Point) -> float:
@@ -169,14 +167,6 @@ def prob_zero(s: ScenarioConfig, j: int, target: Point) -> float:
             stacklevel=2,
         )
     return s.sensor(j).zero_prob(s.signal_mean(j, target))
-
-
-def empirical_freq(bits: np.ndarray) -> EmpiricalFreq:
-    """Fraction of zero bits in a record, counted as ``QuantizedDataset.freq`` does."""
-    arr = np.asarray(bits)
-    if arr.size == 0:
-        raise EmptyData("cannot form an empirical frequency from zero bits")
-    return EmpiricalFreq(zeros=arr.size - int(np.count_nonzero(arr)), k_samples=arr.size)
 
 
 @dataclass(frozen=True)
@@ -238,8 +228,10 @@ def nmle_distance(
     """
     if isinstance(xi, EmpiricalFreq):
         value, xi_min = xi.xi, 1.0 / (2.0 * xi.k_samples)
-    else:
+    elif is_finite(xi):
         value, xi_min = float(xi), 1e-12
+    else:
+        raise DomainError(f"xi must be a finite frequency, got {xi}")
     sensor = s.sensor(j)
     used, clamped = _clamp(value, xi_min, sensor.zero_prob())
     used = float(used)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["GaussianNoise", "standard_gaussian", "ndtr", "ndtri", "density_sup"]
+__all__ = ["GaussianNoise", "ndtr", "ndtri", "density_sup"]
 
 # Cephes ndtri.c.  P0/Q0: exp(-2) < y <= 1 - exp(-2), in y - 1/2.  P1/Q1 and
 # P2/Q2: the tails, in 1/x with x = sqrt(-2 ln y), below 8 and from 8.
@@ -320,17 +320,14 @@ class GaussianNoise:
             raise DomainError(f"quantile argument must lie in (0, 1), got {q}")
         return z * self.scale + self.location
 
-    def mode(self) -> float:
-        """Location of the density maximum."""
-        return self.location
-
     def density_extremum(self, lo: float, hi: float, mode: str) -> float:
         """Exact sup or inf of the density over [lo, hi].
 
-        The supremum sits at the mode if the interval contains it, else at
-        the endpoint nearest the mode; the infimum is always at an endpoint.
-        ``density_sup`` is the supremum over arrays of intervals; this scalar
-        form is its reference, and the cheaper for one interval.
+        The supremum sits at the mode (the location) if the interval
+        contains it, else at the endpoint nearest the mode; the infimum is
+        always at an endpoint.  ``density_sup`` is the supremum over arrays
+        of intervals; this scalar form is its reference, and the cheaper for
+        one interval.
 
         mode: "sup" or "inf".
         """
@@ -343,14 +340,9 @@ class GaussianNoise:
                 f"interval [{lo}, {hi}] leaves the positive-density region"
             )
         if mode == "sup":
-            m = self.mode()
-            if lo <= m <= hi:
-                return self.density(m)
+            if lo <= self.location <= hi:
+                return self.density(self.location)
             return max(f_lo, f_hi)
         if mode == "inf":
             return min(f_lo, f_hi)
         raise DomainError(f"mode must be 'sup' or 'inf', got {mode!r}")
-
-
-def standard_gaussian() -> GaussianNoise:
-    return GaussianNoise(0.0, 1.0)

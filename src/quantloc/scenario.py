@@ -51,9 +51,6 @@ class Point:
             name = "y" if is_finite(self.x) else "x"
             raise DomainError(f"point {name} must be finite, got {getattr(self, name)}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""

@@ -23,6 +23,7 @@ from quantloc import (
     RoiDisc,
     ScenarioConfig,
     SensorSpec,
+    build_paper_setup,
     distance,
     validate_assumptions,
 )
@@ -148,3 +149,12 @@ def make_toy_scenario() -> ScenarioConfig:
 @pytest.fixture
 def toy_scenario() -> ScenarioConfig:
     return make_toy_scenario()
+
+
+@pytest.fixture
+def ref_scenario() -> ScenarioConfig:
+    """tau = 1, N(0, 1) noise, p0 = 1, d0 = 1e5, gamma = 2, kappa = 0.005 and
+    upsilon = 1: the constants the frozen floor, Xi and admissible-delta
+    references are computed for."""
+    s, _ = build_paper_setup(scale=0.004)
+    return s

@@ -25,6 +25,7 @@ from quantloc import (
     ExperimentPlan,
     HalfSpace,
     Point,
+    QuantizedDataset,
     Ring,
     ScenarioConfig,
     bernoulli_kl,
@@ -37,7 +38,6 @@ from quantloc import (
     containment_oracle,
     delta_admissible,
     detect_from_probabilities,
-    empirical_freq,
     estimate_error_probs,
     no_attacks,
     nmle_distance,
@@ -272,7 +272,8 @@ def test_criterion_05_estimator_consistency():
     for trial in range(200):
         signal = sample_signal(s, 1, k, seed=(20260805, trial))
         bits = quantize(s, 1, signal)
-        estimate = nmle_distance(s, 1, empirical_freq(bits))
+        record = QuantizedDataset(bits={1: bits}, k=k, rng_seed=0)
+        estimate = nmle_distance(s, 1, record.freq(1))
         hits += abs(float(estimate) - true_d) / true_d < 0.005
     elapsed = time.perf_counter() - t0
     assert hits >= 198

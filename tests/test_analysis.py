@@ -1,10 +1,12 @@
 """Rate functions, conversion factors, composite error exponents."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import pytest
 
+import quantloc.analysis as analysis_module
 from quantloc import (
     DetectorConfig,
     DomainError,
@@ -20,9 +22,7 @@ from quantloc import (
     post_attack_prob,
     prob_zero,
     rho_bounds,
-    standard_gaussian,
     xi_factor,
-    xi_factor_from,
 )
 from quantloc.analysis import _sensor_rates
 
@@ -172,38 +172,28 @@ def test_epsilon_bracket_interpolates(toy_scenario):
     assert tight[1] < eps_u
 
 
-def test_xi_factor_frozen_value():
-    xi = xi_factor_from(
-        standard_gaussian(),
-        tau=1.0,
-        p0=1.0,
-        d0=1e5,
-        gamma=2.0,
-        eps_l=PHI_M1,
-        eps_u=0.5,
+def _bracket_at(monkeypatch, eps_l, eps_u):
+    monkeypatch.setattr(
+        analysis_module, "epsilon_bracket", lambda s, j, params=None: (eps_l, eps_u)
     )
-    assert xi == pytest.approx(XI_REF, rel=1e-14)
-    doubled = xi_factor_from(
-        standard_gaussian(), 1.0, 1.0, 2e5, 2.0, PHI_M1, 0.5
-    )
+
+
+def test_xi_factor_frozen_value(ref_scenario, monkeypatch):
+    s = ref_scenario
+    _bracket_at(monkeypatch, PHI_M1, 0.5)
+    assert xi_factor(s, 1) == pytest.approx(XI_REF, rel=1e-14)
+    doubled = xi_factor(replace(s, d0=2e5), 1)
     assert doubled == pytest.approx(2.0 * XI_REF, rel=1e-14)
 
 
-def test_xi_factor_domain_checks():
-    g = standard_gaussian()
-    with pytest.raises(DomainError):
-        xi_factor_from(g, 1.0, 1.0, 1e5, 2.0, 0.5, PHI_M1)
+def test_xi_factor_domain_checks(ref_scenario, monkeypatch):
+    _bracket_at(monkeypatch, 0.5, PHI_M1)
+    with pytest.raises(DomainError, match="need 0 < eps_l < eps_u < 1"):
+        xi_factor(ref_scenario, 1)
     # Phi(1) ~ 0.8413: the bracket may not reach the threshold probability
-    with pytest.raises(DomainError):
-        xi_factor_from(g, 1.0, 1.0, 1e5, 2.0, 0.1, 0.9)
-
-
-def test_xi_factor_coheres_with_bracket(toy_scenario):
-    eps_l, eps_u = epsilon_bracket(toy_scenario, 1)
-    expected = xi_factor_from(
-        standard_gaussian(), 1.0, 1.0, 100.0, 2.0, eps_l, eps_u
-    )
-    assert xi_factor(toy_scenario, 1) == pytest.approx(expected, rel=1e-15)
+    _bracket_at(monkeypatch, 0.1, 0.9)
+    with pytest.raises(DomainError, match="must stay below F"):
+        xi_factor(ref_scenario, 1)
 
 
 def test_composite_exponents_clean(toy_scenario):

@@ -9,6 +9,7 @@ import pytest
 from quantloc import (
     AttackAssignment,
     DomainError,
+    GaussianNoise,
     InvalidScenario,
     Mima,
     NoAttack,
@@ -16,13 +17,14 @@ from quantloc import (
     SpoofBias,
     VariantMismatch,
     apply_attack,
+    bernoulli_kl,
     build_paper_setup,
     check_significant,
     check_subtle,
+    nmle_distance,
     no_attacks,
     post_attack_prob,
     psi_of,
-    standard_gaussian,
 )
 from quantloc.rng import make_generator
 
@@ -83,7 +85,7 @@ def test_impossible_offset_is_neither_psi_nor_significant():
 
 
 def test_spoof_bias_probability_chain():
-    noise = standard_gaussian()
+    noise = GaussianNoise()
     tp = post_attack_prob(SpoofBias(1.5), PHI_05, noise=noise)
     assert tp == pytest.approx(PHI_M1, abs=1e-14)
     assert psi_of(SpoofBias(1.5), PHI_05, noise=noise) == pytest.approx(
@@ -237,7 +239,6 @@ def test_attack_assignment(toy_scenario):
         specs={2: Mima(0.0, 0.1), 1: NoAttack()}
     )
     assert assignment.attacked_ids() == (2,)
-    assert assignment.unattacked_ids(toy_scenario) == (1,)
     assert [j for j, _ in assignment] == [1, 2]
     assert assignment.spec_for(7) == NoAttack()
     assignment.validate_against(toy_scenario)
@@ -248,3 +249,25 @@ def test_attack_assignment(toy_scenario):
     # marking a secure sensor as explicitly unattacked is allowed
     AttackAssignment(specs={3: NoAttack()}).validate_against(toy_scenario)
     assert no_attacks().attacked_ids() == ()
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["+", "-"])
+@pytest.mark.parametrize(
+    ("call", "field"),
+    [
+        (lambda s, big: PsiOffset(big), "offset"),
+        (lambda s, big: SpoofBias(big), "bias"),
+        (lambda s, big: nmle_distance(s, 1, big), "xi"),
+        (lambda s, big: bernoulli_kl(big, 0.5), None),
+    ],
+    ids=["PsiOffset", "SpoofBias", "nmle_distance", "bernoulli_kl"],
+)
+def test_an_integer_past_the_float_range_is_caught(toy_scenario, call, field, huge):
+    """Ints past the float range raise the package's error naming the field
+    (numpy's isfinite and float() would raise TypeError and OverflowError);
+    a Bernoulli frequency outside [0, 1] has infinite rate."""
+    if field is None:
+        assert call(toy_scenario, huge) == math.inf
+    else:
+        with pytest.raises(DomainError, match=rf"^{field} must be .*finite"):
+            call(toy_scenario, huge)

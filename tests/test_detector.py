@@ -7,26 +7,26 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+import quantloc.detector as detector_module
 from quantloc import (
     AdvisoryWarning,
     AttackAssignment,
     DetectorConfig,
+    DistanceBounds,
     DomainError,
     Mima,
     MissingSensorData,
     QuantizedDataset,
+    ScenarioConfig,
     SensorDecision,
     attacked_distance,
-    compute_distance_bounds,
     delta_admissible,
-    delta_admissible_from,
     detect_all,
     detect_from_probabilities,
     distance,
     generate_dataset,
     load_dataset,
     load_scenario,
-    lambda_from,
     lambda_j,
     lambda_min,
     no_attacks,
@@ -34,7 +34,6 @@ from quantloc import (
     rho_bounds,
     save_dataset,
     save_scenario,
-    standard_gaussian,
 )
 
 from conftest import random_scenario
@@ -166,26 +165,13 @@ def test_advisory_warning_above_admissible_delta(toy_scenario):
         detect_all(s, DetectorConfig(delta=limit * 1.25), data)
 
 
-def test_lambda_from_frozen_value():
-    lam = lambda_from(
-        standard_gaussian(),
-        tau=1.0,
-        p0=1.0,
-        d0=1e5,
-        gamma=2.0,
-        kappa=0.005,
-        rho_l=PHI_M1,
-        rho_u=0.5,
-    )
-    assert lam == pytest.approx(LAMBDA_REF, rel=1e-14)
-    with pytest.raises(DomainError):
-        lambda_from(
-            standard_gaussian(), 1.0, 1.0, 1e5, 2.0, 0.0, PHI_M1, 0.5
-        )
-    with pytest.raises(DomainError):
-        lambda_from(
-            standard_gaussian(), 1.0, 1.0, 1e5, 2.0, 0.005, 0.5, PHI_M1
-        )
+def test_lambda_j_frozen_value(ref_scenario, monkeypatch):
+    s = ref_scenario
+    monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: (PHI_M1, 0.5))
+    assert lambda_j(s, 1) == pytest.approx(LAMBDA_REF, rel=1e-14)
+    monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: (0.5, PHI_M1))
+    with pytest.raises(DomainError, match="need 0 < rho_l < rho_u < 1"):
+        lambda_j(s, 1)
 
 
 def test_lambda_j_scales_with_kappa(toy_scenario):
@@ -195,22 +181,30 @@ def test_lambda_j_scales_with_kappa(toy_scenario):
     assert lambda_min(s) == pytest.approx(min(lambda_j(s, 1), lambda_j(s, 2)))
 
 
-def test_delta_admissible_from_frozen_value():
-    assert delta_admissible_from(3.0, 10.0, 1.0, 5.0) == pytest.approx(
-        DELTA_ADM_REF, rel=1e-14
-    )
-    # a huge floor saturates at upsilon
-    assert delta_admissible_from(3.0, 10.0, 1.0, 1e9) == 1.0
+def test_delta_admissible_frozen_value(ref_scenario, monkeypatch):
+    """d_upper = 3, d_secure = 10, upsilon = 1 and lambda_min = 5."""
+    s = ref_scenario
+    assert s.upsilon == 1.0
+    bounds = DistanceBounds(d_lower=1.0, d_upper=3.0, d_secure=10.0)
+    monkeypatch.setattr(ScenarioConfig, "distance_bounds", lambda self: bounds)
+    monkeypatch.setattr(detector_module, "lambda_min", lambda s: 5.0)
+    delta_admissible.cache_clear()
+    try:
+        assert delta_admissible(s) == pytest.approx(DELTA_ADM_REF, rel=1e-14)
+        # a huge floor saturates at upsilon
+        monkeypatch.setattr(detector_module, "lambda_min", lambda s: 1e9)
+        delta_admissible.cache_clear()
+        assert delta_admissible(s) == 1.0
+    finally:
+        delta_admissible.cache_clear()  # no patched value may outlive the test
 
 
 def test_delta_admissible_tracks_kappa(toy_scenario):
+    # the floor is linear in kappa, so below the upsilon cap the limit is
+    # quadratic in it
     s = toy_scenario
     small = delta_admissible(replace(s, kappa=0.05))
-    bounds = compute_distance_bounds(s)
-    expected = delta_admissible_from(
-        bounds.d_upper, bounds.d_secure, s.upsilon, lambda_min(replace(s, kappa=0.05))
-    )
-    assert small == pytest.approx(expected)
+    assert small == pytest.approx(4.0 * delta_admissible(replace(s, kappa=0.025)))
     assert small < delta_admissible(s)
 
 

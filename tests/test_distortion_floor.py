@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from scipy.stats import norm
 
+import quantloc.detector as detector_module
 import quantloc.scenario as scenario_module
 from quantloc import (
     DomainError,
@@ -17,11 +18,9 @@ from quantloc import (
     build_paper_setup,
     compute_distance_bounds,
     delta_admissible,
-    lambda_from,
     lambda_j,
     lambda_min,
     rho_bounds,
-    standard_gaussian,
     unsecure_rho_bounds,
 )
 from quantloc.detector import _unsecure_floors
@@ -132,20 +131,22 @@ def test_rho_ordering_names_the_first_failing_sensor():
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
-def test_nonpositive_kappa_raises(toy_scenario, kappa):
+def test_nonpositive_kappa_raises(toy_scenario, kappa, monkeypatch):
     # the scenario is the one source of kappa, and it checks it
     s = toy_scenario
     with pytest.raises(InvalidScenario, match="kappa must be positive"):
         replace(s, kappa=kappa)
-    sensor = s.sensor(1)
-    rho_l, rho_u = rho_bounds(s, 1)
-    with pytest.raises(DomainError, match="kappa must be positive"):
-        lambda_from(sensor.noise, sensor.threshold, s.p0, s.d0, s.gamma, kappa, rho_l, rho_u)
+    # the floor keeps its own check, reached by writing past the frozen field
+    monkeypatch.setitem(vars(s), "kappa", kappa)
+    for call in (lambda: lambda_j(s, 1), lambda: lambda_min(s)):
+        with pytest.raises(DomainError, match="kappa must be positive"):
+            call()
 
 
-def test_an_unordered_bracket_raises():
+def test_an_unordered_bracket_raises(toy_scenario, monkeypatch):
+    monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: (0.5, 0.5))
     with pytest.raises(DomainError, match=r"need 0 < rho_l < rho_u < 1, got 0\.5, 0\.5"):
-        lambda_from(standard_gaussian(), 1.0, 1.0, 1e5, 2.0, 0.005, 0.5, 0.5)
+        lambda_j(toy_scenario, 1)
 
 
 def test_one_cold_delta_admissible_computes_the_distance_bounds_once(monkeypatch):

@@ -16,6 +16,7 @@ from quantloc import (
     AttackAssignment,
     DetectorConfig,
     DomainError,
+    EmpiricalFreq,
     GaussianNoise,
     Mima,
     NoAttack,
@@ -26,7 +27,6 @@ from quantloc import (
     QuantizedDataset,
     build_paper_setup,
     detect_all,
-    empirical_freq,
     generate_dataset,
     load_dataset,
     load_scenario,
@@ -553,7 +553,7 @@ def test_dataset_round_trip(tmp_path):
         loaded = load_dataset(path)
         counts = [k - int(np.count_nonzero(bits[j])) for j in (3, 1, 2)]
         assert loaded.zero_counts([3, 1, 2]).tolist() == counts
-        assert [loaded.freq(j) for j in (3, 1, 2)] == [empirical_freq(bits[j]) for j in (3, 1, 2)]
+        assert [loaded.freq(j) for j in (3, 1, 2)] == [EmpiricalFreq(c, k) for c in counts]
         assert 2 in loaded.bits and 4 not in loaded.bits and len(loaded.bits) == 3
         for j in bits:
             assert loaded.bits[j].dtype == np.uint8 and loaded.bits[j].shape == (k,)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from quantloc import (
     DomainError,
     EmpiricalFreq,
-    EmptyData,
     GaussianNoise,
     Point,
     QuantizedDataset,
@@ -20,7 +19,6 @@ from quantloc import (
     build_paper_setup,
     compute_distance_bounds,
     distance,
-    empirical_freq,
     nmle_distance,
     prob_zero,
     quantize,
@@ -32,10 +30,9 @@ from quantloc.rng import NOISE_STREAM, make_generator
 PHI_096 = 0.831472392533162187257
 
 
-@pytest.fixture(scope="module")
-def ref_scenario():
-    s, _ = build_paper_setup(scale=0.004)
-    return s
+def _freq(bits: np.ndarray) -> EmpiricalFreq:
+    """A bare record's zero frequency, through ``QuantizedDataset.freq``."""
+    return QuantizedDataset(bits={0: bits}, k=bits.size, rng_seed=0).freq(0)
 
 
 def test_empirical_freq_record():
@@ -47,13 +44,8 @@ def test_empirical_freq_record():
         EmpiricalFreq(zeros=-1, k_samples=8)
     with pytest.raises(DomainError):
         EmpiricalFreq(zeros=0, k_samples=0)
-
-
-def test_empirical_freq_from_bits():
-    f = empirical_freq(np.array([0, 1, 1, 0, 0], dtype=np.uint8))
-    assert (f.zeros, f.k_samples) == (3, 5)
-    with pytest.raises(EmptyData):
-        empirical_freq(np.array([], dtype=np.uint8))
+    with pytest.raises(DomainError):  # an empty record has no frequency
+        _freq(np.array([], dtype=np.uint8))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
@@ -64,7 +56,7 @@ def test_empirical_freq_counts_zeros_like_the_dataset(dtype):
     for sid, arr in records.items():
         data = QuantizedDataset(bits={sid: arr}, k=arr.size, rng_seed=0)
         expected = EmpiricalFreq(zeros=int((arr == 0).sum()), k_samples=arr.size)
-        assert empirical_freq(arr) == data.freq(sid) == expected, sid
+        assert data.freq(sid) == expected, sid
 
 
 def test_quantized_dataset_shape_check():
@@ -80,7 +72,8 @@ def test_quantized_dataset_shape_check():
 def test_quantizer_is_strict_at_threshold(toy_scenario):
     tau = toy_scenario.sensor(1).threshold
     samples = np.array([tau - 1e-9, tau, tau + 1e-9])
-    assert quantize(toy_scenario, 1, samples).tolist() == [0, 0, 1]
+    bits = quantize(toy_scenario, 1, samples)
+    assert bits.dtype == np.uint8 and bits.tolist() == [0, 0, 1]
 
 
 def test_sample_signal_reproducible_and_prefix_stable(toy_scenario):
@@ -140,7 +133,7 @@ def test_prob_zero_value_and_roi_warning(toy_scenario):
 def test_empirical_frequency_lands_in_probability_bracket(ref_scenario):
     rho_l, rho_u = rho_bounds(ref_scenario, 1)
     bits = quantize(ref_scenario, 1, sample_signal(ref_scenario, 1, 100_000, seed=11))
-    assert rho_l < empirical_freq(bits).xi < rho_u
+    assert rho_l < _freq(bits).xi < rho_u
 
 
 def test_nmle_known_quantiles(ref_scenario):
@@ -168,7 +161,7 @@ def test_nmle_consistency_against_true_distance(ref_scenario):
     bits = quantize(
         ref_scenario, 1, sample_signal(ref_scenario, 1, 1_000_000, seed=5)
     )
-    est = nmle_distance(ref_scenario, 1, empirical_freq(bits))
+    est = nmle_distance(ref_scenario, 1, _freq(bits))
     assert abs(float(est) - d_true) / d_true < 0.005
 
 

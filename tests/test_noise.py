@@ -1,6 +1,7 @@
 """Noise model: frozen quantile values, interval extrema, validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+import quantloc.analysis as analysis_module
+import quantloc.detector as detector_module
 from quantloc import (
     DomainError,
     GaussianNoise,
     SpoofBias,
     density_sup,
-    lambda_from,
-    standard_gaussian,
-    xi_factor_from,
+    lambda_j,
+    xi_factor,
 )
 
 # Reference values computed with 30-digit arithmetic (mpmath), frozen here.
@@ -30,7 +32,7 @@ PDF_M1 = 0.241970724519143349797
 
 
 def test_cdf_matches_frozen_values():
-    g = standard_gaussian()
+    g = GaussianNoise()
     assert g.cdf(-3.0) == pytest.approx(PHI_M3, abs=1e-15)
     assert g.cdf(-1.0) == pytest.approx(PHI_M1, abs=1e-15)
     assert g.cdf(0.5) == pytest.approx(PHI_05, abs=1e-15)
@@ -41,14 +43,14 @@ def test_cdf_matches_frozen_values():
 
 
 def test_density_matches_frozen_values():
-    g = standard_gaussian()
+    g = GaussianNoise()
     assert g.density(0.0) == pytest.approx(PDF_0, abs=1e-15)
     assert g.density(-1.0) == pytest.approx(PDF_M1, abs=1e-15)
     assert g.density(1.0) == pytest.approx(PDF_M1, abs=1e-15)
 
 
 def test_inv_cdf_matches_frozen_values():
-    g = standard_gaussian()
+    g = GaussianNoise()
     assert g.inv_cdf(PHI_M1) == pytest.approx(-1.0, abs=1e-12)
     assert g.inv_cdf(PHI_096) == pytest.approx(0.96, abs=1e-12)
     assert g.inv_cdf(0.5) == pytest.approx(0.0, abs=1e-12)
@@ -56,17 +58,16 @@ def test_inv_cdf_matches_frozen_values():
 
 def test_location_scale_reduce_to_standardized_argument():
     g = GaussianNoise(location=2.5, scale=3.0)
-    s = standard_gaussian()
+    s = GaussianNoise()
     for x in (-4.0, 0.0, 2.5, 7.3):
         assert g.cdf(x) == pytest.approx(s.cdf((x - 2.5) / 3.0), abs=1e-15)
         assert g.density(x) == pytest.approx(
             s.density((x - 2.5) / 3.0) / 3.0, abs=1e-15
         )
-    assert g.mode() == 2.5
 
 
 def test_cdf_and_density_vectorize():
-    g = standard_gaussian()
+    g = GaussianNoise()
     x = np.array([-1.0, 0.0, 1.0])
     c = g.cdf(x)
     assert isinstance(c, np.ndarray) and c.shape == (3,)
@@ -92,19 +93,19 @@ def test_inv_cdf_round_trip(x, loc, scale):
 @given(a=st.floats(-8.0, 8.0), b=st.floats(-8.0, 8.0))
 @settings(max_examples=200, deadline=None)
 def test_cdf_is_monotone(a, b):
-    g = standard_gaussian()
+    g = GaussianNoise()
     lo, hi = min(a, b), max(a, b)
     assert g.cdf(lo) <= g.cdf(hi)
 
 
 def test_density_extremum_sup_at_mode_when_interval_covers_it():
-    g = standard_gaussian()
+    g = GaussianNoise()
     assert g.density_extremum(-1.0, 2.0, "sup") == pytest.approx(PDF_0, abs=1e-15)
     assert g.density_extremum(0.0, 0.0, "sup") == pytest.approx(PDF_0, abs=1e-15)
 
 
 def test_density_extremum_sup_at_nearest_endpoint_otherwise():
-    g = standard_gaussian()
+    g = GaussianNoise()
     assert g.density_extremum(0.5, 2.0, "sup") == pytest.approx(
         g.density(0.5), abs=1e-15
     )
@@ -114,7 +115,7 @@ def test_density_extremum_sup_at_nearest_endpoint_otherwise():
 
 
 def test_density_extremum_inf_is_endpoint_minimum():
-    g = standard_gaussian()
+    g = GaussianNoise()
     assert g.density_extremum(-1.0, 2.0, "inf") == pytest.approx(
         g.density(2.0), abs=1e-15
     )
@@ -124,7 +125,7 @@ def test_density_extremum_inf_is_endpoint_minimum():
 
 
 def test_density_extremum_rejects_bad_input():
-    g = standard_gaussian()
+    g = GaussianNoise()
     with pytest.raises(DomainError):
         g.density_extremum(1.0, 0.0, "sup")
     with pytest.raises(DomainError):
@@ -149,8 +150,8 @@ def test_density_sup_over_arrays_follows_the_scalar_rule():
     for i in range(400):
         g = GaussianNoise(float(loc[i]), float(scale[i]))
         f_lo, f_hi = g.density(float(lo[i])), g.density(float(hi[i]))
-        inside = lo[i] <= g.mode() <= hi[i]
-        assert _same_bits(sup[i], g.density(g.mode()) if inside else max(f_lo, f_hi))
+        inside = lo[i] <= g.location <= hi[i]
+        assert _same_bits(sup[i], g.density(g.location) if inside else max(f_lo, f_hi))
         assert _same_bits(sup[i], g.density_extremum(float(lo[i]), float(hi[i]), "sup"))
     # both branches occur
     assert 0 < int(((lo <= loc) & (loc <= hi)).sum()) < 400
@@ -163,16 +164,15 @@ def test_density_sup_errors_name_the_first_bad_interval():
         density_sup([0.0, 40.0, 50.0], [1.0, 41.0, 51.0], 0.0, 1.0)
 
 
-def test_numpy_scalar_constants_are_stored_as_floats():
+def test_numpy_scalar_constants_are_stored_as_floats(ref_scenario):
     g = GaussianNoise(np.float64(0.0), np.float64(1.0))
     assert type(g.location) is float and type(g.scale) is float
-    assert g == standard_gaussian()
-    phi_m1 = g.cdf(-1.0)
-    values = [
-        g.inv_cdf(0.3),
-        lambda_from(g, 1.0, 1.0, 1e5, 2.0, 0.005, phi_m1, 0.5),
-        xi_factor_from(g, 1.0, 1.0, 1e5, 2.0, phi_m1, 0.5),
-    ]
+    assert g == GaussianNoise()
+    s = replace(
+        ref_scenario,
+        sensors=tuple(replace(sensor, noise=g) for sensor in ref_scenario.sensors),
+    )
+    values = [g.inv_cdf(0.3), lambda_j(s, 1), xi_factor(s, 1)]
     assert [type(v) for v in values] == [float] * len(values)
 
 
@@ -204,22 +204,22 @@ def test_scalar_and_array_calls_are_scipy_bit_for_bit():
         assert type(out) is float and _same_bits(out, ndtr((xi - -0.7) / 3.3))
 
 
-def test_scalar_callers_return_python_floats(toy_scenario):
+def test_scalar_callers_return_python_floats(toy_scenario, ref_scenario, monkeypatch):
     """The per-sensor scalar callers of cdf/inv_cdf hand on Python floats,
     also from numpy scalar arguments, without wrapping the results."""
     sensor = toy_scenario.sensor(1)
-    g = standard_gaussian()
-    phi_m1 = g.cdf(-1.0)
+    g = GaussianNoise()
     values = [
         sensor.zero_prob(),
         sensor.zero_prob(np.float64(0.25)),
         SpoofBias(0.5).shift(0.3, g),
         SpoofBias(0.5).shift(np.float64(0.3), g),
-        lambda_from(g, 1.0, 1.0, 1e5, 2.0, 0.005, phi_m1, 0.5),
-        lambda_from(g, 1.0, 1.0, 1e5, 2.0, 0.005, np.float64(phi_m1), np.float64(0.5)),
-        xi_factor_from(g, 1.0, 1.0, 1e5, 2.0, phi_m1, 0.5),
-        xi_factor_from(g, 1.0, 1.0, 1e5, 2.0, np.float64(phi_m1), np.float64(0.5)),
     ]
+    phi_m1 = g.cdf(-1.0)
+    for bracket in ((phi_m1, 0.5), (np.float64(phi_m1), np.float64(0.5))):
+        monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: bracket)
+        monkeypatch.setattr(analysis_module, "epsilon_bracket", lambda s, j, params: bracket)
+        values += [lambda_j(ref_scenario, 1), xi_factor(ref_scenario, 1)]
     assert [type(v) for v in values] == [float] * len(values)
 
 @pytest.mark.parametrize("huge", [2**2000, -(2**2000)])

@@ -1,0 +1,129 @@
+"""The package's public names, pinned: adding or retiring an export is an
+edit here, made on purpose and reviewed."""
+
+import types
+
+import pytest
+
+import quantloc
+
+PUBLIC_NAMES = [
+    "ATTACK_STREAM",
+    "AdvisoryWarning",
+    "AssumptionReport",
+    "AssumptionWarning",
+    "AttackAssignment",
+    "AttackSpec",
+    "DEFAULT_M",
+    "DetectionReport",
+    "DetectorConfig",
+    "DistanceBounds",
+    "DistanceEstimate",
+    "DomainError",
+    "EmpiricalFreq",
+    "ExperimentPlan",
+    "ExponentParams",
+    "GaussianNoise",
+    "HalfSpace",
+    "InvalidScenario",
+    "Metrics",
+    "MetricsRow",
+    "Mima",
+    "MissingSensorData",
+    "NOISE_STREAM",
+    "NoAttack",
+    "NoIntersection",
+    "OracleReport",
+    "ParseError",
+    "Point",
+    "PsiOffset",
+    "QuantLocError",
+    "QuantizedDataset",
+    "RateReport",
+    "Ring",
+    "RoiDisc",
+    "SCHEMA_VERSION",
+    "ScenarioConfig",
+    "SensorArrays",
+    "SensorDecision",
+    "SensorRates",
+    "SensorSpec",
+    "SpoofBias",
+    "TangentDegenerate",
+    "VariantMismatch",
+    "__version__",
+    "apply_attack",
+    "attacked_distance",
+    "bernoulli_kl",
+    "build_paper_setup",
+    "check_significant",
+    "check_subtle",
+    "circle_circle_intersection",
+    "circle_meets_region_analytic",
+    "circle_meets_region_discretized",
+    "composite_exponents",
+    "compute_distance_bounds",
+    "containment_oracle",
+    "delta_admissible",
+    "density_sup",
+    "detect_all",
+    "detect_from_probabilities",
+    "distance",
+    "epsilon_bracket",
+    "estimate_error_probs",
+    "generate_dataset",
+    "lambda_j",
+    "lambda_min",
+    "load_dataset",
+    "load_scenario",
+    "make_generator",
+    "ndtr",
+    "ndtri",
+    "nmle_distance",
+    "nmle_distances",
+    "no_attacks",
+    "parse_scenario",
+    "phi_bound",
+    "post_attack_prob",
+    "prob_zero",
+    "psi_of",
+    "quantize",
+    "render_scenario",
+    "rho_bounds",
+    "roi_side",
+    "sample_signal",
+    "save_dataset",
+    "save_scenario",
+    "sweep_K",
+    "sweep_delta",
+    "unsecure_rho_bounds",
+    "validate_assumptions",
+    "xi_factor",
+]
+
+# Retired exports whose work another name does: lambda_j, delta_admissible
+# and xi_factor take a scenario; GaussianNoise() is the standard normal;
+# QuantizedDataset.freq counts a record's zeros, and EmpiricalFreq raises
+# DomainError for an empty one.
+RETIRED = [
+    "lambda_from",
+    "delta_admissible_from",
+    "xi_factor_from",
+    "standard_gaussian",
+    "empirical_freq",
+    "EmptyData",
+]
+
+
+def test_the_public_names_are_pinned():
+    assert sorted(quantloc.__all__) == PUBLIC_NAMES
+    assert len(set(quantloc.__all__)) == len(quantloc.__all__)
+    for name in PUBLIC_NAMES:
+        assert hasattr(quantloc, name), name
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_a_retired_name_is_gone(name):
+    assert not hasattr(quantloc, name)
+    modules = [m for m in vars(quantloc).values() if isinstance(m, types.ModuleType)]
+    assert modules and not any(hasattr(m, name) for m in modules)
