@@ -9,9 +9,9 @@ else DomainError), so a detection builds no object per sensor.
 circle and tests each against the region, which is the reference
 formulation and accepts any ring clips.  Each ring or clip constraint is
 a sinusoid along the circle, so the walk cuts the circle where one crosses
-a limit and walks, in order, only the runs an exact range bound leaves
-live, testing every point it reaches with the float expressions of an
-unpruned walk: the verdicts are identical, not merely close.
+a limit and walks, in angle order, each run no constraint rules out,
+testing every point it reaches with the float expressions of an unpruned
+walk: the verdicts are identical, not merely close.
 ``circle_meets_region_analytic`` needs both rings clipped by the line
 through their centers, as the detector builds them.  R is then connected,
 so the distances from the circle's center to R fill an interval
@@ -242,38 +242,36 @@ _PAD = 2
 _BLOCK = 1 << 10
 
 
-def _constraint_sinusoids(cx, cy, r0, rings, clips) -> list | None:
-    """Rows (base, amp, phase, lo, hi): constraint k holds where
-    base + amp cos(theta - phase) lies in [lo, hi], its limits widened by the
-    rounding margin.  None when some constraint fails on the whole circle."""
-    rows = []
+def _live_runs(cx, cy, r0, rings, clips, m_points):
+    """Yield [first, end) for each run of points that no constraint rules out,
+    in angle order, bounding a run only when the caller asks for the next.
+
+    Constraint k holds where base + amp cos(theta - phase) lies in [lo, hi],
+    its limits widened by the rounding margin.  When one fails on the whole
+    circle, nothing is yielded and no phase is computed.  A constraint
+    crosses a limit L at theta = phase +- acos((L - base) / amp).  Runs are
+    cut _PAD points either side of each crossing, so a live run is mostly a
+    crossing's run, holding a hit _PAD points in.  A misplaced cut leaves a
+    run live: a longer walk, never another verdict.
+    """
+    rows = []  # (base, amp, lo, hi, y, x), the phase being atan2(y, x)
     for qx, qy, lo_sq, hi_sq in rings:
         dx, dy = cx - qx, cy - qy
         dist = math.hypot(dx, dy)
         tol = _SKIP_SLACK * (abs(cx) + abs(cy) + abs(qx) + abs(qy) + r0) * (dist + r0)
-        rows.append(
-            (dist * dist + r0 * r0, 2.0 * r0 * dist, math.atan2(dy, dx), lo_sq - tol, hi_sq + tol)
-        )
+        base, amp = dist * dist + r0 * r0, 2.0 * r0 * dist
+        if base + amp < lo_sq - tol or base - amp > hi_sq + tol:
+            return
+        rows.append((base, amp, lo_sq - tol, hi_sq + tol, dy, dx))
     for clip in clips:
         ux, uy = clip.b.x - clip.a.x, clip.b.y - clip.a.y
         scale = abs(cx) + abs(cy) + abs(clip.a.x) + abs(clip.a.y) + r0
         tol = _SKIP_SLACK * scale * (abs(ux) + abs(uy))
-        normal = math.atan2(clip.side * ux, -clip.side * uy)
-        rows.append((clip.signed(cx, cy), r0 * math.hypot(ux, uy), normal, -tol, math.inf))
-    if any(base + amp < lo or base - amp > hi for base, amp, _, lo, hi in rows):
-        return None
-    return rows
-
-
-def _live_spans(rows, m_points) -> list[list[int]]:
-    """[first, head, end) per span of touching runs of points that no row rules
-    out, head ending the span's first run or its first _BLOCK points.
-
-    A row crosses a limit L at theta = phase +- acos((L - base) / amp).  Runs
-    are cut _PAD points either side of each crossing, so a span mostly starts
-    with a crossing's run, holding a hit _PAD points in.  A misplaced cut
-    leaves a run live: a longer walk, never another verdict.
-    """
+        base, amp = clip.signed(cx, cy), r0 * math.hypot(ux, uy)
+        if base + amp < -tol:
+            return
+        rows.append((base, amp, -tol, math.inf, clip.side * ux, -clip.side * uy))
+    rows = [(base, amp, math.atan2(y, x), lo, hi) for base, amp, lo, hi, y, x in rows]
     step = _TWO_PI / m_points
     cuts = {0, m_points}
     for base, amp, phase, lo, hi in rows:
@@ -284,21 +282,17 @@ def _live_spans(rows, m_points) -> list[list[int]]:
                     m = int(theta % _TWO_PI / step) + 1  # the first point past it
                     cuts.update(((m - _PAD) % m_points, (m + _PAD) % m_points))
     cuts = sorted(cuts)
-    firsts, lasts = np.array(cuts[:-1]), np.array(cuts[1:]) - 1
-    base, amp, phase, lo, hi = np.array(rows).T[:, :, None]
-    half = (0.5 * step) * (lasts - firsts)
-    mid = (0.5 * step) * (firsts + lasts)
-    off = np.abs(np.remainder(mid - phase + math.pi, _TWO_PI) - math.pi)
-    top = base + amp * np.cos(np.maximum(off - half, 0.0))
-    bottom = base + amp * np.cos(np.minimum(off + half, math.pi))
-    live = ((top >= lo) & (bottom <= hi)).all(axis=0)
-    spans = []
-    for first, end, ok in zip(cuts, cuts[1:], live.tolist()):
-        if ok and spans and spans[-1][2] == first:
-            spans[-1][2] = end
-        elif ok:
-            spans.append([first, min(end, first + _BLOCK), end])
-    return spans
+    for first, end in zip(cuts, cuts[1:]):
+        half = (0.5 * step) * (end - 1 - first)
+        mid = (0.5 * step) * (first + end - 1)
+        for base, amp, phase, lo, hi in rows:
+            off = abs((mid - phase + math.pi) % _TWO_PI - math.pi)
+            if base + amp * math.cos(max(off - half, 0.0)) < lo:
+                break
+            if hi < math.inf and base + amp * math.cos(min(off + half, math.pi)) > hi:
+                break
+        else:
+            yield first, end
 
 
 def _walk(cx, cy, r0, rings, clips, cos, sin) -> bool:
@@ -326,13 +320,13 @@ def circle_meets_region_discretized(
     first walked point that lies inside both rings and in both rings'
     clip half-spaces.  Distances are compared squared.
 
-    The whole circle is bounded first, with no numpy call.  Then runs are
-    cut two points either side of each angle where a constraint crosses one
-    of its limits, and one bound skips every run where some constraint's
-    exact range misses it by more than 1e-9 of the walk's magnitudes, far
-    beyond its rounding; it reads only the rings and clips, never the
-    analytic test.  Touching live runs merge into spans, walked in order,
-    each span's first run (at most 1024 points) alone.  A walk tests the
+    The whole circle is bounded first, before any phase or numpy call.
+    Then runs are cut two points either side of each angle where a
+    constraint crosses one of its limits, and bounded in angle order: a run
+    is skipped at the first constraint whose exact range on it misses its
+    limits by more than 1e-9 of the walk's magnitudes, far beyond rounding,
+    and a live run is walked at once (its first 1024 points alone), so a
+    hit returns before any later run is bounded.  A walk tests the
     first ring on every point and each later constraint only on the points
     still in, with the same float expressions as a walk that tests every
     constraint on every point, so the verdict is that of an unpruned walk.
@@ -346,11 +340,8 @@ def circle_meets_region_discretized(
         (r2.center.x, r2.center.y, r2.r_inner**2, r2.r_outer**2),
     )
     clips = (r1.clip,) if r2.clip == r1.clip else (r1.clip, r2.clip)
-
-    rows = _constraint_sinusoids(cx, cy, r0, rings, clips)
-    if rows is None:
-        return False
-    for first, head, end in _live_spans(rows, m_points):
+    for first, end in _live_runs(cx, cy, r0, rings, clips, m_points):
+        head = min(end, first + _BLOCK)
         for lo, hi in ((first, head), (head, end)):
             while lo < hi:  # one slice per table chunk
                 start = lo - lo % _CHUNK

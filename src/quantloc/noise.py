@@ -306,14 +306,23 @@ class GaussianNoise:
         object.__setattr__(self, "scale", float(self.scale))
 
     def density(self, x):
-        out = _density(np.asarray(x, dtype=float), self.location, self.scale)
+        try:
+            out = _density(np.asarray(x, dtype=float), self.location, self.scale)
+        except OverflowError:  # an int past the float range
+            raise DomainError(f"x must be finite, got {x}") from None
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        return ndtr((x - self.location) / self.scale)
+        try:
+            return ndtr((x - self.location) / self.scale)
+        except OverflowError:
+            raise DomainError(f"x must be finite, got {x}") from None
 
     def inv_cdf(self, q):
-        z = ndtri(q)
+        try:
+            z = ndtri(q)
+        except OverflowError:
+            z = math.nan
         # ndtri is -inf at 0, +inf at 1 and nan outside [0, 1] or at nan, so
         # q lies in (0, 1) exactly where z is finite.
         if not (math.isfinite(z) if type(z) is float else np.isfinite(z).all()):
@@ -331,7 +340,7 @@ class GaussianNoise:
 
         mode: "sup" or "inf".
         """
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        if not (is_finite(lo) and is_finite(hi)) or lo > hi:
             raise DomainError(f"invalid interval [{lo}, {hi}]")
         f_lo = self.density(lo)
         f_hi = self.density(hi)

@@ -7,9 +7,9 @@ Run from the repository root after a change that moves the seeded streams
 
 It rewrites ``detect_scale{0.04,1}_seed7_K10000_delta280.tsv`` here with
 what ``quantloc paper-setup`` and ``quantloc detect --delta 280 --K 10000
---seed 7`` print, ``detect_scale1_seed7_K10000_delta280_discretized.tsv``
-with what the same command prints at full scale with ``--method
-discretized --M 200000``, and ``sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv``
+--seed 7`` print, ``detect_scale{0.04,1}_seed7_K10000_delta280_discretized.tsv``
+with what the same command prints with ``--method discretized --M 200000``,
+and ``sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv``
 with what ``quantloc sweep --K-grid 2000,4000 --trials 6 --delta 280 --seed 7``
 prints for the 1/25-scale setup.  It prints the ``PINNED_ZERO_COUNTS``
 literal of ``tests/test_montecarlo.py`` to paste in.
@@ -52,6 +52,7 @@ def write_detect_tables() -> None:
         for scale, suffix, method in (
             ("0.04", "", []),
             ("1", "", []),
+            ("0.04", "_discretized", ["--method", "discretized", "--M", "200000"]),
             ("1", "_discretized", ["--method", "discretized", "--M", "200000"]),
         ):
             scenario = str(Path(tmp) / f"paper{scale}.json")

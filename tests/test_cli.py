@@ -116,6 +116,7 @@ def test_detect_table_shape(toy_file, capsys):
     [
         pytest.param("0.04", [], id="0.04"),
         pytest.param("1", [], id="1"),
+        pytest.param("0.04", ["--method", "discretized", "--M", "200000"], id="0.04-discretized"),
         pytest.param("1", ["--method", "discretized", "--M", "200000"], id="1-discretized"),
     ],
 )
@@ -124,7 +125,7 @@ def test_detect_matches_golden_table(scale, method, tmp_path):
 
     The golden files pin every verdict, radius and the table format; at
     this delta both scales flag some sensors and clear others.  The
-    discretized table pins the walk at M = 2e5 on the full-scale network.
+    discretized tables pin the walk at M = 2e5 on both networks.
     """
     scenario = tmp_path / "paper.json"
     out = tmp_path / "detect.tsv"

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import random_region_trial
 from quantloc import (
+    AdvisoryWarning,
+    DetectorConfig,
     DistanceBounds,
     DomainError,
     HalfSpace,
@@ -20,13 +23,16 @@ from quantloc import (
     Point,
     Ring,
     TangentDegenerate,
+    build_paper_setup,
     circle_circle_intersection,
     circle_meets_region_analytic,
     circle_meets_region_discretized,
     containment_oracle,
+    detect_all,
+    generate_dataset,
     phi_bound,
 )
-from quantloc import geometry
+from quantloc import detector, geometry
 from quantloc.geometry import _BLOCK, _CHUNK, _PAD, _SLACK, _AnchorFrame, _unit_circle_chunk
 
 PHI_BOUND_REF = 3.11367949538805294166
@@ -504,6 +510,85 @@ def test_discretized_chunk_cache_is_bounded_and_read_only():
     assert not cos.flags.writeable and not sin.flags.writeable
     with pytest.raises(ValueError):
         cos[0] = 0.0
+
+
+def test_a_whole_circle_rejection_computes_no_phase(monkeypatch):
+    def no_phase(y, x):
+        raise AssertionError("phase computed")
+
+    monkeypatch.setattr(math, "atan2", no_phase)
+    r1, r2 = _sym_rings()
+    # ruled out by ring 1, far off, and by ring 2 alone: the circle crosses
+    # ring 1 on its far side, 31 units from ring 2's center
+    assert not circle_meets_region_discretized(Point(0.0, 1000.0), 1.0, r1, r2, 200_000)
+    on_ring1 = Point(r1.center.x - r1.radius, 0.0)
+    assert not circle_meets_region_discretized(on_ring1, 0.1, r1, r2, 200_000)
+    with pytest.raises(AssertionError, match="phase computed"):
+        circle_meets_region_discretized(Point(0.0, 0.0), 5.0, r1, r2, 200_000)
+
+
+@pytest.fixture(scope="module")
+def paper_queries():
+    """(center, radius, ring 1, ring 2) as ``detect_all`` asks them of the
+    discretized walk: every unsecure sensor of two seeded 1/25-scale
+    ``build_paper_setup`` records at K = 2e4, at three deltas."""
+    s, assignment = build_paper_setup(scale=0.04)
+    queries = []
+
+    def record(center, radius, r1, r2, m_points):
+        queries.append((center, radius, r1, r2))
+        return True
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdvisoryWarning)  # delta above the admissible limit
+        mp.setattr(detector, "circle_meets_region_discretized", record)
+        for trial in (0, 1):
+            data = generate_dataset(s, assignment, 20_000, 20261020, trial)
+            for delta in (260.0, 280.0, 300.0):
+                detect_all(s, DetectorConfig(delta=delta, method="discretized"), data)
+    return queries
+
+
+def test_run_walk_matches_unpruned_walk_on_the_paper_network(paper_queries):
+    verdicts = Counter()
+    for center, d_hat, r1, r2 in paper_queries:
+        for radius in (0.999 * d_hat, d_hat, 1.001 * d_hat):
+            expected = _unpruned_discretized(center, radius, r1, r2, 200_000)
+            assert circle_meets_region_discretized(center, radius, r1, r2, 200_000) == expected
+            verdicts[expected] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_no_run_after_the_hit_is_bounded(paper_queries, monkeypatch):
+    # the bound takes math.cos of every run it checks; the walk returns on
+    # its first hit, so no cos is taken after the walk that finds it
+    events = []
+    cos, walk = math.cos, geometry._walk
+
+    def spy_cos(x):
+        events.append("cos")
+        return cos(x)
+
+    def spy_walk(*args):
+        hit = walk(*args)
+        events.append("hit" if hit else "walk")
+        return hit
+
+    monkeypatch.setattr(math, "cos", spy_cos)
+    monkeypatch.setattr(geometry, "_walk", spy_walk)
+    skipped = 0
+    for center, radius, r1, r2 in paper_queries:
+        events.clear()
+        if not circle_meets_region_discretized(center, radius, r1, r2, 200_000):
+            continue
+        assert events[-1] == "hit" and events.count("hit") == 1
+        lazy = events.count("cos")
+        assert lazy > 0
+        events.clear()
+        rings = tuple((r.center.x, r.center.y, r.r_inner**2, r.r_outer**2) for r in (r1, r2))
+        assert list(geometry._live_runs(center.x, center.y, radius, rings, (r1.clip,), 200_000))
+        skipped += events.count("cos") > lazy  # bounding every run takes more
+    assert skipped > 10
 
 
 _CUT_M_GRID = (3, 7, _BLOCK + 1, 2 * _CHUNK + 1, 200_000)

@@ -230,6 +230,24 @@ def test_constructor_names_an_integer_past_the_float_range(huge):
         GaussianNoise(huge, 1.0)
 
 
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["+", "-"])
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda g, big: g.cdf(big), r"^x must be finite"),
+        (lambda g, big: g.inv_cdf(big), r"^quantile argument must lie in \(0, 1\)"),
+        (lambda g, big: g.density(big), r"^x must be finite"),
+        (lambda g, big: g.density_extremum(0.0, big, "sup"), r"^invalid interval"),
+    ],
+    ids=["cdf", "inv_cdf", "density", "density_extremum"],
+)
+def test_an_integer_past_the_float_range_is_caught(call, message, huge):
+    """Ints past the float range raise DomainError naming the argument, not
+    the OverflowError of converting them to a float."""
+    with pytest.raises(DomainError, match=message):
+        call(GaussianNoise(), huge)
+
+
 def test_constructor_validation():
     with pytest.raises(DomainError):
         GaussianNoise(0.0, 0.0)
