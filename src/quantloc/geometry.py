@@ -32,7 +32,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -183,27 +182,12 @@ def phi_bound(bounds: DistanceBounds, upsilon: float, delta: float) -> float:
 
 # -- discretized region test ---------------------------------------------
 
-# 128 KiB per float64 temporary.  With 256 KiB temporaries glibc's malloc
-# trimmed the heap top and faulted it back in on every chunk: a walk at
-# M = 2e5 took 3.3 ms on a 2-core x86 host, 1.4 ms with MALLOC_TRIM_THRESHOLD_
-# raised, and 1.6 ms at this size with default malloc settings.
+# The most points one walk takes: 128 KiB per float64 temporary.  With
+# 256 KiB temporaries glibc's malloc trimmed the heap top and faulted it
+# back in on every chunk: a walk at M = 2e5 took 3.3 ms on a 2-core x86
+# host, 1.4 ms with MALLOC_TRIM_THRESHOLD_ raised, and 1.6 ms at this size
+# with default malloc settings.
 _CHUNK = 1 << 14
-
-
-@lru_cache(maxsize=14)
-def _unit_circle_chunk(m_points: int, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the angles 2 pi m / M for m in [start, start + _CHUNK).
-
-    Read-only, since every walk at this M shares them.  maxsize is one more
-    than the 13 chunks of the default M = 2e5, so any table a walk at that M
-    reads stays cached (3.2 MB in all) while a much longer walk (64 M in
-    criterion 09's refine step) evicts its own chunks instead of pinning it.
-    """
-    ang = (_TWO_PI / m_points) * np.arange(start, min(start + _CHUNK, m_points))
-    cos, sin = np.cos(ang), np.sin(ang)
-    cos.flags.writeable = False
-    sin.flags.writeable = False
-    return cos, sin
 
 
 def check_m_points(m_points) -> int:
@@ -229,7 +213,7 @@ def check_m_points(m_points) -> int:
 # cos(theta - phase) spans exactly [cos(min(pi, off + h)), cos(max(0, off - h))].
 #
 # The walk's value at a point differs from the sinusoid's only by rounding:
-# the table angle and its cos/sin (a few ulps of 2 pi), c + r0 cos at the
+# the angle and its cos/sin (a few ulps of 2 pi), c + r0 cos at the
 # magnitude of the coordinates, the difference to q or a, and the squares or
 # products.  With L the sum of the absolute coordinates involved plus r0,
 # that is a few ulps of L (|c - q| + r0) for a ring's squared distance and of
@@ -239,7 +223,6 @@ def check_m_points(m_points) -> int:
 # the constraint as well.
 _SKIP_SLACK = 1e-9
 _PAD = 2
-_BLOCK = 1 << 10
 
 
 def _live_runs(cx, cy, r0, rings, clips, m_points):
@@ -299,14 +282,13 @@ def _walk(cx, cy, r0, rings, clips, cos, sin) -> bool:
     """Whether some point c + r0 (cos, sin) lies in both rings and every clip."""
     x = cx + r0 * cos
     y = cy + r0 * sin
+    ok = np.ones(x.shape, dtype=bool)
     for qx, qy, lo_sq, hi_sq in rings:
         dsq = (x - qx) ** 2 + (y - qy) ** 2
-        keep = ((dsq >= lo_sq) & (dsq <= hi_sq)).nonzero()[0]
-        x, y = x[keep], y[keep]
+        ok &= (dsq >= lo_sq) & (dsq <= hi_sq)
     for clip in clips:
-        keep = (clip.signed(x, y) >= 0.0).nonzero()[0]
-        x, y = x[keep], y[keep]
-    return x.size > 0
+        ok &= clip.signed(x, y) >= 0.0
+    return ok.any()
 
 
 def circle_meets_region_discretized(
@@ -325,11 +307,10 @@ def circle_meets_region_discretized(
     constraint crosses one of its limits, and bounded in angle order: a run
     is skipped at the first constraint whose exact range on it misses its
     limits by more than 1e-9 of the walk's magnitudes, far beyond rounding,
-    and a live run is walked at once (its first 1024 points alone), so a
-    hit returns before any later run is bounded.  A walk tests the
-    first ring on every point and each later constraint only on the points
-    still in, with the same float expressions as a walk that tests every
-    constraint on every point, so the verdict is that of an unpruned walk.
+    and a live run is walked at once, so a hit returns before any later run
+    is bounded.  A walk tests every constraint on every point of the run,
+    with the float expressions of a walk over the whole circle, so the
+    verdict is that of an unpruned walk.
     """
     if not (radius >= 0.0 and math.isfinite(radius)):
         raise DomainError(f"radius must be finite and >= 0, got {radius}")
@@ -340,16 +321,12 @@ def circle_meets_region_discretized(
         (r2.center.x, r2.center.y, r2.r_inner**2, r2.r_outer**2),
     )
     clips = (r1.clip,) if r2.clip == r1.clip else (r1.clip, r2.clip)
+    step = _TWO_PI / m_points
     for first, end in _live_runs(cx, cy, r0, rings, clips, m_points):
-        head = min(end, first + _BLOCK)
-        for lo, hi in ((first, head), (head, end)):
-            while lo < hi:  # one slice per table chunk
-                start = lo - lo % _CHUNK
-                cos, sin = _unit_circle_chunk(m_points, start)
-                part = slice(lo - start, min(hi - start, _CHUNK))
-                if _walk(cx, cy, r0, rings, clips, cos[part], sin[part]):
-                    return True
-                lo = start + _CHUNK
+        for lo in range(first, end, _CHUNK):
+            ang = step * np.arange(lo, min(lo + _CHUNK, end))
+            if _walk(cx, cy, r0, rings, clips, np.cos(ang), np.sin(ang)):
+                return True
     return False
 
 

@@ -194,15 +194,25 @@ def _ndtr_scalar(a: float) -> float:
     return 1.0 - y if x > 0.0 else y
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``, raising DomainError that names the
+    argument for an int past the float range."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise DomainError(f"{name} holds an integer past the float range") from None
+
+
 def ndtri(y):
     """Inverse of the standard normal CDF, as SciPy's ``ndtri``, bit for bit.
 
     -inf at 0, +inf at 1, nan outside [0, 1] and at nan.  A scalar (or 0-d
-    array) gives a float; anything else a float64 array of its shape.
+    array) gives a float; anything else a float64 array of its shape.  An
+    int past the float range raises DomainError.
     """
     if type(y) is float:
         return _ndtri_scalar(y)
-    y = np.asarray(y, dtype=float)
+    y = _float_array(y, "y")
     if y.ndim == 0:
         return _ndtri_scalar(float(y))
     if y.size and _EXP_M2 < y.min() and y.max() <= _ONE_M_EXP_M2:
@@ -218,11 +228,12 @@ def ndtr(a):
     """Standard normal CDF, as SciPy's ``ndtr``, bit for bit.
 
     A scalar (or 0-d array) gives a float; anything else a float64 array of
-    its shape.  nan maps to nan.
+    its shape.  nan maps to nan, and an int past the float range raises
+    DomainError.
     """
     if type(a) is float:
         return _ndtr_scalar(a)
-    a = np.asarray(a, dtype=float)
+    a = _float_array(a, "a")
     if a.ndim == 0:
         return _ndtr_scalar(float(a))
     x = a * _SQRT1_2
@@ -256,10 +267,10 @@ def density_sup(lo, hi, location, scale):
     Elementwise over [lo, hi] of equal shape, each with its own location
     and scale (or one shared scalar): the same doubles as the scalar method
     element by element, and its DomainError for the first interval that is
-    not finite and ordered, or that leaves the positive-density region.
+    not finite and ordered, or that leaves the positive-density region (an
+    int past the float range raises it naming ``lo`` or ``hi``).
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = _float_array(lo, "lo"), _float_array(hi, "hi")
     bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi)
     if bad.any():
         i = int(np.argmax(bad))
@@ -321,7 +332,7 @@ class GaussianNoise:
     def inv_cdf(self, q):
         try:
             z = ndtri(q)
-        except OverflowError:
+        except DomainError:  # an int past the float range
             z = math.nan
         # ndtri is -inf at 0, +inf at 1 and nan outside [0, 1] or at nan, so
         # q lies in (0, 1) exactly where z is finite.

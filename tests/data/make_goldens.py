@@ -9,6 +9,9 @@ It rewrites ``detect_scale{0.04,1}_seed7_K10000_delta280.tsv`` here with
 what ``quantloc paper-setup`` and ``quantloc detect --delta 280 --K 10000
 --seed 7`` print, ``detect_scale{0.04,1}_seed7_K10000_delta280_discretized.tsv``
 with what the same command prints with ``--method discretized --M 200000``,
+``detect_scale0.04_seed7_K10000_delta280_discretized_M12800000.tsv`` with
+what it prints for the 1/25-scale setup with ``--method discretized --M
+12800000`` (64 times the points, so the walk is pinned at a large M too),
 and ``sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv``
 with what ``quantloc sweep --K-grid 2000,4000 --trials 6 --delta 280 --seed 7``
 prints for the 1/25-scale setup.  It prints the ``PINNED_ZERO_COUNTS``
@@ -54,6 +57,7 @@ def write_detect_tables() -> None:
             ("1", "", []),
             ("0.04", "_discretized", ["--method", "discretized", "--M", "200000"]),
             ("1", "_discretized", ["--method", "discretized", "--M", "200000"]),
+            ("0.04", "_discretized_M12800000", ["--method", "discretized", "--M", "12800000"]),
         ):
             scenario = str(Path(tmp) / f"paper{scale}.json")
             out = DATA / f"detect_scale{scale}_seed7_K10000_delta280{suffix}.tsv"

@@ -118,6 +118,9 @@ def test_detect_table_shape(toy_file, capsys):
         pytest.param("1", [], id="1"),
         pytest.param("0.04", ["--method", "discretized", "--M", "200000"], id="0.04-discretized"),
         pytest.param("1", ["--method", "discretized", "--M", "200000"], id="1-discretized"),
+        pytest.param(
+            "0.04", ["--method", "discretized", "--M", "12800000"], id="0.04-discretized-M12800000"
+        ),
     ],
 )
 def test_detect_matches_golden_table(scale, method, tmp_path):
@@ -125,7 +128,8 @@ def test_detect_matches_golden_table(scale, method, tmp_path):
 
     The golden files pin every verdict, radius and the table format; at
     this delta both scales flag some sensors and clear others.  The
-    discretized tables pin the walk at M = 2e5 on both networks.
+    discretized tables pin the walk at M = 2e5 on both networks, and at
+    M = 12.8e6 on the 1/25-scale one.
     """
     scenario = tmp_path / "paper.json"
     out = tmp_path / "detect.tsv"
@@ -137,7 +141,9 @@ def test_detect_matches_golden_table(scale, method, tmp_path):
              "--seed", "7", *method, "--out", str(out)]
         )
     assert code == 0
-    suffix = "_discretized" if method else ""
+    suffix = ""
+    if method:
+        suffix = "_discretized" + ("" if method[-1] == "200000" else f"_M{method[-1]}")
     golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280{suffix}.tsv"
     assert out.read_bytes() == golden.read_bytes()
 

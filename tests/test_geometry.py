@@ -1,5 +1,6 @@
 """Clipped rings, circle intersections, and the region membership tests."""
 
+import functools
 import math
 import sys
 import warnings
@@ -33,7 +34,10 @@ from quantloc import (
     phi_bound,
 )
 from quantloc import detector, geometry
-from quantloc.geometry import _BLOCK, _CHUNK, _PAD, _SLACK, _AnchorFrame, _unit_circle_chunk
+from quantloc.geometry import _CHUNK, _PAD, _SLACK, _AnchorFrame
+
+# the M grids keep point counts around 1024, a block size the walk once had
+_BLOCK = 1 << 10
 
 PHI_BOUND_REF = 3.11367949538805294166
 
@@ -439,9 +443,9 @@ def _chord_clip(t1, t2):
 
 
 def test_run_walk_goes_past_live_runs_with_no_point_in_the_region(monkeypatch):
-    # At M = 2e5 (all in chunk 0), in units w of 1024 points along the unit
-    # circle: ring 1 is entered on [w, g] and [7w, g + 6w], ring 2 (a disc)
-    # on [g + step / 2, 12 w], g a quarter step past point 3 * 1024.  The
+    # At M = 2e5, in units w of 1024 points along the unit circle: ring 1
+    # is entered on [w, g] and [7w, g + 6w], ring 2 (a disc) on
+    # [g + step / 2, 12 w], g a quarter step past point 3 * 1024.  The
     # runs cut around g, where ring 1 ends and ring 2 begins, are live but
     # hold no point of both; the walk goes on, in order, to the run cut
     # around 7 w and finds the region there, reading no point in between.
@@ -458,7 +462,7 @@ def test_run_walk_goes_past_live_runs_with_no_point_in_the_region(monkeypatch):
         if _ring_member(Point(math.cos(m * step), math.sin(m * step)), r1, r2)
     ]
     assert members and min(members) == 7 * _BLOCK
-    table = _unit_circle_chunk(m_points, 0)[0]
+    table = np.cos(step * np.arange(m_points))
     walks = []  # (first point, points, verdict) of each walk
     walk = geometry._walk
 
@@ -478,14 +482,43 @@ def test_run_walk_goes_past_live_runs_with_no_point_in_the_region(monkeypatch):
     assert sum(size for _, size, _ in walks) <= 8 * _PAD  # each walk is one crossing's run
 
 
-def test_discretized_chunk_cache_is_bounded_and_read_only():
+def _piece_indices(cos, sin, m_points):
+    """The indices m of a walked piece's points, read back from their angles."""
+    step = 2.0 * math.pi / m_points
+    theta = np.arctan2(sin, cos) % (2.0 * math.pi)
+    return np.rint(theta / step).astype(np.int64)
+
+
+class _WalkSpy:
+    """Records each piece ``_walk`` tests while installed on ``geometry``:
+    (its point indices at ``m_points``, its cos, its sin, its verdict)."""
+
+    def __init__(self, mp, m_points):
+        self.m_points, self.pieces = m_points, []
+        walk = geometry._walk
+
+        def spy(cx, cy, r0, rings, clips, cos, sin):
+            hit = walk(cx, cy, r0, rings, clips, cos, sin)
+            self.pieces.append((_piece_indices(cos, sin, self.m_points), cos, sin, hit))
+            return hit
+
+        mp.setattr(geometry, "_walk", spy)
+
+    def check_pieces(self):
+        """Each piece holds 1 to _CHUNK consecutive points of [0, M)."""
+        for idx, *_ in self.pieces:
+            assert 1 <= idx.size <= _CHUNK
+            assert 0 <= idx[0] and idx[-1] < self.m_points
+            assert (np.diff(idx) == 1).all()
+
+
+@pytest.mark.parametrize("m_points", [200_000, 64 * 200_000])
+def test_a_live_whole_circle_is_walked_once_in_pieces(m_points, monkeypatch):
     r1, r2 = _sym_rings()
-    _unit_circle_chunk.cache_clear()
-    # a circle far from both rings fails ring 1 on the whole circle, so no
-    # run is walked and no table is read
-    assert not circle_meets_region_discretized(Point(0.0, 1000.0), 1.0, r1, r2, 200_000)
-    info = _unit_circle_chunk.cache_info()
-    assert (info.misses, info.hits) == (0, 0)
+    spy = _WalkSpy(monkeypatch, m_points)
+    # a circle far from both rings fails ring 1 on the whole circle: no walk
+    assert not circle_meets_region_discretized(Point(0.0, 1000.0), 1.0, r1, r2, m_points)
+    assert spy.pieces == []
     # a point circle a hair (2e-11 relative, squared) outside ring 1's outer
     # edge and inside ring 2: within the skip's rounding margin, and with no
     # crossing, so the whole circle is one live run, walked to the end, and
@@ -493,23 +526,43 @@ def test_discretized_chunk_cache_is_bounded_and_read_only():
     a, b = r1.r_outer * (1.0 + 1e-11), r2.radius
     x = (a * a - b * b) / 40.0
     edge = Point(x, math.sqrt(a * a - (x + 10.0) ** 2))
-    assert not _unpruned_discretized(edge, 0.0, r1, r2, 200_000)
-    assert not circle_meets_region_discretized(edge, 0.0, r1, r2, 200_000)
-    assert not circle_meets_region_discretized(edge, 0.0, r1, r2, 200_000)
-    chunks = math.ceil(200_000 / _CHUNK)
-    info = _unit_circle_chunk.cache_info()
-    # trig once per (M, chunk); each walk reads chunk 0 for the first run's
-    # 1024 points and again for the rest, and every other chunk once
-    assert (info.misses, info.hits) == (chunks, chunks + 2)
-    assert not circle_meets_region_discretized(edge, 0.0, r1, r2, 64 * 200_000)
-    info = _unit_circle_chunk.cache_info()
-    assert info.misses == chunks + math.ceil(64 * 200_000 / _CHUNK)
-    assert info.maxsize is not None and chunks < info.maxsize
-    assert info.currsize <= info.maxsize
-    cos, sin = _unit_circle_chunk(200_000, 0)
-    assert not cos.flags.writeable and not sin.flags.writeable
-    with pytest.raises(ValueError):
-        cos[0] = 0.0
+    assert not _unpruned_discretized(edge, 0.0, r1, r2, m_points)
+    assert not circle_meets_region_discretized(edge, 0.0, r1, r2, m_points)
+    spy.check_pieces()
+    starts = list(range(0, m_points, _CHUNK))
+    assert [idx[0] for idx, *_ in spy.pieces] == starts
+    assert [idx.size for idx, *_ in spy.pieces] == [min(_CHUNK, m_points - m) for m in starts]
+    assert not any(hit for *_, hit in spy.pieces)
+
+
+@functools.lru_cache(maxsize=8)
+def _whole_circle(m_points):
+    """cos and sin of 2 pi m / M for all m in [0, M), in one call each."""
+    ang = (2.0 * math.pi / m_points) * np.arange(m_points)
+    return np.cos(ang).view(np.uint64), np.sin(ang).view(np.uint64)
+
+
+def _assert_pieces_match_the_whole_circle(spy):
+    spy.check_pieces()
+    cos_table, sin_table = _whole_circle(spy.m_points)
+    for idx, cos, sin, _ in spy.pieces:
+        assert (cos.view(np.uint64) == cos_table[idx]).all()
+        assert (sin.view(np.uint64) == sin_table[idx]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    query=_skip_stress_queries(),
+    m_points=st.sampled_from([3, 7, _BLOCK + 1, _CHUNK + 1, 2 * _CHUNK + 1, 200_000]),
+)
+def test_walked_points_are_the_whole_circle_tables_bit_for_bit(query, m_points):
+    # each piece takes cos and sin of its own angles; numpy gives the same
+    # bits at any offset into an array, so it reads what a walk over the
+    # whole circle reads
+    with pytest.MonkeyPatch.context() as mp:
+        spy = _WalkSpy(mp, m_points)
+        circle_meets_region_discretized(*query, m_points)
+    _assert_pieces_match_the_whole_circle(spy)
 
 
 def test_a_whole_circle_rejection_computes_no_phase(monkeypatch):
@@ -557,6 +610,17 @@ def test_run_walk_matches_unpruned_walk_on_the_paper_network(paper_queries):
             assert circle_meets_region_discretized(center, radius, r1, r2, 200_000) == expected
             verdicts[expected] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_paper_network_walks_read_the_whole_circle_tables_bit_for_bit(
+    paper_queries, monkeypatch
+):
+    spy = _WalkSpy(monkeypatch, 200_000)
+    for center, d_hat, r1, r2 in paper_queries:
+        for radius in (0.999 * d_hat, d_hat, 1.001 * d_hat):
+            circle_meets_region_discretized(center, radius, r1, r2, 200_000)
+    assert len(spy.pieces) > 100
+    _assert_pieces_match_the_whole_circle(spy)
 
 
 def test_no_run_after_the_hit_is_bounded(paper_queries, monkeypatch):
@@ -623,26 +687,17 @@ def test_misplaced_cuts_change_no_verdict(shift, monkeypatch):
 def test_crossings_that_straddle_angle_zero(m_points, at, monkeypatch):
     # two discs on the unit circle's points at - 2 ... at + 3 (mod M): their
     # crossings sit on either side of angle 0, so the cuts wrap around it,
-    # and every walk still reads points of [0, M) from tables at [0, M)
+    # and every walk still reads points of [0, M)
     step = 2.0 * math.pi / m_points
     origin = Point(0.0, 0.0)
-    table, walk = geometry._unit_circle_chunk, geometry._walk
-
-    def chunk(m, start):
-        assert m == m_points and 0 <= start < m_points and start % _CHUNK == 0
-        return table(m, start)
-
-    def nonempty_walk(cx, cy, r0, rings, clips, cos, sin):
-        assert cos.size > 0
-        return walk(cx, cy, r0, rings, clips, cos, sin)
-
-    monkeypatch.setattr(geometry, "_unit_circle_chunk", chunk)
-    monkeypatch.setattr(geometry, "_walk", nonempty_walk)
+    spy = _WalkSpy(monkeypatch, m_points)
     a = _arc_ring((at + 0.5) * step, 0.0, 1.2 * step, OPEN)  # points at, at + 1
     for phi, half, meets in ((at + 1.4, 2.3, True), (at - 1.6, 1.5, False), (at + 3.6, 1.5, False)):
         b = _arc_ring(phi * step, 0.0, half * step, OPEN)
         assert _unpruned_discretized(origin, 1.0, a, b, m_points) == meets
         assert circle_meets_region_discretized(origin, 1.0, a, b, m_points) == meets
+    assert spy.pieces
+    spy.check_pieces()
 
 
 @pytest.mark.parametrize("m_points", _CUT_M_GRID)

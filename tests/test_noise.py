@@ -11,6 +11,7 @@ from scipy.special import ndtr, ndtri
 
 import quantloc.analysis as analysis_module
 import quantloc.detector as detector_module
+import quantloc.noise as noise_module
 from quantloc import (
     DomainError,
     GaussianNoise,
@@ -246,6 +247,24 @@ def test_an_integer_past_the_float_range_is_caught(call, message, huge):
     the OverflowError of converting them to a float."""
     with pytest.raises(DomainError, match=message):
         call(GaussianNoise(), huge)
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["+", "-"])
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (noise_module.ndtr, r"^a holds an integer past the float range"),
+        (noise_module.ndtri, r"^y holds an integer past the float range"),
+        (
+            lambda big: density_sup([0.0], [big], 0.0, 1.0),
+            r"^hi holds an integer past the float range",
+        ),
+    ],
+    ids=["ndtr", "ndtri", "density_sup"],
+)
+def test_an_integer_past_the_float_range_is_caught_by_the_module_functions(call, message, huge):
+    with pytest.raises(DomainError, match=message):
+        call(huge)
 
 
 def test_constructor_validation():
