@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidScenario, VariantMismatch
 from .measurement import quantize
-from .noise import GaussianNoise, is_finite
+from .noise import GaussianNoise, is_finite, shown
 from .rng import Entropy, make_generator
 from .scenario import ScenarioConfig, SensorSpec, rho_bounds
 
@@ -99,7 +99,7 @@ class Mima(AttackSpec):
     def __post_init__(self) -> None:
         for name, value in (("psi0", self.psi0), ("psi1", self.psi1)):
             if not (0.0 <= value <= 1.0):
-                raise DomainError(f"{name} = {value} outside [0, 1]")
+                raise DomainError(f"{name} must lie in [0, 1], got {shown(value)}")
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
         tp = (1.0 - self.psi0 - self.psi1) * p + self.psi1
@@ -128,7 +128,7 @@ class PsiOffset(AttackSpec):
 
     def __post_init__(self) -> None:
         if not is_finite(self.offset):
-            raise DomainError(f"offset must be finite, got {self.offset}")
+            raise DomainError(f"offset must be finite, got {shown(self.offset)}")
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
         tp = p + self.offset
@@ -163,7 +163,7 @@ class SpoofBias(AttackSpec):
 
     def __post_init__(self) -> None:
         if not is_finite(self.bias):
-            raise DomainError(f"bias must be finite, got {self.bias}")
+            raise DomainError(f"bias must be finite, got {shown(self.bias)}")
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
         """Moves the threshold crossing, so it needs the sensor's noise model."""

@@ -43,7 +43,7 @@ from .measurement import (
     nmle_distance,
     nmle_distances,
 )
-from .noise import density_sup, is_finite, ndtri
+from .noise import density_sup, is_finite, ndtri, shown
 from .scenario import ScenarioConfig, rho_bounds, roi_side, unsecure_rho_bounds
 
 __all__ = [
@@ -85,7 +85,7 @@ class DetectorConfig:
         ):
             raise DomainError(f"delta must be a real number, got {delta!r}")
         if not (delta > 0.0 and is_finite(delta)):
-            raise DomainError(f"delta must be positive and finite, got {delta}")
+            raise DomainError(f"delta must be positive and finite, got {shown(delta)}")
         # A Python float, so reports and tables read the same for any input type.
         object.__setattr__(self, "delta", float(delta))
         if self.method not in METHODS:

@@ -24,7 +24,7 @@ from collections.abc import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .noise import is_finite, ndtri
+from .noise import is_finite, ndtri, shown
 from .rng import NOISE_STREAM, Entropy, make_generator
 from .scenario import Point, ScenarioConfig, SensorSpec
 
@@ -231,7 +231,7 @@ def nmle_distance(
     elif is_finite(xi):
         value, xi_min = float(xi), 1e-12
     else:
-        raise DomainError(f"xi must be a finite frequency, got {xi}")
+        raise DomainError(f"xi must be a finite frequency, got {shown(xi)}")
     sensor = s.sensor(j)
     used, clamped = _clamp(value, xi_min, sensor.zero_prob())
     used = float(used)

@@ -255,6 +255,14 @@ def is_finite(value) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """``value`` as an error message prints it, except that an int past the
+    float range is named instead: past 4,300 digits Python will not print it."""
+    if isinstance(value, int) and not is_finite(value):
+        return "an integer past the float range"
+    return str(value)
+
+
 def _density(x, location, scale):
     """The N(location, scale^2) density at x; floats and arrays alike."""
     z = (x - location) / scale
@@ -308,9 +316,9 @@ class GaussianNoise:
 
     def __post_init__(self) -> None:
         if not (self.scale > 0.0 and is_finite(self.scale)):
-            raise DomainError(f"scale must be positive and finite, got {self.scale}")
+            raise DomainError(f"scale must be positive and finite, got {shown(self.scale)}")
         if not is_finite(self.location):
-            raise DomainError(f"location must be finite, got {self.location}")
+            raise DomainError(f"location must be finite, got {shown(self.location)}")
         # Stored as Python floats, so scalar cdf/inv_cdf results are floats
         # whatever numeric type the constants arrived as.
         object.__setattr__(self, "location", float(self.location))
@@ -319,21 +327,23 @@ class GaussianNoise:
     def density(self, x):
         try:
             out = _density(np.asarray(x, dtype=float), self.location, self.scale)
-        except OverflowError:  # an int past the float range
-            raise DomainError(f"x must be finite, got {x}") from None
+        except OverflowError:  # an int past the float range, maybe in a list
+            raise DomainError("x must be finite, got an integer past the float range") from None
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
         try:
             return ndtr((x - self.location) / self.scale)
-        except OverflowError:
-            raise DomainError(f"x must be finite, got {x}") from None
+        except OverflowError:  # an int past the float range
+            raise DomainError("x must be finite, got an integer past the float range") from None
 
     def inv_cdf(self, q):
         try:
             z = ndtri(q)
-        except DomainError:  # an int past the float range
-            z = math.nan
+        except DomainError:  # an int past the float range, maybe in a list
+            raise DomainError(
+                "quantile argument must lie in (0, 1), got an integer past the float range"
+            ) from None
         # ndtri is -inf at 0, +inf at 1 and nan outside [0, 1] or at nan, so
         # q lies in (0, 1) exactly where z is finite.
         if not (math.isfinite(z) if type(z) is float else np.isfinite(z).all()):
@@ -352,7 +362,7 @@ class GaussianNoise:
         mode: "sup" or "inf".
         """
         if not (is_finite(lo) and is_finite(hi)) or lo > hi:
-            raise DomainError(f"invalid interval [{lo}, {hi}]")
+            raise DomainError(f"invalid interval [{shown(lo)}, {shown(hi)}]")
         f_lo = self.density(lo)
         f_hi = self.density(hi)
         if f_lo <= 0.0 or f_hi <= 0.0:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AssumptionWarning, DomainError, InvalidScenario
-from .noise import GaussianNoise, is_finite, ndtr
+from .noise import GaussianNoise, is_finite, ndtr, shown
 
 __all__ = [
     "Point",
@@ -49,7 +49,7 @@ class Point:
     def __post_init__(self) -> None:
         if not (is_finite(self.x) and is_finite(self.y)):
             name = "y" if is_finite(self.x) else "x"
-            raise DomainError(f"point {name} must be finite, got {getattr(self, name)}")
+            raise DomainError(f"point {name} must be finite, got {shown(getattr(self, name))}")
 
 
 def distance(a: Point, b: Point) -> float:
@@ -69,7 +69,9 @@ class SensorSpec:
 
     def __post_init__(self) -> None:
         if not is_finite(self.threshold):
-            raise DomainError(f"sensor {self.id} threshold must be finite, got {self.threshold}")
+            raise DomainError(
+                f"sensor {self.id} threshold must be finite, got {shown(self.threshold)}"
+            )
 
     def zero_prob(self, power: float = 0.0) -> float:
         """Pr(bit = 0) at received power ``power``: F(tau - power), F(tau) at 0."""
@@ -85,7 +87,7 @@ class RoiDisc:
 
     def __post_init__(self) -> None:
         if not (self.radius > 0.0 and is_finite(self.radius)):
-            raise DomainError(f"ROI radius must be positive and finite, got {self.radius}")
+            raise DomainError(f"ROI radius must be positive and finite, got {shown(self.radius)}")
 
     def contains(self, p: Point) -> bool:
         return distance(self.center, p) <= self.radius
@@ -185,7 +187,7 @@ class ScenarioConfig:
         for name in ("p0", "d0", "gamma", "upsilon1", "upsilon2", "kappa"):
             v = getattr(self, name)
             if not (v > 0.0 and is_finite(v)):
-                raise InvalidScenario(f"{name} must be positive and finite, got {v}")
+                raise InvalidScenario(f"{name} must be positive and finite, got {shown(v)}")
         if not self.roi.contains(self.target):
             raise InvalidScenario("target must lie inside the ROI disc")
         object.__setattr__(

@@ -33,6 +33,15 @@ trial_index=0), path)``.  Its discretized table, ``..._discretized.tsv``,
 is what ``detect_all`` printed for it at M = 2e5 with the walk that bounded
 fixed 16,384-point chunks and 1024-point blocks, so it pins the walk's
 verdicts across a change of how the walk skips.
+
+``criterion09_discretized_M200000.txt`` holds the discretized verdicts of
+criterion 09's 10,000 random region queries (``random_region_trial`` drawn
+in turn from ``default_rng(20260809)``, as
+``test_criterion_09_analytic_matches_discretized`` draws them) at M = 2e5,
+one ``0`` or ``1`` character each and no newline.  62 of its walks are
+longer than 100 points, so it pins the walk on long pieces, which the
+paper-network tables never reach.  No random stream of the package reaches
+it: like the bounds tables, it moves only with the walk's verdicts.
 """
 
 from __future__ import annotations
@@ -45,8 +54,10 @@ from pathlib import Path
 DATA = Path(__file__).resolve().parent
 sys.path.insert(0, str(DATA.parent))  # the tests directory: conftest, test_montecarlo
 
-from conftest import make_toy_scenario  # noqa: E402
+import numpy as np  # noqa: E402
+from conftest import make_toy_scenario, random_region_trial  # noqa: E402
 from quantloc.cli import main  # noqa: E402
+from quantloc.geometry import circle_meets_region_discretized  # noqa: E402
 from test_montecarlo import pinned_zero_counts  # noqa: E402
 
 
@@ -104,6 +115,20 @@ def write_bounds_tables() -> None:
             print(f"wrote {out.relative_to(DATA.parent.parent)}")
 
 
+def criterion09_verdicts() -> str:
+    rng = np.random.default_rng(20260809)
+    return "".join(
+        "1" if circle_meets_region_discretized(*random_region_trial(rng), 200_000) else "0"
+        for _ in range(10_000)
+    )
+
+
+def write_criterion09_verdicts() -> None:
+    out = DATA / "criterion09_discretized_M200000.txt"
+    out.write_text(criterion09_verdicts())
+    print(f"wrote {out.relative_to(DATA.parent.parent)}")
+
+
 def print_zero_counts() -> None:
     print("PINNED_ZERO_COUNTS = {")
     for name, counts in pinned_zero_counts(make_toy_scenario()).items():
@@ -115,4 +140,5 @@ if __name__ == "__main__":
     write_detect_tables()
     write_sweep_table()
     write_bounds_tables()
+    write_criterion09_verdicts()
     print_zero_counts()

@@ -7,6 +7,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from quantloc import (
     phi_bound,
 )
 from quantloc import detector, geometry
-from quantloc.geometry import _CHUNK, _PAD, _SLACK, _AnchorFrame
+from quantloc.geometry import _CHUNK, _PAD, _SHORT, _SLACK, _AnchorFrame
 
 # the M grids keep point counts around 1024, a block size the walk once had
 _BLOCK = 1 << 10
@@ -653,6 +654,111 @@ def test_no_run_after_the_hit_is_bounded(paper_queries, monkeypatch):
         assert list(geometry._live_runs(center.x, center.y, radius, rings, (r1.clip,), 200_000))
         skipped += events.count("cos") > lazy  # bounding every run takes more
     assert skipped > 10
+
+
+def test_criterion_09_walks_give_the_pinned_verdicts():
+    # criterion 09's 10,000 queries at M = 2e5, 62 of them walked on more
+    # than 100 points; written by tests/data/make_goldens.py
+    golden = Path(__file__).parent / "data" / "criterion09_discretized_M200000.txt"
+    rng = np.random.default_rng(20260809)
+    verdicts = "".join(
+        "1" if circle_meets_region_discretized(*random_region_trial(rng), 200_000) else "0"
+        for _ in range(10_000)
+    )
+    assert verdicts.encode() == golden.read_bytes()
+
+
+def _walk_args(query):
+    """``_walk``'s arguments before the angles, as the region test builds them."""
+    center, radius, r1, r2 = query
+    rings = tuple((r.center.x, r.center.y, r.r_inner**2, r.r_outer**2) for r in (r1, r2))
+    clips = (r1.clip,) if r2.clip == r1.clip else (r1.clip, r2.clip)
+    return center.x, center.y, radius, rings, clips
+
+
+def _both_branches(mp, args, cos, sin):
+    """``_walk``'s verdict on one piece in Python floats, then in numpy."""
+    verdicts = []
+    for short in (cos.size, cos.size - 1):
+        mp.setattr(geometry, "_SHORT", short)
+        verdicts.append(geometry._walk(*args, cos, sin))
+    return verdicts
+
+
+def _each_point_through_both_branches(query, m_points):
+    args = _walk_args(query)
+    ang = (2.0 * math.pi / m_points) * np.arange(m_points)
+    cos, sin = np.cos(ang), np.sin(ang)
+    hits = 0
+    with pytest.MonkeyPatch.context() as mp:
+        for m in range(m_points):
+            floats, numpy = _both_branches(mp, args, cos[m : m + 1], sin[m : m + 1])
+            assert floats == numpy, (query, m_points, m)
+            hits += floats
+    return hits
+
+
+@settings(max_examples=100, deadline=None)
+@given(query=_skip_stress_queries(), m_points=st.sampled_from([3, 7, 64, 257, _BLOCK + 1]))
+def test_each_point_gets_one_verdict_in_floats_and_in_numpy_on_stress_queries(query, m_points):
+    _each_point_through_both_branches(query, m_points)
+
+
+def test_each_point_gets_one_verdict_in_floats_and_in_numpy_on_the_paper_network(
+    paper_queries,
+):
+    hits = sum(_each_point_through_both_branches(q, 300) for q in paper_queries)
+    assert hits > 100
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, _SHORT, _SHORT + 1])
+def test_whole_pieces_get_one_verdict_in_floats_and_in_numpy(size, paper_queries, monkeypatch):
+    rng = np.random.default_rng(20261020)
+    queries = [random_region_trial(rng) for _ in range(100)]
+    queries += [(c, f * r, r1, r2) for c, r, r1, r2 in paper_queries for f in (0.999, 1.0, 1.001)]
+    verdicts = Counter()
+    for query in queries:
+        args = _walk_args(query)
+        for m_points in (7, 1000, 200_000):
+            step = 2.0 * math.pi / m_points
+            # pieces starting across the first live run, else at angle 0
+            first = next(geometry._live_runs(*args, m_points), (0, 0))[0]
+            for start in range(first, first + 2 * _PAD + 1):
+                ang = step * np.arange(start, start + size)
+                floats, numpy = _both_branches(monkeypatch, args, np.cos(ang), np.sin(ang))
+                assert floats == numpy, (query, m_points, start)
+                verdicts[floats] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def _tie_rings(edge, past):
+    """Ring tuples for two rings around (0, 0) and (8, 16) through the point
+    (3, 4), at squared distances 25 and 169; ``edge`` ("inner0", "outer0",
+    "inner1" or "outer1") puts the point exactly on that edge, or one ulp
+    outside it when ``past``."""
+    rings = [[0.0, 0.0, 9.0, 36.0], [8.0, 16.0, 144.0, 196.0]]
+    k, lo = int(edge[-1]), edge.startswith("inner")
+    dsq = (25.0, 169.0)[k]
+    limit = math.nextafter(dsq, math.inf if lo else 0.0) if past else dsq
+    rings[k][2 if lo else 3] = limit
+    return tuple(map(tuple, rings))
+
+
+@pytest.mark.parametrize("edge", ["inner0", "outer0", "inner1", "outer1", "clip"])
+@pytest.mark.parametrize("past", [False, True], ids=["on", "past"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_point_on_an_edge_is_in_and_one_ulp_past_it_is_out(edge, past, size, monkeypatch):
+    # c + r0 (cos, sin) = (2, 4) + (1, 0) = (3, 4) exactly; with size 3 the
+    # point comes last, after two points that fail both rings
+    cos, sin = np.array([-9.0, 30.0, 1.0][-size:]), np.array([0.0, 0.0, 0.0][-size:])
+    if edge == "clip":
+        rings = _tie_rings("inner0", past=False)
+        y = math.nextafter(4.0, math.inf) if past else 4.0
+        clips = (HalfSpace(Point(0.0, y), Point(1.0, y), 1), UPPER)
+    else:
+        rings, clips = _tie_rings(edge, past), (UPPER,)
+    args = (2.0, 4.0, 1.0, rings, clips)
+    assert _both_branches(monkeypatch, args, cos, sin) == [not past, not past]
 
 
 _CUT_M_GRID = (3, 7, _BLOCK + 1, 2 * _CHUNK + 1, 200_000)

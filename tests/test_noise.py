@@ -1,6 +1,7 @@
 """Noise model: frozen quantile values, interval extrema, validation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,11 +14,23 @@ import quantloc.analysis as analysis_module
 import quantloc.detector as detector_module
 import quantloc.noise as noise_module
 from quantloc import (
+    AdvisoryWarning,
+    DetectorConfig,
     DomainError,
     GaussianNoise,
+    HalfSpace,
+    Mima,
+    Point,
+    PsiOffset,
+    Ring,
+    RoiDisc,
+    SensorSpec,
     SpoofBias,
+    circle_meets_region_analytic,
+    circle_meets_region_discretized,
     density_sup,
     lambda_j,
+    nmle_distance,
     xi_factor,
 )
 
@@ -265,6 +278,71 @@ def test_an_integer_past_the_float_range_is_caught(call, message, huge):
 def test_an_integer_past_the_float_range_is_caught_by_the_module_functions(call, message, huge):
     with pytest.raises(DomainError, match=message):
         call(huge)
+
+
+_CLIP = HalfSpace(Point(-1.0, 0.0), Point(1.0, 0.0), 1)
+_RINGS = (Ring(Point(-1.0, 0.0), 2.0, 0.5, _CLIP), Ring(Point(1.0, 0.0), 2.0, 0.5, _CLIP))
+
+# (call, field): each call raises DomainError for its argument ``big``
+_TOO_LONG_TO_PRINT = {
+    "cdf": (lambda s, big: GaussianNoise().cdf(big), "x"),
+    "inv_cdf": (lambda s, big: GaussianNoise().inv_cdf(big), "quantile argument"),
+    "inv_cdf.list": (lambda s, big: GaussianNoise().inv_cdf([0.5, big]), "quantile argument"),
+    "density": (lambda s, big: GaussianNoise().density(big), "x"),
+    "density.list": (lambda s, big: GaussianNoise().density([0.5, big]), "x"),
+    "density_extremum": (
+        lambda s, big: GaussianNoise().density_extremum(0.0, big, "sup"),
+        "invalid interval",
+    ),
+    "GaussianNoise.location": (lambda s, big: GaussianNoise(location=big), "location"),
+    "GaussianNoise.scale": (lambda s, big: GaussianNoise(scale=big), "scale"),
+    "Point.x": (lambda s, big: Point(big, 0.0), "point x"),
+    "Point.y": (lambda s, big: Point(0.0, big), "point y"),
+    "RoiDisc": (lambda s, big: RoiDisc(Point(0, 0), big), "ROI radius"),
+    "SensorSpec": (
+        lambda s, big: SensorSpec(7, Point(0, 0), big, GaussianNoise()),
+        "sensor 7 threshold",
+    ),
+    "DetectorConfig.delta": (lambda s, big: DetectorConfig(delta=big), "delta"),
+    "DetectorConfig.m_points": (lambda s, big: DetectorConfig(delta=1.0, m_points=big), "m_points"),
+    "Mima.psi0": (lambda s, big: Mima(psi0=big, psi1=0.0), "psi0"),
+    "Mima.psi1": (lambda s, big: Mima(psi0=0.0, psi1=big), "psi1"),
+    "PsiOffset": (lambda s, big: PsiOffset(big), "offset"),
+    "SpoofBias": (lambda s, big: SpoofBias(big), "bias"),
+    "nmle_distance": (lambda s, big: nmle_distance(s, 1, big), "xi"),
+    "analytic.radius": (
+        lambda s, big: circle_meets_region_analytic(Point(0.0, 1.0), big, *_RINGS),
+        "radius",
+    ),
+    "discretized.radius": (
+        lambda s, big: circle_meets_region_discretized(Point(0.0, 1.0), big, *_RINGS, 1000),
+        "radius",
+    ),
+    "discretized.m_points": (
+        lambda s, big: circle_meets_region_discretized(Point(0.0, 1.0), 1.0, *_RINGS, big),
+        "m_points",
+    ),
+    "Ring.radius": (lambda s, big: Ring(Point(0.0, 0.0), big, 1.0, _CLIP), "ring radius"),
+    "Ring.half_width": (lambda s, big: Ring(Point(0.0, 0.0), 1.0, big, _CLIP), "half_width"),
+    "HalfSpace.side": (lambda s, big: HalfSpace(Point(0.0, 0.0), Point(1.0, 0.0), big), "side"),
+}
+
+
+@pytest.mark.parametrize(
+    "big", [10**400, 10**5000, -(10**5000)], ids=["1e400", "1e5000", "-1e5000"]
+)
+@pytest.mark.parametrize(
+    ("call", "field"), _TOO_LONG_TO_PRINT.values(), ids=_TOO_LONG_TO_PRINT.keys()
+)
+def test_an_integer_past_the_float_range_is_named_not_printed(toy_scenario, call, field, big):
+    """The package's error names the field; it does not print the integer,
+    which past 4,300 digits Python refuses to convert to a string."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdvisoryWarning)  # delta above the admissible limit
+        with pytest.raises(DomainError, match=f"^{field} ") as err:
+            call(toy_scenario, big)
+    assert "an integer past the float range" in str(err.value)
+    assert "0000" not in str(err.value)
 
 
 def test_constructor_validation():
