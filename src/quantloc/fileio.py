@@ -21,7 +21,7 @@ import numpy as np
 from .attacks import AttackAssignment, AttackSpec, Mima, NoAttack, PsiOffset, SpoofBias
 from .errors import DomainError, InvalidScenario, ParseError
 from .measurement import PackedBits, QuantizedDataset
-from .noise import GaussianNoise, is_finite
+from .noise import GaussianNoise, is_finite, shown
 from .scenario import Point, RoiDisc, ScenarioConfig, SensorSpec
 
 __all__ = [
@@ -65,11 +65,30 @@ def _known_fields(obj: Any, names: Collection[str], path: str) -> Mapping[str, A
     return obj
 
 
+class _LongLiteral:
+    """What ``parse_scenario`` reads a JSON integer of more digits than
+    ``int`` converts (4,300 by default) as: no field accepts it, and its
+    message gives its length, not its digits."""
+
+    def __init__(self, text: str) -> None:
+        self.digits = len(text.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"a literal of {self.digits} digits, too long to read"
+
+
+def _json_int(text: str) -> int | _LongLiteral:
+    try:
+        return int(text)
+    except ValueError:
+        return _LongLiteral(text)
+
+
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
     if not is_finite(value):
-        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+        raise ParseError(f"{path}: expected a finite number, got {shown(value)}")
     return float(value)
 
 
@@ -272,7 +291,7 @@ _CONSTANTS = {
 def parse_scenario(text: str) -> tuple[ScenarioConfig, AttackAssignment]:
     """Parse a scenario document; raises ParseError with a field path."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     version = _integer(_get(doc, "schema_version", "document"), "schema_version")

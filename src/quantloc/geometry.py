@@ -184,19 +184,11 @@ def phi_bound(bounds: DistanceBounds, upsilon: float, delta: float) -> float:
 
 # -- discretized region test ---------------------------------------------
 
-# The most points one walk takes: 128 KiB per float64 temporary.  With
-# 256 KiB temporaries glibc's malloc trimmed the heap top and faulted it
-# back in on every chunk: a walk at M = 2e5 took 3.3 ms on a 2-core x86
-# host, 1.4 ms with MALLOC_TRIM_THRESHOLD_ raised, and 1.6 ms at this size
-# with default malloc settings.
+# The most points one piece of a walk holds.  It bounds the trig
+# temporaries (128 KiB per float64 array) and the lists ``tolist()`` makes
+# of them, and the cos and sin taken past a piece's first hit, which the
+# walk never reads.
 _CHUNK = 1 << 14
-
-# The most points a walk tests one at a time in Python floats.  On a 2-core
-# x86 host (Python 3.11, numpy 2.4), a piece whose every point passes both
-# rings and fails the clip, the dearest case for floats, took 2.3 us in
-# floats against 10.3 us in numpy at 4 points and 9.1 against 11.0 us at 32;
-# the two broke even between 40 and 48 points.
-_SHORT = 32
 
 
 def check_m_points(m_points) -> int:
@@ -293,37 +285,25 @@ def _live_runs(cx, cy, r0, rings, clips, m_points):
 def _walk(cx, cy, r0, rings, clips, cos, sin) -> bool:
     """Whether some point c + r0 (cos, sin) lies in both rings and every clip.
 
-    A piece of at most _SHORT points is tested point by point in Python
-    floats, returning on the first point that passes; a longer one in numpy.
-    Both take the same IEEE operations in the same order (numpy's ``** 2``
-    is ``x * x``, and a clip's value is ``HalfSpace.signed``'s expression),
-    so a point passes in one exactly when it passes in the other.
+    Each point is tested in Python floats, returning on the first that
+    passes: x = cx + r0 cos, the squared distance dx * dx + dy * dy in the
+    closed [lo_sq, hi_sq], and ``HalfSpace.signed``'s expression >= 0.
     """
-    if cos.size <= _SHORT:
-        clips = [(c.a.x, c.a.y, c.b.x - c.a.x, c.b.y - c.a.y, c.side) for c in clips]
-        for c, s in zip(cos.tolist(), sin.tolist()):
-            x = cx + r0 * c
-            y = cy + r0 * s
-            for qx, qy, lo_sq, hi_sq in rings:
-                dx, dy = x - qx, y - qy
-                if not lo_sq <= dx * dx + dy * dy <= hi_sq:
+    clips = [(c.a.x, c.a.y, c.b.x - c.a.x, c.b.y - c.a.y, c.side) for c in clips]
+    for c, s in zip(cos.tolist(), sin.tolist()):
+        x = cx + r0 * c
+        y = cy + r0 * s
+        for qx, qy, lo_sq, hi_sq in rings:
+            dx, dy = x - qx, y - qy
+            if not lo_sq <= dx * dx + dy * dy <= hi_sq:
+                break
+        else:
+            for ax, ay, ux, uy, side in clips:
+                if not side * (ux * (y - ay) - uy * (x - ax)) >= 0.0:
                     break
             else:
-                for ax, ay, ux, uy, side in clips:
-                    if not side * (ux * (y - ay) - uy * (x - ax)) >= 0.0:
-                        break
-                else:
-                    return True
-        return False
-    x = cx + r0 * cos
-    y = cy + r0 * sin
-    ok = np.ones(x.shape, dtype=bool)
-    for qx, qy, lo_sq, hi_sq in rings:
-        dsq = (x - qx) ** 2 + (y - qy) ** 2
-        ok &= (dsq >= lo_sq) & (dsq <= hi_sq)
-    for clip in clips:
-        ok &= clip.signed(x, y) >= 0.0
-    return ok.any()
+                return True
+    return False
 
 
 def circle_meets_region_discretized(
@@ -343,12 +323,10 @@ def circle_meets_region_discretized(
     is skipped at the first constraint whose exact range on it misses its
     limits by more than 1e-9 of the walk's magnitudes, far beyond rounding,
     and a live run is walked at once, so a hit returns before any later run
-    is bounded.  A walk tests every constraint on every point of the run,
-    with the float expressions of a walk over the whole circle, so the
-    verdict is that of an unpruned walk.  A piece of at most 32 points, as
-    every walk of a paper-network detection is, is tested point by point in
-    Python floats rather than in numpy, with the same operations in the same
-    order, so each point's verdict is the same bit for bit.
+    is bounded.  A run is walked in pieces of at most 16,384 points, their
+    cos and sin taken at once in numpy, and each point is tested in Python
+    floats with the float operations of a walk over the whole circle, so
+    the verdict is that of an unpruned walk.
     """
     try:
         finite = math.isfinite(radius)

@@ -137,6 +137,32 @@ def test_an_integer_past_the_float_range_names_its_field(sign, tmp_path, capsys)
     assert "error: constants.kappa: expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "written, long, message",
+    [
+        ('"kappa": 1.0', '"kappa": {}', "constants.kappa: expected a number"),
+        ('"id": 1,', '"id": {},', "sensors[0].id: expected an integer"),
+    ],
+    ids=["kappa", "id"],
+)
+@pytest.mark.parametrize("sign", ["", "-"], ids=["plus", "minus"])
+def test_an_integer_too_long_to_read_names_its_field(
+    written, long, message, sign, tmp_path, capsys
+):
+    # 5,001 digits: past the 4,300 that int() converts from text
+    digits = "1" + "0" * 5000
+    text = json.dumps(_base_doc()).replace(written, long.format(sign + digits), 1)
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse_scenario(text)
+    assert "5001 digits" in str(info.value) and "00000" not in str(info.value)
+    # through the CLI: the package's error and exit 2, not a traceback
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "00000" not in err
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 def test_scenario_booleans_must_be_json_true_or_false(value):
     doc = _base_doc()

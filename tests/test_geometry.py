@@ -35,7 +35,7 @@ from quantloc import (
     phi_bound,
 )
 from quantloc import detector, geometry
-from quantloc.geometry import _CHUNK, _PAD, _SHORT, _SLACK, _AnchorFrame
+from quantloc.geometry import _CHUNK, _PAD, _SLACK, _AnchorFrame
 
 # the M grids keep point counts around 1024, a block size the walk once had
 _BLOCK = 1 << 10
@@ -227,26 +227,26 @@ def test_analytic_matches_stable_discretized_answers():
     assert checked > 100
 
 
+def _numpy_walk(cx, cy, r0, rings, clips, cos, sin):
+    """``_walk``'s oracle: every constraint on every point of the piece, in numpy."""
+    x = cx + r0 * cos
+    y = cy + r0 * sin
+    ok = np.ones(x.shape, dtype=bool)
+    for qx, qy, lo_sq, hi_sq in rings:
+        dsq = (x - qx) ** 2 + (y - qy) ** 2
+        ok &= (dsq >= lo_sq) & (dsq <= hi_sq)
+    for clip in clips:
+        ok &= clip.signed(x, y) >= 0.0
+    return bool(ok.any())
+
+
 def _unpruned_discretized(center, radius, r1, r2, m_points):
     """The walk before caching and pruning: every constraint on every point."""
-    cx, cy, r0 = center.x, center.y, radius
-    rings = (
-        (r1.center.x, r1.center.y, r1.r_inner**2, r1.r_outer**2),
-        (r2.center.x, r2.center.y, r2.r_inner**2, r2.r_outer**2),
-    )
-    clips = (r1.clip, r2.clip)
+    rings = tuple((r.center.x, r.center.y, r.r_inner**2, r.r_outer**2) for r in (r1, r2))
     for start in range(0, m_points, 1 << 15):
-        idx = np.arange(start, min(start + (1 << 15), m_points))
-        ang = (2.0 * math.pi / m_points) * idx
-        x = cx + r0 * np.cos(ang)
-        y = cy + r0 * np.sin(ang)
-        ok = np.ones(idx.shape, dtype=bool)
-        for clip in clips:
-            ok &= clip.signed(x, y) >= 0.0
-        for qx, qy, lo_sq, hi_sq in rings:
-            dsq = (x - qx) ** 2 + (y - qy) ** 2
-            ok &= (dsq >= lo_sq) & (dsq <= hi_sq)
-        if ok.any():
+        ang = (2.0 * math.pi / m_points) * np.arange(start, min(start + (1 << 15), m_points))
+        cos, sin = np.cos(ang), np.sin(ang)
+        if _numpy_walk(center.x, center.y, radius, rings, (r1.clip, r2.clip), cos, sin):
             return True
     return False
 
@@ -676,58 +676,67 @@ def _walk_args(query):
     return center.x, center.y, radius, rings, clips
 
 
-def _both_branches(mp, args, cos, sin):
-    """``_walk``'s verdict on one piece in Python floats, then in numpy."""
-    verdicts = []
-    for short in (cos.size, cos.size - 1):
-        mp.setattr(geometry, "_SHORT", short)
-        verdicts.append(geometry._walk(*args, cos, sin))
-    return verdicts
+def _walk_and_oracle(args, cos, sin):
+    """The verdicts on one piece of ``_walk``, in Python floats, and of its
+    numpy oracle."""
+    return [geometry._walk(*args, cos, sin), _numpy_walk(*args, cos, sin)]
 
 
-def _each_point_through_both_branches(query, m_points):
+def _each_point_through_walk_and_oracle(query, m_points):
     args = _walk_args(query)
     ang = (2.0 * math.pi / m_points) * np.arange(m_points)
     cos, sin = np.cos(ang), np.sin(ang)
     hits = 0
-    with pytest.MonkeyPatch.context() as mp:
-        for m in range(m_points):
-            floats, numpy = _both_branches(mp, args, cos[m : m + 1], sin[m : m + 1])
-            assert floats == numpy, (query, m_points, m)
-            hits += floats
+    for m in range(m_points):
+        floats, numpy = _walk_and_oracle(args, cos[m : m + 1], sin[m : m + 1])
+        assert floats == numpy, (query, m_points, m)
+        hits += floats
     return hits
 
 
 @settings(max_examples=100, deadline=None)
 @given(query=_skip_stress_queries(), m_points=st.sampled_from([3, 7, 64, 257, _BLOCK + 1]))
 def test_each_point_gets_one_verdict_in_floats_and_in_numpy_on_stress_queries(query, m_points):
-    _each_point_through_both_branches(query, m_points)
+    _each_point_through_walk_and_oracle(query, m_points)
 
 
 def test_each_point_gets_one_verdict_in_floats_and_in_numpy_on_the_paper_network(
     paper_queries,
 ):
-    hits = sum(_each_point_through_both_branches(q, 300) for q in paper_queries)
+    hits = sum(_each_point_through_walk_and_oracle(q, 300) for q in paper_queries)
     assert hits > 100
 
 
-@pytest.mark.parametrize("size", [1, 2, 4, _SHORT, _SHORT + 1])
-def test_whole_pieces_get_one_verdict_in_floats_and_in_numpy(size, paper_queries, monkeypatch):
+def _whole_pieces(paper_queries, size, m_grid, starts):
+    """Verdicts of pieces of ``size`` points, each checked against the oracle:
+    ``starts`` pieces per query and M, starting across the first live run,
+    else at angle 0."""
     rng = np.random.default_rng(20261020)
     queries = [random_region_trial(rng) for _ in range(100)]
     queries += [(c, f * r, r1, r2) for c, r, r1, r2 in paper_queries for f in (0.999, 1.0, 1.001)]
     verdicts = Counter()
     for query in queries:
         args = _walk_args(query)
-        for m_points in (7, 1000, 200_000):
+        for m_points in m_grid:
             step = 2.0 * math.pi / m_points
-            # pieces starting across the first live run, else at angle 0
             first = next(geometry._live_runs(*args, m_points), (0, 0))[0]
-            for start in range(first, first + 2 * _PAD + 1):
+            for start in range(first, first + starts):
                 ang = step * np.arange(start, start + size)
-                floats, numpy = _both_branches(monkeypatch, args, np.cos(ang), np.sin(ang))
+                floats, numpy = _walk_and_oracle(args, np.cos(ang), np.sin(ang))
                 assert floats == numpy, (query, m_points, start)
                 verdicts[floats] += 1
+    return verdicts
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 32, 33])
+def test_whole_pieces_get_one_verdict_in_floats_and_in_numpy(size, paper_queries):
+    verdicts = _whole_pieces(paper_queries, size, (7, 1000, 200_000), 2 * _PAD + 1)
+    assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+def test_a_full_piece_gets_one_verdict_in_floats_and_in_numpy(paper_queries):
+    # a miss walks all _CHUNK points in Python, so one piece per query
+    verdicts = _whole_pieces(paper_queries, _CHUNK, (200_000,), 1)
     assert verdicts[True] > 50 and verdicts[False] > 50
 
 
@@ -747,7 +756,7 @@ def _tie_rings(edge, past):
 @pytest.mark.parametrize("edge", ["inner0", "outer0", "inner1", "outer1", "clip"])
 @pytest.mark.parametrize("past", [False, True], ids=["on", "past"])
 @pytest.mark.parametrize("size", [1, 3])
-def test_a_point_on_an_edge_is_in_and_one_ulp_past_it_is_out(edge, past, size, monkeypatch):
+def test_a_point_on_an_edge_is_in_and_one_ulp_past_it_is_out(edge, past, size):
     # c + r0 (cos, sin) = (2, 4) + (1, 0) = (3, 4) exactly; with size 3 the
     # point comes last, after two points that fail both rings
     cos, sin = np.array([-9.0, 30.0, 1.0][-size:]), np.array([0.0, 0.0, 0.0][-size:])
@@ -758,7 +767,7 @@ def test_a_point_on_an_edge_is_in_and_one_ulp_past_it_is_out(edge, past, size, m
     else:
         rings, clips = _tie_rings(edge, past), (UPPER,)
     args = (2.0, 4.0, 1.0, rings, clips)
-    assert _both_branches(monkeypatch, args, cos, sin) == [not past, not past]
+    assert _walk_and_oracle(args, cos, sin) == [not past, not past]
 
 
 _CUT_M_GRID = (3, 7, _BLOCK + 1, 2 * _CHUNK + 1, 200_000)
