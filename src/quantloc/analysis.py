@@ -29,7 +29,6 @@ from .measurement import prob_zero
 from .scenario import ScenarioConfig, rho_bounds
 
 __all__ = [
-    "ExponentParams",
     "SensorRates",
     "RateReport",
     "epsilon_bracket",
@@ -43,50 +42,32 @@ INF = math.inf
 PREFACTOR = 12.0
 
 
-@dataclass(frozen=True)
-class ExponentParams:
-    """Interpolation weights placing eps_L below rho_L and eps_U above rho_U.
+def epsilon_bracket(s: ScenarioConfig, j: int) -> tuple[float, float]:
+    """The widened frequency bracket (eps_L, eps_U) for sensor j.
 
-    eps_L = sigma_l * rho_L and eps_U = sigma_u * rho_U + (1 - sigma_u) * F(tau),
-    with both sigmas in (0, 1).  The defaults split the gaps evenly.
+    Each end sits at the midpoint of its gap: eps_L = rho_L / 2, halfway
+    up (0, rho_L), and eps_U = (rho_U + F(tau)) / 2, halfway up
+    (rho_U, F(tau)).
     """
-
-    sigma_l: float = 0.5
-    sigma_u: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name, value in (("sigma_l", self.sigma_l), ("sigma_u", self.sigma_u)):
-            if not (0.0 < value < 1.0):
-                raise DomainError(f"{name} must lie in (0, 1), got {value}")
-
-
-def epsilon_bracket(
-    s: ScenarioConfig,
-    j: int,
-    params: ExponentParams | None = None,
-) -> tuple[float, float]:
-    """The widened frequency bracket (eps_L, eps_U) for sensor j."""
-    params = params or ExponentParams()
     rho_l, rho_u = rho_bounds(s, j)
     f_tau = s.sensor(j).zero_prob()
-    eps_l = params.sigma_l * rho_l
-    eps_u = params.sigma_u * rho_u + (1.0 - params.sigma_u) * f_tau
-    return eps_l, eps_u
+    return 0.5 * rho_l, 0.5 * rho_u + 0.5 * f_tau
 
 
-def xi_factor(s: ScenarioConfig, j: int, params: ExponentParams | None = None) -> float:
-    """Conversion factor Xi_j for sensor j under the given bracket weights.
+def xi_factor(s: ScenarioConfig, j: int) -> float:
+    """Conversion factor Xi_j for sensor j.
 
     Xi = d0 * p0^(1/gamma) * (tau - F^{-1}(eps_U))^(-(gamma+1)/gamma)
          / inf f over [F^{-1}(eps_L), F^{-1}(eps_U)],
 
-    with (eps_L, eps_U) from ``epsilon_bracket``.  A distance-estimate
+    with (eps_L, eps_U) from ``epsilon_bracket``: the midpoints
+    eps_L = rho_L / 2 and eps_U = (rho_U + F(tau)) / 2.  A distance-estimate
     deviation of x in frequency is at most Xi * x while the frequency stays
     inside [eps_L, eps_U].
     """
     sensor = s.sensor(j)
     noise, tau = sensor.noise, sensor.threshold
-    eps_l, eps_u = epsilon_bracket(s, j, params)
+    eps_l, eps_u = epsilon_bracket(s, j)
     if not (0.0 < eps_l < eps_u < 1.0):
         raise DomainError(f"need 0 < eps_l < eps_u < 1, got {eps_l}, {eps_u}")
     f_tau = noise.cdf(tau)
@@ -296,7 +277,6 @@ def composite_exponents(
     s: ScenarioConfig,
     assignment: AttackAssignment,
     cfg: DetectorConfig,
-    params: ExponentParams | None = None,
 ) -> RateReport:
     """Evaluate every exponent for the given attack assignment and delta.
 
@@ -306,7 +286,6 @@ def composite_exponents(
     when j is unattacked).  Secure sensors always contribute their plain
     rates: their records are tamper-proof by construction.
     """
-    params = params or ExponentParams()
     s1, s2 = s.secure_pair()
     delta = cfg.delta
 
@@ -315,8 +294,8 @@ def composite_exponents(
     for sensor in s.sensors:
         j = sensor.id
         p = prob_zero(s, j, s.target)
-        eps_l, eps_u = epsilon_bracket(s, j, params)
-        t = delta / (2.0 * xi_factor(s, j, params))
+        eps_l, eps_u = epsilon_bracket(s, j)
+        t = delta / (2.0 * xi_factor(s, j))
         plain[j] = _sensor_rates(p, t, eps_l, eps_u)
         if not sensor.secure:
             tp = post_attack_prob(assignment.spec_for(j), p, noise=sensor.noise)

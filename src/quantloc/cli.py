@@ -15,7 +15,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import ExponentParams, composite_exponents
+from .analysis import composite_exponents
 from .detector import (
     DEFAULT_M,
     METHODS,
@@ -58,10 +58,6 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     return DetectorConfig(delta=args.delta, method=args.method, m_points=args.M)
 
 
-def _params(args: argparse.Namespace) -> ExponentParams:
-    return ExponentParams(sigma_l=args.sigma_l, sigma_u=args.sigma_u)
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     scenario, assignment = load_scenario(args.scenario)
     with warnings.catch_warnings():
@@ -99,7 +95,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.kappa is not None:
         scenario = replace(scenario, kappa=args.kappa)
     cfg = _detector_config(args)
-    report = composite_exponents(scenario, assignment, cfg, _params(args))
+    report = composite_exponents(scenario, assignment, cfg)
     lines = [
         f"# delta\t{args.delta:g}",
         f"# kappa\t{scenario.kappa:g}",
@@ -129,7 +125,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         trials=args.trials,
         base_seed=args.seed,
         threads=args.threads,
-        params=_params(args),
     )
     metrics = sweep_K(plan)
     text = metrics.to_table()
@@ -190,11 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p_detect.set_defaults(func=cmd_detect)
 
-    def add_exponent_flags(p: argparse.ArgumentParser) -> None:
-        defaults = ExponentParams()
-        p.add_argument("--sigma-l", type=float, default=defaults.sigma_l, dest="sigma_l")
-        p.add_argument("--sigma-u", type=float, default=defaults.sigma_u, dest="sigma_u")
-
     p_bounds = sub.add_parser("bounds", help="error exponents and bound tables")
     add_common(p_bounds)
     add_detector_flags(p_bounds)
@@ -208,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--kappa", type=float, default=None, help="override the scenario's kappa"
     )
-    add_exponent_flags(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo error rates over a K grid")
@@ -223,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--threads", type=int, default=0, help="worker threads (0 = auto)"
     )
-    add_exponent_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_setup = sub.add_parser(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Collection, Mapping
 
@@ -281,11 +281,9 @@ _DOCUMENT_FIELDS = (
     "schema_version", "constants", "roi", "target", "noise_default",
     "threshold_default", "sensors", "attacks",
 )
-# Each constant with its default; None marks a required one.
-_CONSTANTS = {
-    "p0": None, "d0": None, "gamma": None,
-    "upsilon1": 1.0, "upsilon2": 1.0, "kappa": 0.005,
-}
+# Each constant (a float field of ScenarioConfig), in field order, with its
+# default; MISSING marks a required one.
+_CONSTANTS = {f.name: f.default for f in fields(ScenarioConfig) if f.type == "float"}
 
 
 def parse_scenario(text: str) -> tuple[ScenarioConfig, AttackAssignment]:
@@ -315,7 +313,7 @@ def parse_scenario(text: str) -> tuple[ScenarioConfig, AttackAssignment]:
     )
     values = {}
     for name, default in _CONSTANTS.items():
-        raw = _get(constants, name, "constants") if default is None else constants.get(name, default)
+        raw = _get(constants, name, "constants") if default is MISSING else constants.get(name, default)
         values[name] = _positive(raw, f"constants.{name}")
     try:
         scenario = ScenarioConfig(
@@ -372,14 +370,7 @@ def render_scenario(s: ScenarioConfig, assignment: AttackAssignment | None = Non
     default_noise = s.sensors[0].noise
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "constants": {
-            "p0": s.p0,
-            "d0": s.d0,
-            "gamma": s.gamma,
-            "upsilon1": s.upsilon1,
-            "upsilon2": s.upsilon2,
-            "kappa": s.kappa,
-        },
+        "constants": {name: getattr(s, name) for name in _CONSTANTS},
         "roi": {"center": [s.roi.center.x, s.roi.center.y], "radius": s.roi.radius},
         "target": [s.target.x, s.target.y],
         "noise_default": _noise_dict(default_noise),
@@ -471,10 +462,9 @@ def save_dataset(data: QuantizedDataset, path: str | Path) -> None:
     ids = sorted(data.bits)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
-        header = np.array(
-            [data.k, len(ids), data.rng_seed & _MASK64, data.trial_index],
-            dtype="<u8",
-        )
+        # Seed and trial are stored mod 2^64, as the random streams key them.
+        seed, trial = (int(v) & _MASK64 for v in (data.rng_seed, data.trial_index))
+        header = np.array([data.k, len(ids), seed, trial], dtype="<u8")
         fh.write(header.tobytes())
         for sid in ids:
             fh.write(np.array([sid], dtype="<i8").tobytes())

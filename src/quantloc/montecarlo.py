@@ -23,12 +23,12 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .analysis import ExponentParams, RateReport, composite_exponents
+from .analysis import RateReport, composite_exponents
 from .attacks import AttackAssignment
 from .detector import (
     DetectorConfig,
@@ -75,7 +75,6 @@ class ExperimentPlan:
     trials: int
     base_seed: int
     threads: int = 0
-    params: ExponentParams = field(default_factory=ExponentParams)
 
     def __post_init__(self) -> None:
         try:
@@ -280,7 +279,7 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
     n_unattacked = n_total - n_attacked
 
     reports: dict[float, RateReport] = {
-        cfg.delta: composite_exponents(scenario, assignment, cfg, plan.params)
+        cfg.delta: composite_exponents(scenario, assignment, cfg)
         for cfg in configs
     }
     # detect_all runs at the first delta only and raises its advisory there;

@@ -11,7 +11,6 @@ from quantloc import (
     DetectorConfig,
     DomainError,
     AttackAssignment,
-    ExponentParams,
     Mima,
     PsiOffset,
     bernoulli_kl,
@@ -150,31 +149,18 @@ def test_composite_exponents_reject_attacks_leaving_the_bracket(toy_scenario):
     assert composite_exponents(s, inside, cfg).miss_exponents[1] > 0.0
 
 
-def test_exponent_params_validation():
-    ExponentParams(0.1, 0.9)
-    for bad in (0.0, 1.0, -0.2, 1.2):
-        with pytest.raises(DomainError):
-            ExponentParams(sigma_l=bad)
-        with pytest.raises(DomainError):
-            ExponentParams(sigma_u=bad)
-
-
 def test_epsilon_bracket_interpolates(toy_scenario):
     s = toy_scenario
     rho_l, rho_u = rho_bounds(s, 1)
     f_tau = float(s.sensor(1).noise.cdf(1.0))
     eps_l, eps_u = epsilon_bracket(s, 1)
-    assert eps_l == pytest.approx(0.5 * rho_l, rel=1e-15)
-    assert eps_u == pytest.approx(0.5 * rho_u + 0.5 * f_tau, rel=1e-15)
-    # larger weights pull both ends toward the rho bracket
-    tight = epsilon_bracket(s, 1, ExponentParams(0.9, 0.9))
-    assert tight[0] > eps_l
-    assert tight[1] < eps_u
+    assert eps_l == 0.5 * rho_l
+    assert eps_u == 0.5 * rho_u + 0.5 * f_tau
 
 
 def _bracket_at(monkeypatch, eps_l, eps_u):
     monkeypatch.setattr(
-        analysis_module, "epsilon_bracket", lambda s, j, params=None: (eps_l, eps_u)
+        analysis_module, "epsilon_bracket", lambda s, j: (eps_l, eps_u)
     )
 
 

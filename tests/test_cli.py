@@ -10,7 +10,6 @@ import pytest
 
 import quantloc
 from quantloc import AttackAssignment, Mima, load_scenario, save_scenario
-from quantloc.analysis import ExponentParams
 from quantloc.cli import _build_parser, main
 from quantloc.detector import DEFAULT_M, METHODS, DetectorConfig
 
@@ -222,9 +221,6 @@ def test_flag_defaults_come_from_the_library():
     args = parser.parse_args(["sweep", "x.json", "--delta", "5", "--K-grid", "10"])
     assert args.M == DEFAULT_M
     assert args.method == DetectorConfig(delta=5.0).method
-    assert (args.sigma_l, args.sigma_u) == (
-        ExponentParams().sigma_l, ExponentParams().sigma_u,
-    )
     sweep = next(
         action.choices["sweep"] for action in parser._actions if action.dest == "command"
     )
@@ -292,13 +288,22 @@ def test_bounds_clean_scenario(toy_file, capsys):
 def test_bounds_attacked_scenario_with_overrides(attacked_file, capsys):
     code = main(
         ["bounds", attacked_file, "--delta", "5", "--kappa", "0.5",
-         "--K-grid", "1000,10000", "--sigma-l", "0.4", "--sigma-u", "0.6"]
+         "--K-grid", "1000,10000"]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "# kappa\t0.5" in out
     assert "# eta_miss\tnan" not in out
     assert "fa_bound_K1000" in out and "fa_bound_K10000" in out
+
+
+@pytest.mark.parametrize("flag", ["--sigma-l", "--sigma-u"])
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_the_bracket_weights_are_not_flags(command, flag, attacked_file, capsys):
+    """The exponents' frequency bracket comes from the scenario alone."""
+    args = [command, attacked_file, "--delta", "5", "--K-grid", "1000", flag, "0.4"]
+    assert main(args) == 2
+    assert f"unrecognized arguments: {flag} 0.4" in capsys.readouterr().err
 
 
 def test_sweep_table_shape(attacked_file, capsys):

@@ -586,6 +586,24 @@ def test_dataset_round_trip(tmp_path):
             np.testing.assert_array_equal(loaded.bits[j], bits[j])
 
 
+@pytest.mark.parametrize(
+    "seed, trial",
+    [(7, -1), (7, 1 << 64), (7, (1 << 64) + 3), (np.int64(7), np.int64(-3))],
+)
+def test_dataset_stores_the_trial_index_as_the_streams_key_it(seed, trial, tmp_path):
+    """A seed or trial index outside [0, 2^64), or a numpy integer, is saved
+    mod 2^64, the word the random streams key it by, so the loaded header
+    redraws the same bits."""
+    scenario, assignment = build_paper_setup(0.04)
+    path = tmp_path / "trial.bits"
+    save_dataset(generate_dataset(scenario, assignment, 16, seed, trial), path)
+    loaded = load_dataset(path)
+    assert (loaded.rng_seed, loaded.trial_index) == (int(seed), int(trial) % (1 << 64))
+    redrawn = generate_dataset(scenario, assignment, 16, loaded.rng_seed, loaded.trial_index)
+    for j in loaded.bits:
+        np.testing.assert_array_equal(redrawn.bits[j], loaded.bits[j])
+
+
 def test_dataset_error_paths(tmp_path):
     rng = np.random.default_rng(4)
     bits = {1: rng.integers(0, 2, size=16).astype(np.uint8)}

@@ -269,9 +269,7 @@ def test_bound_columns_come_from_composite_exponents(toy_scenario):
     assignment = AttackAssignment(specs={1: Mima(0.0, 0.2)})
     plan = _plan(toy_scenario, assignment)
     metrics = estimate_error_probs(plan)
-    report = composite_exponents(
-        toy_scenario, assignment, plan.detector, plan.params
-    )
+    report = composite_exponents(toy_scenario, assignment, plan.detector)
     for row in metrics.rows:
         assert row.fa_bound == report.fa_bound(row.k)
         assert row.miss_bound == report.miss_bound(row.k)

@@ -232,7 +232,7 @@ def test_scalar_callers_return_python_floats(toy_scenario, ref_scenario, monkeyp
     phi_m1 = g.cdf(-1.0)
     for bracket in ((phi_m1, 0.5), (np.float64(phi_m1), np.float64(0.5))):
         monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: bracket)
-        monkeypatch.setattr(analysis_module, "epsilon_bracket", lambda s, j, params: bracket)
+        monkeypatch.setattr(analysis_module, "epsilon_bracket", lambda s, j: bracket)
         values += [lambda_j(ref_scenario, 1), xi_factor(ref_scenario, 1)]
     assert [type(v) for v in values] == [float] * len(values)
 

@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "DomainError",
     "EmpiricalFreq",
     "ExperimentPlan",
-    "ExponentParams",
     "GaussianNoise",
     "HalfSpace",
     "InvalidScenario",
@@ -104,7 +103,8 @@ PUBLIC_NAMES = [
 # Retired exports whose work another name does: lambda_j, delta_admissible
 # and xi_factor take a scenario; GaussianNoise() is the standard normal;
 # QuantizedDataset.freq counts a record's zeros, and EmpiricalFreq raises
-# DomainError for an empty one.
+# DomainError for an empty one; epsilon_bracket fixes the bracket ends at
+# the midpoints of their gaps, which ExponentParams used to weight.
 RETIRED = [
     "lambda_from",
     "delta_admissible_from",
@@ -112,6 +112,7 @@ RETIRED = [
     "standard_gaussian",
     "empirical_freq",
     "EmptyData",
+    "ExponentParams",
 ]
 
 
