@@ -9,6 +9,8 @@ through the region pinned down by the two tamper-proof anchors.
 Run:  python3 demos/attack_detection_walkthrough.py
 """
 
+from dataclasses import replace
+
 from quantloc import (
     AttackAssignment,
     DetectorConfig,
@@ -60,15 +62,15 @@ assignment = AttackAssignment(specs={1: attack})
 # "significant"; one that keeps the probability inside the ROI bracket
 # is "subtle" (it cannot be caught by range checks alone).  The toy
 # kappa of 1 is unreachable by construction, so we also test a floor a
-# real deployment might use.
+# real deployment might use, on a copy of the scenario.
 
-p_clean = prob_zero(scenario, 1, scenario.target)
+p_clean = prob_zero(scenario, 1)
 p_tampered = post_attack_prob(attack, p_clean)
 offset = psi_of(attack, p_clean)
 print(f"clean zero-bit probability:    {p_clean:.6f}")
 print(f"tampered zero-bit probability: {p_tampered:.6f}  (offset {offset:+.6f})")
-print(f"significant at kappa={scenario.kappa:g}:    {check_significant(attack, p_clean, scenario.kappa)}")
-print(f"significant at kappa=0.1:  {check_significant(attack, p_clean, 0.1)}")
+print(f"significant at kappa={scenario.kappa:g}:    {check_significant(scenario, 1, attack)}")
+print(f"significant at kappa=0.1:  {check_significant(replace(scenario, kappa=0.1), 1, attack)}")
 print(f"subtle inside the ROI bracket: {check_subtle(scenario, 1, attack)}")
 
 d_clean = attacked_distance(scenario, 1, p_clean)
@@ -88,7 +90,7 @@ print(f"\nadmissible slack {limit:.4f}, using delta = {cfg.delta:.4f}")
 # Feeding exact probabilities instead of data shows what the detector
 # converges to: the tampered sensor's circle leaves the anchor region.
 
-probs = {s.id: prob_zero(scenario, s.id, scenario.target) for s in scenario.sensors}
+probs = {s.id: prob_zero(scenario, s.id) for s in scenario.sensors}
 probs[1] = p_tampered
 report = detect_from_probabilities(scenario, cfg, probs)
 print("\nexact-probability feed:")

@@ -25,7 +25,6 @@ from quantloc import (
     no_attacks,
     post_attack_prob,
     prob_zero,
-    sweep_K,
     validate_assumptions,
 )
 
@@ -107,7 +106,7 @@ for row in clean.rows:
 
 attack = Mima(psi0=0.0, psi1=0.33)
 assignment = AttackAssignment(specs={1: attack})
-p_clean = prob_zero(scenario, 1, scenario.target)
+p_clean = prob_zero(scenario, 1)
 p_tampered = post_attack_prob(attack, p_clean)
 drift = attacked_distance(scenario, 1, p_tampered) - attacked_distance(scenario, 1, p_clean)
 print(f"\nattack drifts the distance by {drift:.2f} against delta = {cfg.delta:g}")
@@ -121,7 +120,7 @@ edge_plan = ExperimentPlan(
     base_seed=11,
     threads=0,
 )
-edge = sweep_K(edge_plan)
+edge = estimate_error_probs(edge_plan)
 print("attacked-network sweep:")
 print(edge.to_table())
 if edge.slope is None:

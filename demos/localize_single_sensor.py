@@ -57,7 +57,7 @@ print(f"sensor {sensor_id} true distance to target: {true_distance:.4f}")
 # it pins the range down.  The ROI also brackets the reachable
 # probabilities, which later clamps rounding at extreme frequencies.
 
-p = prob_zero(scenario, sensor_id, scenario.target)
+p = prob_zero(scenario, sensor_id)
 rho_lo, rho_hi = rho_bounds(scenario, sensor_id)
 bounds = compute_distance_bounds(scenario)
 print(f"zero-bit probability at the target: {p:.6f}")

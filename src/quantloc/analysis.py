@@ -26,6 +26,7 @@ from .attacks import AttackAssignment, post_attack_prob
 from .detector import DetectorConfig
 from .errors import DomainError
 from .measurement import prob_zero
+from .noise import is_finite, shown
 from .scenario import ScenarioConfig, rho_bounds
 
 __all__ = [
@@ -249,6 +250,8 @@ class RateReport:
 
     def to_table(self, k_grid: tuple[int, ...]) -> str:
         for i, k in enumerate(k_grid):
+            if not is_finite(k):
+                raise DomainError(f"k_grid[{i}] must be finite, got {shown(k)}")
             if k < 1:
                 raise DomainError(f"k_grid[{i}] must be >= 1, got {k}")
         header = ["sensor_id", "eta0", "eta1"]
@@ -293,7 +296,7 @@ def composite_exponents(
     tilde: dict[int, SensorRates] = {}
     for sensor in s.sensors:
         j = sensor.id
-        p = prob_zero(s, j, s.target)
+        p = prob_zero(s, j)
         eps_l, eps_u = epsilon_bracket(s, j)
         t = delta / (2.0 * xi_factor(s, j))
         plain[j] = _sensor_rates(p, t, eps_l, eps_u)

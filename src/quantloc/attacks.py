@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DomainError, InvalidScenario, VariantMismatch
-from .measurement import quantize
+from .measurement import prob_zero, quantize
 from .noise import GaussianNoise, is_finite, shown
 from .rng import Entropy, make_generator
 from .scenario import ScenarioConfig, SensorSpec, rho_bounds
@@ -230,22 +230,15 @@ def check_subtle(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:
     bracket every unattacked in-ROI sensor obeys, so the fusion center
     cannot screen it out by frequency alone.
     """
-    sensor = s.sensor(j)
-    tp = post_attack_prob(spec, sensor.zero_prob(s.signal_mean(j)), noise=sensor.noise)
+    tp = post_attack_prob(spec, prob_zero(s, j), noise=s.sensor(j).noise)
     rho_l, rho_u = rho_bounds(s, j)
     return rho_l <= tp <= rho_u
 
 
-def check_significant(
-    spec: AttackSpec,
-    p: float,
-    kappa: float,
-    noise: GaussianNoise | None = None,
-) -> bool:
-    """Whether the attack distorts the zero-probability by more than kappa."""
-    if not (kappa > 0.0):
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    return abs(psi_of(spec, p, noise)) > kappa
+def check_significant(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:
+    """Whether the attack moves sensor j's zero-probability at the target by
+    more than the scenario's kappa, the one significance floor."""
+    return abs(psi_of(spec, prob_zero(s, j), s.sensor(j).noise)) > s.kappa
 
 
 @dataclass(frozen=True)

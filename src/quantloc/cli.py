@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 from .analysis import composite_exponents
@@ -26,7 +25,7 @@ from .detector import (
 )
 from .errors import ParseError, QuantLocError
 from .fileio import build_paper_setup, load_scenario, save_scenario, render_scenario
-from .montecarlo import ExperimentPlan, generate_dataset, sweep_K
+from .montecarlo import ExperimentPlan, _fmt_opt, estimate_error_probs, generate_dataset
 from .scenario import validate_assumptions
 
 __all__ = ["main"]
@@ -92,22 +91,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     scenario, assignment = load_scenario(args.scenario)
-    if args.kappa is not None:
-        scenario = replace(scenario, kappa=args.kappa)
-    cfg = _detector_config(args)
-    report = composite_exponents(scenario, assignment, cfg)
+    report = composite_exponents(scenario, assignment, DetectorConfig(delta=args.delta))
     lines = [
         f"# delta\t{args.delta:g}",
         f"# kappa\t{scenario.kappa:g}",
         f"# lambda_min\t{lambda_min(scenario):.6g}",
         f"# delta_admissible\t{delta_admissible(scenario):.6g}",
         f"# eta_fa\t{report.fa_exponent:.6e}",
-        f"# eta_miss\t"
-        + (
-            "nan"
-            if report.miss_exponent is None
-            else f"{report.miss_exponent:.6e}"
-        ),
+        f"# eta_miss\t{_fmt_opt(report.miss_exponent)}",
         f"# eta_err\t{report.err_exponent:.6e}",
     ]
     table = report.to_table(args.K_grid)
@@ -126,7 +117,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         base_seed=args.seed,
         threads=args.threads,
     )
-    metrics = sweep_K(plan)
+    metrics = estimate_error_probs(plan)
     text = metrics.to_table()
     if metrics.slope is not None:
         text += f"# slope_ln_avg_err_per_K\t{metrics.slope:.6e}\n"
@@ -163,20 +154,21 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 
-    def add_detector_flags(p: argparse.ArgumentParser) -> None:
+    def add_detector_flags(p: argparse.ArgumentParser, region_test: bool = True) -> None:
         p.add_argument("--delta", type=float, required=True, help="detection radius slack")
-        p.add_argument(
-            "--method",
-            choices=METHODS,
-            default="analytic",
-            help="region test implementation",
-        )
-        p.add_argument(
-            "--M",
-            type=int,
-            default=DEFAULT_M,
-            help="circle discretization points (discretized method)",
-        )
+        if region_test:  # the exponents do not depend on how the region is tested
+            p.add_argument(
+                "--method",
+                choices=METHODS,
+                default="analytic",
+                help="region test implementation",
+            )
+            p.add_argument(
+                "--M",
+                type=int,
+                default=DEFAULT_M,
+                help="circle discretization points (discretized method)",
+            )
 
     p_detect = sub.add_parser("detect", help="run detection on one generated trial")
     add_common(p_detect)
@@ -187,16 +179,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="error exponents and bound tables")
     add_common(p_bounds)
-    add_detector_flags(p_bounds)
+    add_detector_flags(p_bounds, region_test=False)
     p_bounds.add_argument(
         "--K-grid",
         type=_k_grid,
         default=(10_000, 100_000, 1_000_000),
         dest="K_grid",
         help="comma-separated K values for bound columns",
-    )
-    p_bounds.add_argument(
-        "--kappa", type=float, default=None, help="override the scenario's kappa"
     )
     p_bounds.set_defaults(func=cmd_bounds)
 

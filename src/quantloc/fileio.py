@@ -41,8 +41,6 @@ DATASET_MAGIC = b"QDS1"
 # The magic tag, then four uint64 header fields: K, sensor count, seed, trial.
 _HEADER_END = 4 + 32
 
-_MASK64 = (1 << 64) - 1
-
 
 # -- parsing helpers --------------------------------------------------------
 
@@ -462,9 +460,7 @@ def save_dataset(data: QuantizedDataset, path: str | Path) -> None:
     ids = sorted(data.bits)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
-        # Seed and trial are stored mod 2^64, as the random streams key them.
-        seed, trial = (int(v) & _MASK64 for v in (data.rng_seed, data.trial_index))
-        header = np.array([data.k, len(ids), seed, trial], dtype="<u8")
+        header = np.array([data.k, len(ids), data.rng_seed, data.trial_index], dtype="<u8")
         fh.write(header.tobytes())
         for sid in ids:
             fh.write(np.array([sid], dtype="<i8").tobytes())

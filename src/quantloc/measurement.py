@@ -17,7 +17,6 @@ estimator over every unsecure sensor at once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from collections.abc import Iterator, Mapping, Sequence
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError
 from .noise import is_finite, ndtri, shown
-from .rng import NOISE_STREAM, Entropy, make_generator
-from .scenario import Point, ScenarioConfig, SensorSpec
+from .rng import NOISE_STREAM, Entropy, _normalize, make_generator
+from .scenario import ScenarioConfig, SensorSpec
 
 __all__ = [
     "QuantizedDataset",
@@ -85,7 +84,8 @@ class PackedBits(Mapping[int, np.ndarray]):
 @dataclass(frozen=True, eq=False)
 class QuantizedDataset:
     """Per-sensor bit records of common length K, as (K,) arrays of 0/1 or
-    as ``PackedBits``.  Equal by value, packed or not; unhashable."""
+    as ``PackedBits``.  Equal by value, packed or not; unhashable.  Seed and
+    trial index are kept mod 2^64 as Python ints, as the streams key them."""
 
     bits: Mapping[int, np.ndarray]
     k: int
@@ -93,6 +93,9 @@ class QuantizedDataset:
     trial_index: int = 0
 
     def __post_init__(self) -> None:
+        seed, trial = _normalize((self.rng_seed, self.trial_index))
+        object.__setattr__(self, "rng_seed", seed)
+        object.__setattr__(self, "trial_index", trial)
         if isinstance(self.bits, PackedBits):
             return  # rows of ceil(K / 8) bytes unpack to K bits
         for sid, arr in self.bits.items():
@@ -158,15 +161,9 @@ def quantize(s: ScenarioConfig, j: int, samples: np.ndarray) -> np.ndarray:
     return (np.asarray(samples) > tau).view(np.uint8)
 
 
-def prob_zero(s: ScenarioConfig, j: int, target: Point) -> float:
-    """Probability of a zero bit at sensor j for the given target position."""
-    if not s.roi.contains(target):
-        warnings.warn(
-            f"target {target} lies outside the ROI; probability bracket "
-            "guarantees do not apply",
-            stacklevel=2,
-        )
-    return s.sensor(j).zero_prob(s.signal_mean(j, target))
+def prob_zero(s: ScenarioConfig, j: int) -> float:
+    """Probability of a zero bit at sensor j for the scenario's target."""
+    return s.sensor(j).zero_prob(s.signal_mean(j))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .detector import (
 )
 from .errors import DomainError
 from .measurement import QuantizedDataset, sample_signal
+from .noise import is_finite, shown
 from .rng import ATTACK_STREAM
 from .scenario import ScenarioConfig
 
@@ -47,7 +48,6 @@ __all__ = [
     "Metrics",
     "generate_dataset",
     "estimate_error_probs",
-    "sweep_K",
     "sweep_delta",
 ]
 
@@ -86,6 +86,9 @@ class ExperimentPlan:
             object.__setattr__(self, name, _index(getattr(self, name), name))
         if not self.k_grid:
             raise DomainError("k_grid must be nonempty")
+        for i, k in enumerate(self.k_grid):
+            if not is_finite(k):
+                raise DomainError(f"k_grid[{i}] must be finite, got {shown(k)}")
         if any(k < 1 for k in self.k_grid):
             raise DomainError(f"k_grid entries must be >= 1, got {self.k_grid}")
         if list(self.k_grid) != sorted(self.k_grid) or len(set(self.k_grid)) != len(
@@ -152,10 +155,9 @@ def _fmt_opt(value: float | None) -> str:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Rows over the K grid, plus the fitted decay slope when requested."""
+    """Rows over the K grid, and the decay slope fitted from them."""
 
     rows: tuple[MetricsRow, ...]
-    slope: float | None = None
 
     HEADER = (
         "K\tdelta\tfa_hat\tfa_se\tmiss_hat\tmiss_se\tavg_err\tavg_err_se"
@@ -183,6 +185,17 @@ class Metrics:
                 )
             )
         return "\n".join(lines) + "\n"
+
+    @property
+    def slope(self) -> float | None:
+        """Least-squares slope of ln(avg_err) versus K over the rows with a
+        positive average error; None with fewer than two such rows."""
+        points = [(r.k, r.avg_err) for r in self.rows if r.avg_err > 0.0]
+        if len(points) < 2:
+            return None
+        ks = np.array([p[0] for p in points], dtype=float)
+        logs = np.log([p[1] for p in points])
+        return float(np.polyfit(ks, logs, 1)[0])
 
     def row_for(self, k: int, delta: float | None = None) -> MetricsRow:
         for r in self.rows:
@@ -341,18 +354,3 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
 def estimate_error_probs(plan: ExperimentPlan) -> Metrics:
     """Empirical false-alarm, miss, and average error rates over the K grid."""
     return sweep_delta(plan, [plan.detector.delta])[plan.detector.delta]
-
-
-def _fit_slope(rows: tuple[MetricsRow, ...]) -> float | None:
-    points = [(r.k, r.avg_err) for r in rows if r.avg_err > 0.0]
-    if len(points) < 2:
-        return None
-    ks = np.array([p[0] for p in points], dtype=float)
-    logs = np.log([p[1] for p in points])
-    return float(np.polyfit(ks, logs, 1)[0])
-
-
-def sweep_K(plan: ExperimentPlan) -> Metrics:
-    """estimate_error_probs plus the fitted slope of ln(avg_err) versus K."""
-    metrics = estimate_error_probs(plan)
-    return Metrics(rows=metrics.rows, slope=_fit_slope(metrics.rows))

@@ -229,10 +229,9 @@ class ScenarioConfig:
     def upsilon(self) -> float:
         return min(self.upsilon1, self.upsilon2)
 
-    def signal_mean(self, sensor_id: int, target: Point | None = None) -> float:
-        """Noise-free received power at the sensor: p0 * (d0 / D_j)^gamma."""
-        t = self.target if target is None else target
-        d = distance(self.sensor(sensor_id).position, t)
+    def signal_mean(self, sensor_id: int) -> float:
+        """Noise-free received power at the sensor from the target: p0 * (d0 / D_j)^gamma."""
+        d = distance(self.sensor(sensor_id).position, self.target)
         if d <= 0.0:
             raise DomainError("target coincides with the sensor position")
         return self.power_at(d)

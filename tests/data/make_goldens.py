@@ -20,7 +20,8 @@ literal of ``tests/test_montecarlo.py`` to paste in.
 It also rewrites ``bounds_scale1_delta280.tsv``, what ``quantloc bounds
 --delta 280 --K-grid 20000,100000`` prints for the full-scale paper setup,
 and ``bounds_scale0.04_delta280_kappa0.05.tsv``, what the same command
-with ``--kappa 0.05`` prints for the 1/25-scale setup.  No random stream
+prints for the 1/25-scale setup saved with ``kappa`` 0.05
+(``save_scenario(replace(s, kappa=0.05), ...)``).  No random stream
 reaches those tables, so a stream change leaves them byte for byte as
 committed; a change to the exponents or the distortion floor that moves
 them must say so in CHANGES.md.
@@ -49,6 +50,7 @@ from __future__ import annotations
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parent
@@ -56,6 +58,7 @@ sys.path.insert(0, str(DATA.parent))  # the tests directory: conftest, test_mont
 
 import numpy as np  # noqa: E402
 from conftest import make_toy_scenario, random_region_trial  # noqa: E402
+from quantloc import build_paper_setup, save_scenario  # noqa: E402
 from quantloc.cli import main  # noqa: E402
 from quantloc.geometry import circle_meets_region_discretized  # noqa: E402
 from test_montecarlo import pinned_zero_counts  # noqa: E402
@@ -100,16 +103,17 @@ def write_sweep_table() -> None:
 
 def write_bounds_tables() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for scale, name, extra in (
-            ("1", "bounds_scale1_delta280.tsv", []),
-            ("0.04", "bounds_scale0.04_delta280_kappa0.05.tsv", ["--kappa", "0.05"]),
+        for scale, name, kappa in (
+            (1.0, "bounds_scale1_delta280.tsv", None),
+            (0.04, "bounds_scale0.04_delta280_kappa0.05.tsv", 0.05),
         ):
-            scenario = str(Path(tmp) / f"paper{scale}.json")
+            scenario = str(Path(tmp) / f"paper{scale:g}.json")
             out = DATA / name
-            assert main(["paper-setup", "--scale", scale, "--out", scenario]) == 0
+            s, assignment = build_paper_setup(scale=scale)
+            save_scenario(s if kappa is None else replace(s, kappa=kappa), scenario, assignment)
             code = main(
                 ["bounds", scenario, "--delta", "280", "--K-grid", "20000,100000",
-                 *extra, "--out", str(out)]
+                 "--out", str(out)]
             )
             assert code == 0
             print(f"wrote {out.relative_to(DATA.parent.parent)}")

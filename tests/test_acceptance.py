@@ -389,7 +389,7 @@ def test_criterion_10_exact_feed_classifies_perfectly():
         s = random_scenario(rng)
         unsecure = s.unsecure()
         j = int(unsecure[rng.integers(len(unsecure))].id)
-        p = prob_zero(s, j, s.target)
+        p = prob_zero(s, j)
         rho_l, rho_u = rho_bounds(s, j)
         need = 1.1 * s.gamma * s.kappa
         up_room, down_room = rho_u - p, p - rho_l
@@ -399,7 +399,7 @@ def test_criterion_10_exact_feed_classifies_perfectly():
         tampered = p + psi if up_room >= down_room else p - psi
         assert abs(tampered - p) > s.kappa
 
-        probs = {spec.id: prob_zero(s, spec.id, s.target) for spec in s.sensors}
+        probs = {spec.id: prob_zero(s, spec.id) for spec in s.sensors}
         probs[j] = tampered
         cfg = DetectorConfig(delta=0.9 * delta_admissible(s))
         report = detect_from_probabilities(s, cfg, probs)

@@ -121,7 +121,7 @@ def test_bernoulli_kl_matches_decimal_oracle_on_the_benchmark(scale):
         worst = 0.0
         for sensor in s.sensors:
             j = sensor.id
-            p = prob_zero(s, j, s.target)
+            p = prob_zero(s, j)
             eps_l, eps_u = epsilon_bracket(s, j)
             t = delta / (2.0 * xi_factor(s, j))
             probs = [(p, report.plain[j])]
@@ -140,7 +140,7 @@ def test_bernoulli_kl_matches_decimal_oracle_on_the_benchmark(scale):
 def test_composite_exponents_reject_attacks_leaving_the_bracket(toy_scenario):
     s = toy_scenario
     cfg = DetectorConfig(delta=5.0)
-    p = prob_zero(s, 1, s.target)
+    p = prob_zero(s, 1)
     eps_l, eps_u = epsilon_bracket(s, 1)
     for offset in (eps_u - p + 1e-3, eps_l - p - 1e-3):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Attack channels: probability law, bit-domain action, classification."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -74,14 +75,16 @@ def test_post_attack_prob_domain_checks():
     assert psi_of(PsiOffset(-0.2), 0.5) == -0.2
 
 
-def test_impossible_offset_is_neither_psi_nor_significant():
+def test_impossible_offset_is_neither_psi_nor_significant(toy_scenario):
     # p + offset = 1.1 cannot happen: psi_of and check_significant raise,
     # as post_attack_prob does, instead of reporting a distortion of 0.6
     with pytest.raises(DomainError):
         psi_of(PsiOffset(0.6), 0.5)
+    # sensor 1's p is 0.533 at the target, so an offset of 0.6 leaves [0, 1]
+    s = replace(toy_scenario, kappa=0.01)
     with pytest.raises(DomainError):
-        check_significant(PsiOffset(0.6), 0.5, kappa=0.01)
-    assert check_significant(PsiOffset(0.4), 0.5, kappa=0.01)
+        check_significant(s, 1, PsiOffset(0.6))
+    assert check_significant(s, 1, PsiOffset(0.4))
 
 
 def test_spoof_bias_probability_chain():
@@ -223,15 +226,17 @@ def test_reference_bracket_endpoints():
     assert rho_l > PHI_M3
 
 
-def test_check_significant():
-    assert check_significant(Mima(0.0, 0.0105), 0.5, kappa=0.005)
-    assert not check_significant(Mima(0.0, 0.0105), 0.5, kappa=0.01)
+def test_check_significant(toy_scenario):
+    """kappa is the scenario's; p is sensor 1's at the target (0.533), where
+    Mima(0, 0.016) moves it by 0.0075."""
+    fine, coarse = replace(toy_scenario, kappa=0.005), replace(toy_scenario, kappa=0.01)
+    assert check_significant(fine, 1, Mima(0.0, 0.016))
+    assert not check_significant(coarse, 1, Mima(0.0, 0.016))
     # strict comparison at the boundary
-    assert not check_significant(PsiOffset(0.005), 0.5, kappa=0.005)
-    with pytest.raises(DomainError):
-        check_significant(NoAttack(), 0.5, kappa=0.0)
-    with pytest.raises(DomainError):
-        check_significant(NoAttack(), 0.5, kappa=-1.0)
+    assert not check_significant(fine, 1, PsiOffset(0.005))
+    assert not check_significant(fine, 1, NoAttack())
+    # the spoofing bias reads the sensor's own noise model
+    assert check_significant(coarse, 1, SpoofBias(0.5))
 
 
 def test_attack_assignment(toy_scenario):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quantloc
-from quantloc import AttackAssignment, Mima, load_scenario, save_scenario
+from quantloc import AttackAssignment, Mima, build_paper_setup, load_scenario, save_scenario
 from quantloc.cli import _build_parser, main
 from quantloc.detector import DEFAULT_M, METHODS, DetectorConfig
 
@@ -163,37 +163,41 @@ def test_bounds_matches_golden_table(tmp_path):
 
 
 def test_bounds_kappa_matches_golden_table(tmp_path):
-    """--kappa moves lambda_min and the admissible delta, byte for byte as
-    when it overrode the scenario's kappa inside the detector."""
+    """The scenario file's kappa moves lambda_min and the admissible delta,
+    byte for byte as the golden table has them."""
     scenario = tmp_path / "paper.json"
     out = tmp_path / "bounds.tsv"
-    assert main(["paper-setup", "--scale", "0.04", "--out", str(scenario)]) == 0
+    paper, assignment = build_paper_setup(scale=0.04)
+    save_scenario(replace(paper, kappa=0.05), scenario, assignment)
     code = main(
         ["bounds", str(scenario), "--delta", "280", "--K-grid", "20000,100000",
-         "--kappa", "0.05", "--out", str(out)]
+         "--out", str(out)]
     )
     assert code == 0
     golden = Path(__file__).parent / "data" / "bounds_scale0.04_delta280_kappa0.05.tsv"
     assert out.read_bytes() == golden.read_bytes()
 
 
-@pytest.mark.parametrize("kappa", ["0", "-1", "nan", "inf"])
-def test_bounds_rejects_a_kappa_the_scenario_rejects(toy_file, kappa, capsys):
-    assert main(["bounds", toy_file, "--delta", "5", "--kappa", kappa]) == 1
-    assert "kappa must be positive and finite" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
-    "grid, entry", [("0", "k_grid[0]"), ("-5", "k_grid[0]"), ("100,0,200", "k_grid[1]")]
+    "grid, entry, sweep_error",
+    [
+        ("0", "k_grid[0] must be >= 1", "k_grid entries must be >= 1"),
+        ("-5", "k_grid[0] must be >= 1", "k_grid entries must be >= 1"),
+        ("100,0,200", "k_grid[1] must be >= 1", "k_grid entries must be >= 1"),
+        # an entry past the float range names its field, in both commands
+        (f"100,1{'0' * 400}", "k_grid[1] must be finite", "k_grid[1] must be finite"),
+    ],
+    ids=["0-k_grid[0]", "-5-k_grid[0]", "100,0,200-k_grid[1]", "1e400-k_grid[1]"],
 )
-def test_bounds_rejects_a_k_grid_entry_below_one(toy_file, grid, entry, capsys):
+def test_bounds_rejects_a_k_grid_entry_below_one(toy_file, grid, entry, sweep_error, capsys):
     assert main(["bounds", toy_file, "--delta", "5", f"--K-grid={grid}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{entry} must be >= 1" in captured.err
+    assert entry in captured.err
     # sweep rejects the same grid with the same exit code
     assert main(["sweep", toy_file, "--delta", "5", f"--K-grid={grid}"]) == 1
-    assert "k_grid entries must be >= 1" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and sweep_error in captured.err
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -285,11 +289,11 @@ def test_bounds_clean_scenario(toy_file, capsys):
     assert "sensor_id\teta0" in out
 
 
-def test_bounds_attacked_scenario_with_overrides(attacked_file, capsys):
-    code = main(
-        ["bounds", attacked_file, "--delta", "5", "--kappa", "0.5",
-         "--K-grid", "1000,10000"]
-    )
+def test_bounds_attacked_scenario_with_overrides(toy_scenario, tmp_path, capsys):
+    """kappa comes from the scenario file; the K grid from the flag."""
+    path = tmp_path / "toy_attacked.json"
+    save_scenario(replace(toy_scenario, kappa=0.5), path, AttackAssignment({1: Mima(0.0, 0.2)}))
+    code = main(["bounds", str(path), "--delta", "5", "--K-grid", "1000,10000"])
     assert code == 0
     out = capsys.readouterr().out
     assert "# kappa\t0.5" in out
@@ -297,13 +301,34 @@ def test_bounds_attacked_scenario_with_overrides(attacked_file, capsys):
     assert "fa_bound_K1000" in out and "fa_bound_K10000" in out
 
 
-@pytest.mark.parametrize("flag", ["--sigma-l", "--sigma-u"])
-@pytest.mark.parametrize("command", ["bounds", "sweep"])
-def test_the_bracket_weights_are_not_flags(command, flag, attacked_file, capsys):
-    """The exponents' frequency bracket comes from the scenario alone."""
-    args = [command, attacked_file, "--delta", "5", "--K-grid", "1000", flag, "0.4"]
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("bounds", "--sigma-l", "0.4"),
+        ("bounds", "--sigma-u", "0.4"),
+        ("sweep", "--sigma-l", "0.4"),
+        ("sweep", "--sigma-u", "0.4"),
+        ("bounds", "--kappa", "0.05"),
+        ("bounds", "--method", "discretized"),
+        ("bounds", "--M", "5"),
+    ],
+    ids=[
+        "bounds---sigma-l",
+        "bounds---sigma-u",
+        "sweep---sigma-l",
+        "sweep---sigma-u",
+        "bounds---kappa",
+        "bounds---method",
+        "bounds---M",
+    ],
+)
+def test_the_bracket_weights_are_not_flags(command, flag, value, attacked_file, capsys):
+    """The exponents' frequency bracket and kappa come from the scenario
+    alone, and bounds takes no region-test flag: the exponents do not
+    depend on how the region is tested."""
+    args = [command, attacked_file, "--delta", "5", "--K-grid", "1000", flag, value]
     assert main(args) == 2
-    assert f"unrecognized arguments: {flag} 0.4" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_sweep_table_shape(attacked_file, capsys):

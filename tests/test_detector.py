@@ -92,7 +92,7 @@ def test_detector_config_accepts_numpy_integer_m_points(toy_scenario):
 
 def _exact_probs(s):
     ids = [x.id for x in s.sensors]
-    return {j: prob_zero(s, j, s.target) for j in ids}
+    return {j: prob_zero(s, j) for j in ids}
 
 
 def test_exact_feed_clean_probabilities(toy_scenario):

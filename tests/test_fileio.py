@@ -588,17 +588,22 @@ def test_dataset_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "seed, trial",
-    [(7, -1), (7, 1 << 64), (7, (1 << 64) + 3), (np.int64(7), np.int64(-3))],
+    [(7, -1), (7, 1 << 64), (7, (1 << 64) + 3), (np.int64(7), np.int64(-3)), (-5, 2)],
 )
 def test_dataset_stores_the_trial_index_as_the_streams_key_it(seed, trial, tmp_path):
-    """A seed or trial index outside [0, 2^64), or a numpy integer, is saved
-    mod 2^64, the word the random streams key it by, so the loaded header
-    redraws the same bits."""
+    """A seed or trial index outside [0, 2^64), or a numpy integer, is kept
+    mod 2^64 as a Python int, the word the random streams key it by, so the
+    dataset loads back equal and the loaded header redraws the same bits."""
     scenario, assignment = build_paper_setup(0.04)
     path = tmp_path / "trial.bits"
-    save_dataset(generate_dataset(scenario, assignment, 16, seed, trial), path)
+    data = generate_dataset(scenario, assignment, 16, seed, trial)
+    save_dataset(data, path)
     loaded = load_dataset(path)
-    assert (loaded.rng_seed, loaded.trial_index) == (int(seed), int(trial) % (1 << 64))
+    assert loaded == data
+    expected = (int(seed) % (1 << 64), int(trial) % (1 << 64))
+    for stored in (data, loaded):
+        assert (stored.rng_seed, stored.trial_index) == expected
+        assert type(stored.rng_seed) is int and type(stored.trial_index) is int
     redrawn = generate_dataset(scenario, assignment, 16, loaded.rng_seed, loaded.trial_index)
     for j in loaded.bits:
         np.testing.assert_array_equal(redrawn.bits[j], loaded.bits[j])

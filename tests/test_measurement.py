@@ -13,6 +13,7 @@ from quantloc import (
     DomainError,
     EmpiricalFreq,
     GaussianNoise,
+    InvalidScenario,
     Point,
     QuantizedDataset,
     attacked_distance,
@@ -122,12 +123,14 @@ def test_sample_signal_is_one_gaussian_draw(toy_scenario):
 
 
 def test_prob_zero_value_and_roi_warning(toy_scenario):
-    p = prob_zero(toy_scenario, 1, Point(0.0, 100.0))
+    p = prob_zero(toy_scenario, 1)
     mean = toy_scenario.signal_mean(1)
     noise = toy_scenario.sensor(1).noise
     assert p == pytest.approx(float(noise.cdf(1.0 - mean)), rel=1e-15)
-    with pytest.warns(UserWarning):
-        prob_zero(toy_scenario, 1, Point(0.0, 200.0))
+    # p is taken at the scenario's target, which cannot leave the ROI, so
+    # the probability bracket always applies and there is nothing to warn of
+    with pytest.raises(InvalidScenario, match="target must lie inside the ROI"):
+        replace(toy_scenario, target=Point(0.0, 200.0))
 
 
 def test_empirical_frequency_lands_in_probability_bracket(ref_scenario):
@@ -229,7 +232,7 @@ def test_nmle_monotone_in_frequency(xi_a, xi_b):
 
 def test_attacked_distance_examples_and_domain(ref_scenario):
     d_true = distance(ref_scenario.sensor(1).position, ref_scenario.target)
-    p_true = prob_zero(ref_scenario, 1, ref_scenario.target)
+    p_true = prob_zero(ref_scenario, 1)
     # a downward probability shift reads as a nearer target
     assert attacked_distance(ref_scenario, 1, 0.49475) < d_true
     assert attacked_distance(ref_scenario, 1, p_true) == pytest.approx(

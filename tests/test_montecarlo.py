@@ -14,6 +14,7 @@ from quantloc import (
     DomainError,
     ExperimentPlan,
     InvalidScenario,
+    Metrics,
     Mima,
     PsiOffset,
     SpoofBias,
@@ -24,7 +25,6 @@ from quantloc import (
     no_attacks,
     post_attack_prob,
     prob_zero,
-    sweep_K,
     sweep_delta,
 )
 from quantloc.montecarlo import _threads
@@ -89,7 +89,7 @@ def pinned_zero_counts(s) -> dict[str, list[int]]:
 
     ``tests/data/make_goldens.py`` prints them for ``PINNED_ZERO_COUNTS``.
     """
-    p1, p2 = prob_zero(s, 1, s.target), prob_zero(s, 2, s.target)
+    p1, p2 = prob_zero(s, 1), prob_zero(s, 2)
     cases = {
         "none": {},
         "mima": {1: Mima(0.1, 0.2), 2: Mima(0.1, 0.2)},
@@ -124,7 +124,7 @@ def test_generate_dataset_zero_counts_are_pinned(toy_scenario):
 
 def test_probability_offset_realized_exactly(toy_scenario):
     s = toy_scenario
-    p = prob_zero(s, 1, s.target)
+    p = prob_zero(s, 1)
     all_ones = generate_dataset(
         s, AttackAssignment(specs={1: PsiOffset(-p)}), 400, base_seed=1, trial_index=0
     )
@@ -147,7 +147,7 @@ def test_probability_offset_realized_exactly(toy_scenario):
 def test_attack_routes_hit_their_target_probability(toy_scenario, spec):
     s = toy_scenario
     k = 100_000
-    p = prob_zero(s, 1, s.target)
+    p = prob_zero(s, 1)
     tp = post_attack_prob(spec, p, noise=s.sensor(1).noise)
     data = generate_dataset(
         s, AttackAssignment(specs={1: spec}), k, base_seed=3, trial_index=0
@@ -308,10 +308,14 @@ def test_sweep_K_slope_negative_when_errors_decay(toy_scenario):
         k_grid=(500, 2000, 8000),
         trials=60,
     )
-    metrics = sweep_K(plan)
+    metrics = estimate_error_probs(plan)
     errs = [r.avg_err for r in metrics.rows]
     assert errs[0] > errs[-1]
     assert metrics.slope is not None and metrics.slope < 0.0
+    # the slope is read from the rows, never set beside them
+    assert Metrics(rows=metrics.rows).slope == metrics.slope
+    with pytest.raises(TypeError):
+        Metrics(rows=metrics.rows, slope=0.0)
 
 
 def test_sweep_K_slope_none_without_positive_errors(toy_scenario):
@@ -324,7 +328,7 @@ def test_sweep_K_slope_none_without_positive_errors(toy_scenario):
         k_grid=(5000, 10000),
         trials=5,
     )
-    metrics = sweep_K(plan)
+    metrics = estimate_error_probs(plan)
     assert all(r.avg_err == 0.0 for r in metrics.rows)
     assert metrics.slope is None
 

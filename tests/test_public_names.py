@@ -93,7 +93,6 @@ PUBLIC_NAMES = [
     "sample_signal",
     "save_dataset",
     "save_scenario",
-    "sweep_K",
     "sweep_delta",
     "unsecure_rho_bounds",
     "validate_assumptions",
@@ -104,7 +103,8 @@ PUBLIC_NAMES = [
 # and xi_factor take a scenario; GaussianNoise() is the standard normal;
 # QuantizedDataset.freq counts a record's zeros, and EmpiricalFreq raises
 # DomainError for an empty one; epsilon_bracket fixes the bracket ends at
-# the midpoints of their gaps, which ExponentParams used to weight.
+# the midpoints of their gaps, which ExponentParams used to weight;
+# estimate_error_probs returns Metrics, whose slope is fitted from its rows.
 RETIRED = [
     "lambda_from",
     "delta_admissible_from",
@@ -113,6 +113,7 @@ RETIRED = [
     "empirical_freq",
     "EmptyData",
     "ExponentParams",
+    "sweep_K",
 ]
 
 

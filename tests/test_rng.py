@@ -75,12 +75,12 @@ def test_zero_counts_are_binomial_at_the_shifted_probability(toy_scenario, name)
     counts = _zero_counts(s, spec)
     for j, c in counts.items():
         sensor = s.sensor(j)
-        p = prob_zero(s, j, s.target)
+        p = prob_zero(s, j)
         q = spec.shift(p, sensor.noise) if j in (1, 2) else p
         se = math.sqrt(K * q * (1.0 - q) / TRIALS)
         assert abs(c.mean() - K * q) < 4.0 * se, (name, j, c.mean(), K * q)
     # sensors 1 and 2 sit symmetrically about the target, so they share q
-    p = prob_zero(s, 1, s.target)
+    p = prob_zero(s, 1)
     q = spec.shift(p, s.sensor(1).noise)
     pooled = np.concatenate([counts[1], counts[2]])
     assert _chi2_sf(pooled, q) > 1e-3, name

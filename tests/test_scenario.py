@@ -148,11 +148,12 @@ def test_signal_mean(toy_scenario):
     d = math.hypot(30.0, 100.0)
     expected = (100.0 / d) ** 2
     assert toy_scenario.signal_mean(1) == pytest.approx(expected, rel=1e-15)
-    assert toy_scenario.signal_mean(1, Point(-30.0, 50.0)) == pytest.approx(
-        (100.0 / 50.0) ** 2, rel=1e-15
-    )
-    with pytest.raises(DomainError):
-        toy_scenario.signal_mean(1, Point(-30.0, 0.0))
+    # a scenario may put a sensor at its target; the power there is undefined
+    at_sensor = Point(-30.0, 0.0)
+    coincident = replace(toy_scenario, roi=RoiDisc(at_sensor, 5.0), target=at_sensor)
+    with pytest.raises(DomainError, match="target coincides with the sensor position"):
+        coincident.signal_mean(1)
+    assert coincident.signal_mean(2) == (100.0 / 60.0) ** 2
 
 
 def test_distance_bounds_toy(toy_scenario):
