@@ -119,8 +119,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     metrics = estimate_error_probs(plan)
     text = metrics.to_table()
-    if metrics.slope is not None:
-        text += f"# slope_ln_avg_err_per_K\t{metrics.slope:.6e}\n"
+    slope = metrics.slope
+    if slope is not None:
+        text += f"# slope_ln_avg_err_per_K\t{slope:.6e}\n"
     _emit(text, args.out)
     return 0
 
@@ -154,21 +155,20 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 
-    def add_detector_flags(p: argparse.ArgumentParser, region_test: bool = True) -> None:
+    def add_detector_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--delta", type=float, required=True, help="detection radius slack")
-        if region_test:  # the exponents do not depend on how the region is tested
-            p.add_argument(
-                "--method",
-                choices=METHODS,
-                default="analytic",
-                help="region test implementation",
-            )
-            p.add_argument(
-                "--M",
-                type=int,
-                default=DEFAULT_M,
-                help="circle discretization points (discretized method)",
-            )
+        p.add_argument(
+            "--method",
+            choices=METHODS,
+            default="analytic",
+            help="region test implementation",
+        )
+        p.add_argument(
+            "--M",
+            type=int,
+            default=DEFAULT_M,
+            help="circle discretization points (discretized method)",
+        )
 
     p_detect = sub.add_parser("detect", help="run detection on one generated trial")
     add_common(p_detect)
@@ -179,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="error exponents and bound tables")
     add_common(p_bounds)
-    add_detector_flags(p_bounds, region_test=False)
+    # the exponents do not depend on how the region is tested: no --method or --M
+    p_bounds.add_argument("--delta", type=float, required=True, help="detection radius slack")
     p_bounds.add_argument(
         "--K-grid",
         type=_k_grid,
