@@ -22,7 +22,6 @@ from quantloc import (
     nmle_distance,
     prob_zero,
     quantize,
-    rho_bounds,
     sample_signal,
 )
 
@@ -58,10 +57,10 @@ print(f"sensor {sensor_id} true distance to target: {true_distance:.4f}")
 # probabilities, which later clamps rounding at extreme frequencies.
 
 p = prob_zero(scenario, sensor_id)
-rho_lo, rho_hi = rho_bounds(scenario, sensor_id)
+row = scenario.constants().row(sensor_id)
 bounds = compute_distance_bounds(scenario)
 print(f"zero-bit probability at the target: {p:.6f}")
-print(f"probability bracket from the ROI:   [{rho_lo:.6f}, {rho_hi:.6f}]")
+print(f"probability bracket from the ROI:   [{row.rho_l:.6f}, {row.rho_u:.6f}]")
 print(f"distance bracket from the ROI:      [{bounds.d_lower:.3f}, {bounds.d_upper:.3f}]")
 
 # -- step 3: sample, threshold, invert ---------------------------------------

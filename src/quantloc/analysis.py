@@ -12,6 +12,8 @@ reaching q is the relative entropy D(q || p), evaluated by one function,
   * q = eps_L and q = eps_U, the frequency escaping the bracket on which
     that conversion is valid.
 
+Xi_j, eps_L and eps_U are columns of the scenario's ``SensorConstants``.
+
 A deviation to an impossible frequency (q outside [0, 1]) has infinite
 rate, and 0 * ln 0 = 0 at q = 0 and q = 1.
 """
@@ -27,13 +29,11 @@ from .detector import DetectorConfig
 from .errors import DomainError
 from .measurement import prob_zero
 from .noise import is_finite, shown
-from .scenario import ScenarioConfig, rho_bounds
+from .scenario import ScenarioConfig
 
 __all__ = [
     "SensorRates",
     "RateReport",
-    "epsilon_bracket",
-    "xi_factor",
     "bernoulli_kl",
     "composite_exponents",
 ]
@@ -41,48 +41,6 @@ __all__ = [
 INF = math.inf
 
 PREFACTOR = 12.0
-
-
-def epsilon_bracket(s: ScenarioConfig, j: int) -> tuple[float, float]:
-    """The widened frequency bracket (eps_L, eps_U) for sensor j.
-
-    Each end sits at the midpoint of its gap: eps_L = rho_L / 2, halfway
-    up (0, rho_L), and eps_U = (rho_U + F(tau)) / 2, halfway up
-    (rho_U, F(tau)).
-    """
-    rho_l, rho_u = rho_bounds(s, j)
-    f_tau = s.sensor(j).zero_prob()
-    return 0.5 * rho_l, 0.5 * rho_u + 0.5 * f_tau
-
-
-def xi_factor(s: ScenarioConfig, j: int) -> float:
-    """Conversion factor Xi_j for sensor j.
-
-    Xi = d0 * p0^(1/gamma) * (tau - F^{-1}(eps_U))^(-(gamma+1)/gamma)
-         / inf f over [F^{-1}(eps_L), F^{-1}(eps_U)],
-
-    with (eps_L, eps_U) from ``epsilon_bracket``: the midpoints
-    eps_L = rho_L / 2 and eps_U = (rho_U + F(tau)) / 2.  A distance-estimate
-    deviation of x in frequency is at most Xi * x while the frequency stays
-    inside [eps_L, eps_U].
-    """
-    sensor = s.sensor(j)
-    noise, tau = sensor.noise, sensor.threshold
-    eps_l, eps_u = epsilon_bracket(s, j)
-    if not (0.0 < eps_l < eps_u < 1.0):
-        raise DomainError(f"need 0 < eps_l < eps_u < 1, got {eps_l}, {eps_u}")
-    f_tau = noise.cdf(tau)
-    if eps_u >= f_tau:
-        raise DomainError(
-            f"eps_u = {eps_u} must stay below F(tau) = {f_tau}; the "
-            "conversion factor diverges at the boundary"
-        )
-    x_l = noise.inv_cdf(eps_l)
-    x_u = noise.inv_cdf(eps_u)
-    d0, p0, gamma = s.d0, s.p0, s.gamma
-    numerator = d0 * p0 ** (1.0 / gamma) * (tau - x_u) ** (-(gamma + 1.0) / gamma)
-    inf_f = noise.density_extremum(x_l, x_u, "inf")
-    return numerator / inf_f
 
 
 def bernoulli_kl(q: float, p: float) -> float:
@@ -292,13 +250,15 @@ def composite_exponents(
     s1, s2 = s.secure_pair()
     delta = cfg.delta
 
+    c = s.constants()
     plain: dict[int, SensorRates] = {}
     tilde: dict[int, SensorRates] = {}
-    for sensor in s.sensors:
+    for sensor, eps_l, eps_u, xi in zip(
+        s.sensors, c.eps_l.tolist(), c.eps_u.tolist(), c.xi.tolist()
+    ):
         j = sensor.id
         p = prob_zero(s, j)
-        eps_l, eps_u = epsilon_bracket(s, j)
-        t = delta / (2.0 * xi_factor(s, j))
+        t = delta / (2.0 * xi)
         plain[j] = _sensor_rates(p, t, eps_l, eps_u)
         if not sensor.secure:
             tp = post_attack_prob(assignment.spec_for(j), p, noise=sensor.noise)

@@ -26,7 +26,7 @@ from .errors import DomainError, InvalidScenario, VariantMismatch
 from .measurement import prob_zero, quantize
 from .noise import GaussianNoise, is_finite, shown
 from .rng import Entropy, make_generator
-from .scenario import ScenarioConfig, SensorSpec, rho_bounds
+from .scenario import ScenarioConfig, SensorSpec
 
 __all__ = [
     "AttackSpec",
@@ -231,8 +231,8 @@ def check_subtle(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:
     cannot screen it out by frequency alone.
     """
     tp = post_attack_prob(spec, prob_zero(s, j), noise=s.sensor(j).noise)
-    rho_l, rho_u = rho_bounds(s, j)
-    return rho_l <= tp <= rho_u
+    row = s.constants().row(j)
+    return row.rho_l <= tp <= row.rho_u
 
 
 def check_significant(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:

@@ -6,12 +6,12 @@ secure sensors' rings of half-width delta, restricted to the ROI side of
 the secure line.  An attack that moves D_hat_j by more than the combined
 slack pulls the circle clear of that region, flipping the decision to 1.
 
-The module also carries the distortion floor (``lambda_j`` for one sensor,
-``lambda_min`` over all unsecure ones, both from the one formula in
-``_floors``) and the admissible delta (``delta_admissible``), below which
-the floor provably exceeds the geometric slack.  Practical runs routinely
-use larger delta; exceeding the admissible value therefore only triggers
-an advisory warning.
+The module also carries the network-wide distortion floor (``lambda_min``,
+the least of the unsecure sensors' ``lam`` in the scenario's
+``SensorConstants``) and the admissible delta (``delta_admissible``), below
+which the floor provably exceeds the geometric slack.  Practical runs
+routinely use larger delta; exceeding the admissible value therefore only
+triggers an advisory warning.
 
 A ``DetectionReport`` is columnar: tuples ``ids``, ``flags`` (1 = attacked),
 ``d_hat`` and ``clamped`` in ``s.unsecure()`` order, so reports compare by
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,8 +43,8 @@ from .measurement import (
     nmle_distance,
     nmle_distances,
 )
-from .noise import density_sup, is_finite, ndtri, shown
-from .scenario import ScenarioConfig, rho_bounds, roi_side, unsecure_rho_bounds
+from .noise import is_finite, shown
+from .scenario import ScenarioConfig, roi_side
 
 __all__ = [
     "DEFAULT_M",
@@ -53,7 +53,6 @@ __all__ = [
     "DetectionReport",
     "detect_all",
     "detect_from_probabilities",
-    "lambda_j",
     "lambda_min",
     "delta_admissible",
 ]
@@ -238,61 +237,13 @@ def detect_from_probabilities(
 # -- distortion floor and admissible delta ---------------------------------
 
 
-def _floors(tau, location, scale, p0, d0, gamma, kappa, rho_l, rho_u) -> list[float]:
-    """The distortion floor of every sensor whose constants the arrays hold:
-
-    lambda = kappa * d0 * p0^(1/gamma) * (tau - F^{-1}(rho_l))^(-(gamma+1)/gamma)
-             / sup f over [F^{-1}(rho_l), F^{-1}(rho_u)].
-
-    Each sensor has its own noise law (location and scale may be scalars).
-    One ``ndtri`` per bracket end and one ``density_sup`` cover all
-    sensors; the power is Python's, per element, as in ``nmle_distances``.
-    """
-    if not (kappa > 0.0):
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    rho_l = np.asarray(rho_l, dtype=float)
-    rho_u = np.asarray(rho_u, dtype=float)
-    bad = ~((0.0 < rho_l) & (rho_l < rho_u) & (rho_u < 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"need 0 < rho_l < rho_u < 1, got {float(rho_l[i])}, {float(rho_u[i])}"
-        )
-    x_l = ndtri(rho_l) * scale + location
-    x_u = ndtri(rho_u) * scale + location
-    sup_f = density_sup(x_l, x_u, location, scale)
-    head, power = kappa * d0 * p0 ** (1.0 / gamma), -(gamma + 1.0) / gamma
-    return [
-        head * base**power / f for base, f in zip((tau - x_l).tolist(), sup_f.tolist())
-    ]
-
-
-def lambda_j(s: ScenarioConfig, j: int) -> float:
-    """Guaranteed minimum shift of D_hat_j under an attack with |Psi| > s.kappa."""
-    sensor = s.sensor(j)
-    rho_l, rho_u = rho_bounds(s, j)
-    noise = sensor.noise
-    return _floors(
-        sensor.threshold, noise.location, noise.scale,
-        s.p0, s.d0, s.gamma, s.kappa, [rho_l], [rho_u],
-    )[0]
-
-
-def _unsecure_floors(s: ScenarioConfig) -> list[float]:
-    """``lambda_j`` of every unsecure sensor in one array pass, in ``s.unsecure()`` order."""
-    a = s.unsecure_arrays()
-    rho_l, rho_u = unsecure_rho_bounds(s)
-    return _floors(a.threshold, a.location, a.scale, s.p0, s.d0, s.gamma, s.kappa, rho_l, rho_u)
-
-
 def lambda_min(s: ScenarioConfig) -> float:
-    """The network-wide floor: minimum of lambda_j over unsecure sensors."""
+    """The network-wide floor: the least ``lam`` over unsecure sensors."""
     if not s.unsecure():
         raise DomainError("the scenario has no unsecure sensors, so lambda_min is undefined")
-    return min(_unsecure_floors(s))
+    return s.constants().lam_min
 
 
-@lru_cache(maxsize=64)
 def delta_admissible(s: ScenarioConfig) -> float:
     """Supremum of delta values for which detection is provably correct.
 

@@ -1,11 +1,11 @@
-"""Gaussian sensor noise: density, CDF, inverse CDF, interval extrema.
+"""Gaussian sensor noise: density, CDF, inverse CDF.
 
 Every sensor's raw sample is its received power plus Gaussian noise.  The
-sensing model needs four things from that law: the density f, the
-distribution function F, its inverse, and the extreme values of f over an
-interval (those extrema enter the separation constant and the estimator's
-sensitivity factor).  The density is unimodal, so interval extrema have a
-closed form.
+sensing model needs three things from that law: the density f, the
+distribution function F and its inverse.  The extreme values of f over an
+interval, which enter the distortion floor and the estimator's conversion
+factor, are taken in ``scenario.SensorConstants``: f is unimodal, so they
+have a closed form.
 
 F and its inverse rest on ``ndtr`` and ``ndtri`` below, ports of the Cephes
 routines (S. L. Moshier, *Methods and Programs for Mathematical Functions*,
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["GaussianNoise", "ndtr", "ndtri", "density_sup"]
+__all__ = ["GaussianNoise", "ndtr", "ndtri"]
 
 # Cephes ndtri.c.  P0/Q0: exp(-2) < y <= 1 - exp(-2), in y - 1/2.  P1/Q1 and
 # P2/Q2: the tails, in 1/x with x = sqrt(-2 ln y), below 8 and from 8.
@@ -269,33 +269,6 @@ def _density(x, location, scale):
     return np.exp(-0.5 * z * z) / (scale * math.sqrt(2.0 * math.pi))
 
 
-def density_sup(lo, hi, location, scale):
-    """``GaussianNoise.density_extremum(lo, hi, "sup")`` over arrays of intervals.
-
-    Elementwise over [lo, hi] of equal shape, each with its own location
-    and scale (or one shared scalar): the same doubles as the scalar method
-    element by element, and its DomainError for the first interval that is
-    not finite and ordered, or that leaves the positive-density region (an
-    int past the float range raises it naming ``lo`` or ``hi``).
-    """
-    lo, hi = _float_array(lo, "lo"), _float_array(hi, "hi")
-    bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"invalid interval [{float(lo.flat[i])}, {float(hi.flat[i])}]")
-    f_lo = _density(lo, location, scale)
-    f_hi = _density(hi, location, scale)
-    bad = (f_lo <= 0.0) | (f_hi <= 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"interval [{float(lo.flat[i])}, {float(hi.flat[i])}] leaves the "
-            "positive-density region"
-        )
-    inside = (lo <= location) & (location <= hi)
-    return np.where(inside, _density(location, location, scale), np.maximum(f_lo, f_hi))
-
-
 @dataclass(frozen=True)
 class GaussianNoise:
     """Gaussian noise with the given location and scale.
@@ -349,30 +322,3 @@ class GaussianNoise:
         if not (math.isfinite(z) if type(z) is float else np.isfinite(z).all()):
             raise DomainError(f"quantile argument must lie in (0, 1), got {q}")
         return z * self.scale + self.location
-
-    def density_extremum(self, lo: float, hi: float, mode: str) -> float:
-        """Exact sup or inf of the density over [lo, hi].
-
-        The supremum sits at the mode (the location) if the interval
-        contains it, else at the endpoint nearest the mode; the infimum is
-        always at an endpoint.  ``density_sup`` is the supremum over arrays
-        of intervals; this scalar form is its reference, and the cheaper for
-        one interval.
-
-        mode: "sup" or "inf".
-        """
-        if not (is_finite(lo) and is_finite(hi)) or lo > hi:
-            raise DomainError(f"invalid interval [{shown(lo)}, {shown(hi)}]")
-        f_lo = self.density(lo)
-        f_hi = self.density(hi)
-        if f_lo <= 0.0 or f_hi <= 0.0:
-            raise DomainError(
-                f"interval [{lo}, {hi}] leaves the positive-density region"
-            )
-        if mode == "sup":
-            if lo <= self.location <= hi:
-                return self.density(self.location)
-            return max(f_lo, f_hi)
-        if mode == "inf":
-            return min(f_lo, f_hi)
-        raise DomainError(f"mode must be 'sup' or 'inf', got {mode!r}")

@@ -4,22 +4,24 @@ A scenario fixes everything the fusion center knows a priori: sensor
 positions and thresholds, the two tamper-proof anchor sensors, the disc the
 target is known to inhabit, and the attenuation constants.  From these it
 derives the distance bracket [D_L, D_U] valid for every sensor and every
-target position in the region, the matching zero-bit probability bracket
-[rho_L, rho_U], and a diagnostic report on the standing geometric
-assumptions the performance guarantees rest on.
+target position in the region, the table of per-sensor constants the
+guarantees rest on (``SensorConstants``: the zero-bit probability bracket
+[rho_L, rho_U], the frequency bracket, the conversion factor Xi and the
+distortion floor lambda), and a diagnostic report on the standing
+geometric assumptions.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AssumptionWarning, DomainError, InvalidScenario
-from .noise import GaussianNoise, is_finite, ndtr, shown
+from .noise import GaussianNoise, _density, is_finite, ndtr, ndtri, shown
 
 __all__ = [
     "Point",
@@ -27,12 +29,11 @@ __all__ = [
     "RoiDisc",
     "ScenarioConfig",
     "SensorArrays",
+    "SensorConstants",
     "DistanceBounds",
     "AssumptionReport",
     "distance",
     "compute_distance_bounds",
-    "rho_bounds",
-    "unsecure_rho_bounds",
     "validate_assumptions",
     "roi_side",
 ]
@@ -159,12 +160,13 @@ class ScenarioConfig:
     _unsecure_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Resolved once: detect_all estimates every unsecure sensor in one array pass.
     _unsecure_arrays: SensorArrays = field(init=False, repr=False, compare=False)
-    # Hashed once: detector.delta_admissible is cached on the whole scenario,
-    # and re-hashing every sensor on each lookup cost 0.28 ms at 502 sensors.
-    _hash: int = field(init=False, repr=False, compare=False)
     # Filled on first use, not here: compute_distance_bounds raises
-    # InvalidScenario for a sensor inside the ROI, which construction allows.
+    # InvalidScenario for a sensor inside the ROI, and the constants for an
+    # unordered bracket, both of which construction allows.
     _bounds: DistanceBounds | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _constants: SensorConstants | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -190,14 +192,6 @@ class ScenarioConfig:
                 raise InvalidScenario(f"{name} must be positive and finite, got {shown(v)}")
         if not self.roi.contains(self.target):
             raise InvalidScenario("target must lie inside the ROI disc")
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare)),
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # -- convenience accessors -------------------------------------------
 
@@ -224,6 +218,12 @@ class ScenarioConfig:
         if self._bounds is None:
             object.__setattr__(self, "_bounds", compute_distance_bounds(self))
         return self._bounds
+
+    def constants(self) -> SensorConstants:
+        """The ``SensorConstants`` table of every sensor, built on first use and kept."""
+        if self._constants is None:
+            object.__setattr__(self, "_constants", _sensor_constants(self))
+        return self._constants
 
     @property
     def upsilon(self) -> float:
@@ -260,54 +260,119 @@ def compute_distance_bounds(s: ScenarioConfig) -> DistanceBounds:
     return DistanceBounds(d_lower, d_upper, distance(a.position, b.position))
 
 
-def rho_bounds(s: ScenarioConfig, j: int) -> tuple[float, float]:
-    """Zero-bit probability bracket (rho_L, rho_U) for sensor j.
+class SensorConstants(NamedTuple):
+    """The constants the guarantees rest on, one read-only column per constant.
 
-    rho_L = F_j(tau_j - p0 (d0/d_lower)^gamma) is the smallest possible
-    zero-probability over the region (nearest target), rho_U the largest
-    (farthest target).  Raises InvalidScenario unless
-    0 < rho_L < rho_U < F_j(tau_j) <= 1 holds strictly.
+    Rows follow ``s.sensors``: ``ids`` is a tuple and the rest float64
+    arrays.  For each sensor, with F, f its noise law's distribution and
+    density:
+
+    - rho_l, rho_u: the zero-bit probability bracket, F(tau - p0 (d0/D)^gamma)
+      at D = d_lower (nearest target) and D = d_upper (farthest);
+    - eps_l, eps_u: the frequency bracket, at the midpoints of the gaps
+      around it: eps_L = rho_L / 2 and eps_U = (rho_U + F(tau)) / 2;
+    - xi: the factor Xi from a frequency deviation to the distance
+      estimate's, valid while the frequency stays inside [eps_L, eps_U]:
+      d0 p0^(1/gamma) (tau - F^{-1}(eps_U))^(-(gamma+1)/gamma)
+      / inf f over [F^{-1}(eps_L), F^{-1}(eps_U)];
+    - lam: the distortion floor lambda, the guaranteed shift of D_hat under
+      an attack with |Psi| > kappa:
+      kappa d0 p0^(1/gamma) (tau - F^{-1}(rho_L))^(-(gamma+1)/gamma)
+      / sup f over [F^{-1}(rho_L), F^{-1}(rho_U)].
+
+    ``lam_min`` is the least ``lam`` over the unsecure sensors (inf without
+    one).  ``row(j)`` gives sensor j's constants as Python scalars.
     """
-    sensor = s.sensor(j)
-    noise, f_tau = sensor.noise, sensor.zero_prob()
-    rho_l, rho_u, ok = _rho_pair(s, sensor.threshold, noise.location, noise.scale, f_tau)
-    if not ok:
-        raise _unordered(j, rho_l, rho_u, f_tau)
-    return rho_l, rho_u
+
+    ids: tuple[int, ...]
+    rho_l: np.ndarray
+    rho_u: np.ndarray
+    eps_l: np.ndarray
+    eps_u: np.ndarray
+    xi: np.ndarray
+    lam: np.ndarray
+    lam_min: float
+
+    def row(self, sensor_id: int) -> SensorConstants:
+        """Sensor ``sensor_id``'s constants: the same fields, each a Python scalar."""
+        try:
+            i = self.ids.index(sensor_id)
+        except ValueError:
+            raise KeyError(sensor_id) from None
+        return SensorConstants(sensor_id, *(c[i].item() for c in self[1:-1]), self.lam_min)
 
 
-def unsecure_rho_bounds(s: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``rho_bounds`` of every unsecure sensor at once, in ``s.unsecure()`` order.
+def _sensor_constants(s: ScenarioConfig) -> SensorConstants:
+    """Every column of ``SensorConstants`` in one array pass.
 
-    Two arrays, elementwise the same doubles as ``rho_bounds``; the
-    InvalidScenario names the first sensor whose bracket is not ordered.
+    F(tau) comes from ``_sensor_arrays``, and each rho end is ``zero_prob``
+    at the power from d_lower or d_upper, in its float steps.  Raises
+    InvalidScenario naming the first sensor unless
+    0 < rho_L < rho_U < F(tau) <= 1 holds strictly, and DomainError unless
+    kappa > 0, eps_U < F(tau) and the density stays positive on both brackets.
     """
-    a = s.unsecure_arrays()
-    rho_l, rho_u, ok = _rho_pair(s, a.threshold, a.location, a.scale, a.f_tau)
+    a = _sensor_arrays(s.sensors)
+    b = s.distance_bounds()
+    rho_l, rho_u = (
+        ndtr(((a.threshold - s.power_at(d)) - a.location) / a.scale)
+        for d in (b.d_lower, b.d_upper)
+    )
+    ok = (0.0 < rho_l) & (rho_l < rho_u) & (rho_u < a.f_tau) & (a.f_tau <= 1.0)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise _unordered(s.unsecure_ids()[i], rho_l[i], rho_u[i], a.f_tau[i])
-    return rho_l, rho_u
-
-
-def _rho_pair(s: ScenarioConfig, threshold, location, scale, f_tau):
-    """(rho_L, rho_U, whether 0 < rho_L < rho_U < F(tau) <= 1); floats and arrays alike.
-
-    Each end is ``zero_prob`` at the power from d_lower or d_upper, in its
-    float steps: ndtr(((tau - power) - location) / scale).
-    """
-    b = s.distance_bounds()
-    rho_l = ndtr(((threshold - s.power_at(b.d_lower)) - location) / scale)
-    rho_u = ndtr(((threshold - s.power_at(b.d_upper)) - location) / scale)
-    ok = (0.0 < rho_l) & (rho_l < rho_u) & (rho_u < f_tau) & (f_tau <= 1.0)
-    return rho_l, rho_u, ok
-
-
-def _unordered(sensor_id: int, rho_l, rho_u, f_tau) -> InvalidScenario:
-    return InvalidScenario(
-        f"probability ordering failed for sensor {sensor_id}: "
-        f"rho_L={float(rho_l)}, rho_U={float(rho_u)}, F(tau)={float(f_tau)}"
+        raise InvalidScenario(
+            f"probability ordering failed for sensor {s.sensors[i].id}: "
+            f"rho_L={float(rho_l[i])}, rho_U={float(rho_u[i])}, F(tau)={float(a.f_tau[i])}"
+        )
+    if not (s.kappa > 0.0):
+        raise DomainError(f"kappa must be positive, got {s.kappa}")
+    eps_l, eps_u = 0.5 * rho_l, 0.5 * rho_u + 0.5 * a.f_tau
+    x_rl, x_ru, x_el, x_eu = (
+        ndtri(q) * a.scale + a.location for q in (rho_l, rho_u, eps_l, eps_u)
     )
+    # Just below F(tau), F^{-1}(eps_U) can still round onto tau.
+    bad = (eps_u >= a.f_tau) | (x_eu >= a.threshold)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"eps_u = {float(eps_u[i])} must stay below F(tau) = {float(a.f_tau[i])}; the "
+            "conversion factor diverges at the boundary"
+        )
+
+    def f(x):
+        return _density(x, a.location, a.scale)
+
+    # f is unimodal: its sup over an interval sits at the mode if the
+    # interval holds it, else at an end; its inf always at an end.
+    mode_inside = (x_rl <= a.location) & (a.location <= x_ru)
+    sup_f = np.where(mode_inside, f(a.location), np.maximum(f(x_rl), f(x_ru)))
+    inf_f = np.minimum(f(x_el), f(x_eu))
+    bad = (sup_f <= 0.0) | (inf_f <= 0.0)
+    if bad.any():
+        raise DomainError(
+            f"the density of sensor {s.sensors[int(np.argmax(bad))].id}'s noise "
+            "underflows to 0 on its bracket"
+        )
+    columns = (
+        rho_l, rho_u, eps_l, eps_u,
+        _over_density(s, 1.0, a.threshold - x_eu, inf_f),
+        _over_density(s, s.kappa, a.threshold - x_rl, sup_f),
+    )
+    for col in columns:
+        col.setflags(write=False)
+    unsecure = np.array([not x.secure for x in s.sensors])
+    lam_min = float(np.min(columns[-1], where=unsecure, initial=math.inf))
+    return SensorConstants(tuple(x.id for x in s.sensors), *columns, lam_min)
+
+
+def _over_density(s: ScenarioConfig, head: float, base: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """head d0 p0^(1/gamma) base^(-(gamma+1)/gamma) / f, per element.
+
+    The shape Xi (head 1) and lambda (head kappa) share.  The power is
+    Python's, per element, as the scalar formula computes it.
+    """
+    head, power = head * s.d0 * s.p0 ** (1.0 / s.gamma), -(s.gamma + 1.0) / s.gamma
+    return np.array([head * x**power / y for x, y in zip(base.tolist(), f.tolist())])
 
 
 @dataclass(frozen=True)

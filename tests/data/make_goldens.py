@@ -19,6 +19,8 @@ literal of ``tests/test_montecarlo.py`` to paste in.
 
 It also rewrites ``bounds_scale1_delta280.tsv``, what ``quantloc bounds
 --delta 280 --K-grid 20000,100000`` prints for the full-scale paper setup,
+``bounds_scale0.04_delta280.tsv``, what it prints for the 1/25-scale setup
+at its default ``kappa`` (the network the Monte Carlo benchmark sweeps),
 and ``bounds_scale0.04_delta280_kappa0.05.tsv``, what the same command
 prints for the 1/25-scale setup saved with ``kappa`` 0.05
 (``save_scenario(replace(s, kappa=0.05), ...)``).  No random stream
@@ -105,6 +107,7 @@ def write_bounds_tables() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for scale, name, kappa in (
             (1.0, "bounds_scale1_delta280.tsv", None),
+            (0.04, "bounds_scale0.04_delta280.tsv", None),
             (0.04, "bounds_scale0.04_delta280_kappa0.05.tsv", 0.05),
         ):
             scenario = str(Path(tmp) / f"paper{scale:g}.json")

@@ -43,7 +43,6 @@ from quantloc import (
     nmle_distance,
     prob_zero,
     quantize,
-    rho_bounds,
     roi_side,
     sample_signal,
     sweep_delta,
@@ -390,7 +389,8 @@ def test_criterion_10_exact_feed_classifies_perfectly():
         unsecure = s.unsecure()
         j = int(unsecure[rng.integers(len(unsecure))].id)
         p = prob_zero(s, j)
-        rho_l, rho_u = rho_bounds(s, j)
+        row = s.constants().row(j)
+        rho_l, rho_u = row.rho_l, row.rho_u
         need = 1.1 * s.gamma * s.kappa
         up_room, down_room = rho_u - p, p - rho_l
         room = max(up_room, down_room)

@@ -4,26 +4,28 @@ import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
-import quantloc.analysis as analysis_module
 from quantloc import (
     DetectorConfig,
     DomainError,
     AttackAssignment,
+    GaussianNoise,
+    InvalidScenario,
     Mima,
+    Point,
     PsiOffset,
+    SensorSpec,
     bernoulli_kl,
     build_paper_setup,
     composite_exponents,
-    epsilon_bracket,
     no_attacks,
     post_attack_prob,
     prob_zero,
-    rho_bounds,
-    xi_factor,
 )
 from quantloc.analysis import _sensor_rates
+from quantloc.scenario import _over_density
 
 KL_06_05 = 0.0201355135506888734205
 KL_07_05 = 0.0822828785050518463915
@@ -116,14 +118,16 @@ def test_bernoulli_kl_matches_decimal_oracle_on_the_benchmark(scale):
     subtracts the two terms of the divergence loses half its digits.
     """
     s, assignment = build_paper_setup(scale=scale)
+    c = s.constants()
     for delta in (0.01, 0.1, 1.0, 5.0, 260.0, 280.0, 300.0, 320.0):
         report = composite_exponents(s, assignment, DetectorConfig(delta=delta))
         worst = 0.0
         for sensor in s.sensors:
             j = sensor.id
             p = prob_zero(s, j)
-            eps_l, eps_u = epsilon_bracket(s, j)
-            t = delta / (2.0 * xi_factor(s, j))
+            row = c.row(j)
+            eps_l, eps_u = row.eps_l, row.eps_u
+            t = delta / (2.0 * row.xi)
             probs = [(p, report.plain[j])]
             if not sensor.secure:
                 tp = post_attack_prob(assignment.spec_for(j), p, noise=sensor.noise)
@@ -141,7 +145,8 @@ def test_composite_exponents_reject_attacks_leaving_the_bracket(toy_scenario):
     s = toy_scenario
     cfg = DetectorConfig(delta=5.0)
     p = prob_zero(s, 1)
-    eps_l, eps_u = epsilon_bracket(s, 1)
+    row = s.constants().row(1)
+    eps_l, eps_u = row.eps_l, row.eps_u
     for offset in (eps_u - p + 1e-3, eps_l - p - 1e-3):
         with pytest.raises(DomainError):
             composite_exponents(s, AttackAssignment(specs={1: PsiOffset(offset)}), cfg)
@@ -151,35 +156,53 @@ def test_composite_exponents_reject_attacks_leaving_the_bracket(toy_scenario):
 
 def test_epsilon_bracket_interpolates(toy_scenario):
     s = toy_scenario
-    rho_l, rho_u = rho_bounds(s, 1)
+    row = s.constants().row(1)
     f_tau = float(s.sensor(1).noise.cdf(1.0))
-    eps_l, eps_u = epsilon_bracket(s, 1)
-    assert eps_l == 0.5 * rho_l
-    assert eps_u == 0.5 * rho_u + 0.5 * f_tau
+    assert row.eps_l == 0.5 * row.rho_l
+    assert row.eps_u == 0.5 * row.rho_u + 0.5 * f_tau
 
 
-def _bracket_at(monkeypatch, eps_l, eps_u):
-    monkeypatch.setattr(
-        analysis_module, "epsilon_bracket", lambda s, j: (eps_l, eps_u)
-    )
+def _xi_at(s, eps_l, eps_u):
+    """Xi of a tau = 1 sensor with s's standard normal noise at the given
+    frequency bracket, the inf of the density taken at its ends."""
+    g = s.sensor(1).noise
+    x_l, x_u = g.inv_cdf(eps_l), g.inv_cdf(eps_u)
+    inf_f = min(g.density(x_l), g.density(x_u))
+    return _over_density(s, 1.0, np.array([1.0 - x_u]), np.array([inf_f]))[0]
 
 
-def test_xi_factor_frozen_value(ref_scenario, monkeypatch):
+def test_xi_factor_frozen_value(ref_scenario):
     s = ref_scenario
-    _bracket_at(monkeypatch, PHI_M1, 0.5)
-    assert xi_factor(s, 1) == pytest.approx(XI_REF, rel=1e-14)
-    doubled = xi_factor(replace(s, d0=2e5), 1)
+    assert s.sensor(1).threshold == 1.0
+    assert _xi_at(s, PHI_M1, 0.5) == pytest.approx(XI_REF, rel=1e-14)
+    doubled = _xi_at(replace(s, d0=2e5), PHI_M1, 0.5)
     assert doubled == pytest.approx(2.0 * XI_REF, rel=1e-14)
 
 
-def test_xi_factor_domain_checks(ref_scenario, monkeypatch):
-    _bracket_at(monkeypatch, 0.5, PHI_M1)
-    with pytest.raises(DomainError, match="need 0 < eps_l < eps_u < 1"):
-        xi_factor(ref_scenario, 1)
-    # Phi(1) ~ 0.8413: the bracket may not reach the threshold probability
-    _bracket_at(monkeypatch, 0.1, 0.9)
-    with pytest.raises(DomainError, match="must stay below F"):
-        xi_factor(ref_scenario, 1)
+def _with_thresholds_and_a_far_sensor(s, tau, x):
+    sensors = tuple(replace(sensor, threshold=tau) for sensor in s.sensors)
+    return replace(s, sensors=sensors + (SensorSpec(9, Point(x, 0.0), tau, GaussianNoise()),))
+
+
+def test_xi_factor_domain_checks(toy_scenario):
+    """The frequency bracket may not reach the threshold probability.
+
+    At tau = 1.3, a sensor 2^26 times d0 out puts tau minus the farthest
+    power at 1.2999999999999998, where rho_U is the double below F(tau);
+    F(tau)'s last bit is even, so their midpoint eps_U rounds up to F(tau).
+    """
+    s = _with_thresholds_and_a_far_sensor(toy_scenario, 1.3, toy_scenario.d0 * 2.0**26)
+    with pytest.raises(DomainError, match=r"^eps_u = 0\.9031995154143897 must stay below F"):
+        s.constants()
+    # here eps_U stays the double below F(tau), but F^{-1}(eps_U) rounds
+    # onto tau, where Xi's power of tau - F^{-1}(eps_U) would divide by 0
+    s = _with_thresholds_and_a_far_sensor(toy_scenario, 0.8095868204375698, 1e10)
+    with pytest.raises(DomainError, match=r"must stay below F\(tau\) = 0\.7909111573056079;"):
+        s.constants()
+    # an unordered probability bracket is caught before it reaches Xi
+    far = replace(s.sensors[-1], noise=GaussianNoise(-50.0))
+    with pytest.raises(InvalidScenario, match="for sensor 9:"):
+        replace(s, sensors=s.sensors[:-1] + (far,)).constants()
 
 
 def test_composite_exponents_clean(toy_scenario):

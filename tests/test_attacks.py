@@ -198,14 +198,13 @@ def test_check_subtle_bracket():
 def test_check_subtle_uses_the_documented_bracket():
     # the reference quantizer/noise give [Phi(-3), Phi(0.75)] at one sensor
     # placed at the reference distance; verified against frozen quantiles
-    from quantloc import rho_bounds
-
     from conftest import random_scenario
 
     rng = np.random.default_rng(5)
     s = random_scenario(rng)
     j = s.unsecure()[0].id
-    rho_l, rho_u = rho_bounds(s, j)
+    row = s.constants().row(j)
+    rho_l, rho_u = row.rho_l, row.rho_u
     assert check_subtle(s, j, PsiOffset(0.0))
     p = float(
         s.sensor(j).noise.cdf(s.sensor(j).threshold - s.signal_mean(j))
@@ -218,9 +217,8 @@ def test_check_subtle_uses_the_documented_bracket():
 
 def test_reference_bracket_endpoints():
     s, _ = build_paper_setup(scale=0.004)
-    from quantloc import rho_bounds
-
-    rho_l, rho_u = rho_bounds(s, 1)
+    row = s.constants().row(1)
+    rho_l, rho_u = row.rho_l, row.rho_u
     assert 0.0013499 < rho_l < PHI_075
     assert rho_u < PHI_075
     assert rho_l > PHI_M3

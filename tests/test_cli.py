@@ -148,18 +148,20 @@ def test_detect_matches_golden_table(scale, method, tmp_path):
 
 
 def test_bounds_matches_golden_table(tmp_path):
-    """The full-scale exponent table, byte for byte: lambda_min, the
-    admissible delta, the three exponents and every sensor's bounds."""
-    scenario = tmp_path / "paper.json"
-    out = tmp_path / "bounds.tsv"
-    assert main(["paper-setup", "--scale", "1", "--out", str(scenario)]) == 0
-    code = main(
-        ["bounds", str(scenario), "--delta", "280", "--K-grid", "20000,100000",
-         "--out", str(out)]
-    )
-    assert code == 0
-    golden = Path(__file__).parent / "data" / "bounds_scale1_delta280.tsv"
-    assert out.read_bytes() == golden.read_bytes()
+    """The exponent tables of the full-scale and the 1/25-scale setups, byte
+    for byte: lambda_min, the admissible delta, the three exponents and
+    every sensor's bounds."""
+    for scale in ("1", "0.04"):
+        scenario = tmp_path / f"paper{scale}.json"
+        out = tmp_path / f"bounds{scale}.tsv"
+        assert main(["paper-setup", "--scale", scale, "--out", str(scenario)]) == 0
+        code = main(
+            ["bounds", str(scenario), "--delta", "280", "--K-grid", "20000,100000",
+             "--out", str(out)]
+        )
+        assert code == 0
+        golden = Path(__file__).parent / "data" / f"bounds_scale{scale}_delta280.tsv"
+        assert out.read_bytes() == golden.read_bytes(), scale
 
 
 def test_bounds_kappa_matches_golden_table(tmp_path):

@@ -14,6 +14,7 @@ from quantloc import (
     DetectorConfig,
     DistanceBounds,
     DomainError,
+    InvalidScenario,
     Mima,
     MissingSensorData,
     QuantizedDataset,
@@ -27,11 +28,9 @@ from quantloc import (
     generate_dataset,
     load_dataset,
     load_scenario,
-    lambda_j,
     lambda_min,
     no_attacks,
     prob_zero,
-    rho_bounds,
     save_dataset,
     save_scenario,
 )
@@ -165,20 +164,33 @@ def test_advisory_warning_above_admissible_delta(toy_scenario):
         detect_all(s, DetectorConfig(delta=limit * 1.25), data)
 
 
+def _floor(s, j):
+    return s.constants().row(j).lam
+
+
 def test_lambda_j_frozen_value(ref_scenario, monkeypatch):
+    """The floor at the bracket (Phi(-1), 1/2): with p0 = 1, d0 = 1e5 and
+    gamma = 2, the powers 2 and 1 at the distance ends put tau - power at
+    -1 and 0."""
     s = ref_scenario
-    monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: (PHI_M1, 0.5))
-    assert lambda_j(s, 1) == pytest.approx(LAMBDA_REF, rel=1e-14)
-    monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: (0.5, PHI_M1))
-    with pytest.raises(DomainError, match="need 0 < rho_l < rho_u < 1"):
-        lambda_j(s, 1)
+    near, far = s.d0 / math.sqrt(2.0), s.d0
+    bounds = DistanceBounds(d_lower=near, d_upper=far, d_secure=10.0)
+    monkeypatch.setattr(ScenarioConfig, "distance_bounds", lambda self: bounds)
+    row = s.constants().row(1)
+    assert (row.rho_l, row.rho_u) == pytest.approx((PHI_M1, 0.5), rel=1e-15)
+    assert row.lam == pytest.approx(LAMBDA_REF, rel=1e-14)
+    # the bracket (1/2, Phi(-1)) is not ordered
+    swapped = DistanceBounds(d_lower=far, d_upper=near, d_secure=10.0)
+    monkeypatch.setattr(ScenarioConfig, "distance_bounds", lambda self: swapped)
+    with pytest.raises(InvalidScenario, match="probability ordering failed for sensor 1:"):
+        replace(s).constants()
 
 
 def test_lambda_j_scales_with_kappa(toy_scenario):
     s = toy_scenario
-    base = lambda_j(s, 1)
-    assert lambda_j(replace(s, kappa=2.0 * s.kappa), 1) == pytest.approx(2.0 * base)
-    assert lambda_min(s) == pytest.approx(min(lambda_j(s, 1), lambda_j(s, 2)))
+    base = _floor(s, 1)
+    assert _floor(replace(s, kappa=2.0 * s.kappa), 1) == pytest.approx(2.0 * base)
+    assert lambda_min(s) == pytest.approx(min(_floor(s, 1), _floor(s, 2)))
 
 
 def test_delta_admissible_frozen_value(ref_scenario, monkeypatch):
@@ -188,15 +200,10 @@ def test_delta_admissible_frozen_value(ref_scenario, monkeypatch):
     bounds = DistanceBounds(d_lower=1.0, d_upper=3.0, d_secure=10.0)
     monkeypatch.setattr(ScenarioConfig, "distance_bounds", lambda self: bounds)
     monkeypatch.setattr(detector_module, "lambda_min", lambda s: 5.0)
-    delta_admissible.cache_clear()
-    try:
-        assert delta_admissible(s) == pytest.approx(DELTA_ADM_REF, rel=1e-14)
-        # a huge floor saturates at upsilon
-        monkeypatch.setattr(detector_module, "lambda_min", lambda s: 1e9)
-        delta_admissible.cache_clear()
-        assert delta_admissible(s) == 1.0
-    finally:
-        delta_admissible.cache_clear()  # no patched value may outlive the test
+    assert delta_admissible(s) == pytest.approx(DELTA_ADM_REF, rel=1e-14)
+    # a huge floor saturates at upsilon
+    monkeypatch.setattr(detector_module, "lambda_min", lambda s: 1e9)
+    assert delta_admissible(s) == 1.0
 
 
 def test_delta_admissible_tracks_kappa(toy_scenario):
@@ -211,8 +218,8 @@ def test_delta_admissible_tracks_kappa(toy_scenario):
 def _directional_margins(s, j):
     sensor = s.sensor(j)
     p = float(sensor.noise.cdf(sensor.threshold - s.signal_mean(j)))
-    rho_l, rho_u = rho_bounds(s, j)
-    return p, (rho_u - p), (p - rho_l)
+    row = s.constants().row(j)
+    return p, (row.rho_u - p), (p - row.rho_l)
 
 
 def test_distortion_floor_linear_attenuation(rng):
@@ -227,7 +234,7 @@ def test_distortion_floor_linear_attenuation(rng):
                 continue
             psi = 0.9 * room
             shifted = attacked_distance(s, j, p + sign * psi)
-            floor = lambda_j(replace(s, kappa=psi / 1.2), j)
+            floor = _floor(replace(s, kappa=psi / 1.2), j)
             assert abs(shifted - d_true) >= floor * (1.0 - 1e-9)
 
 
@@ -244,13 +251,13 @@ def test_distortion_floor_general_attenuation(rng):
             psi = 0.9 * room
             shifted = attacked_distance(s, j, p + sign * psi)
             kappa = psi / 1.2
-            floor = lambda_j(replace(s, kappa=kappa), j)
+            floor = _floor(replace(s, kappa=kappa), j)
             assert abs(shifted - d_true) >= (
                 (psi / kappa) * floor / s.gamma
             ) * (1.0 - 1e-9)
             # a shift clearing gamma * kappa attains the plain floor
             kappa2 = psi / (1.05 * s.gamma)
-            floor2 = lambda_j(replace(s, kappa=kappa2), j)
+            floor2 = _floor(replace(s, kappa=kappa2), j)
             assert abs(shifted - d_true) >= floor2 * (1.0 - 1e-9)
 
 

@@ -1,4 +1,4 @@
-"""The distortion floor's array pass against scipy, literals and error paths."""
+"""The per-sensor constants table against scipy, literals, cache and error paths."""
 
 from __future__ import annotations
 
@@ -7,23 +7,22 @@ from dataclasses import replace
 import pytest
 from scipy.stats import norm
 
-import quantloc.detector as detector_module
 import quantloc.scenario as scenario_module
 from quantloc import (
+    DetectorConfig,
+    DistanceBounds,
     DomainError,
     GaussianNoise,
     InvalidScenario,
     Point,
+    ScenarioConfig,
     SensorSpec,
     build_paper_setup,
+    composite_exponents,
     compute_distance_bounds,
     delta_admissible,
-    lambda_j,
     lambda_min,
-    rho_bounds,
-    unsecure_rho_bounds,
 )
-from quantloc.detector import _unsecure_floors
 
 from conftest import make_toy_scenario
 
@@ -47,20 +46,43 @@ SCENARIOS = {
 }
 
 
+def _law(s, j):
+    """Sensor j's threshold and its noise law's (loc, scale), for scipy."""
+    sensor = s.sensor(j)
+    return sensor.threshold, (sensor.noise.location, sensor.noise.scale)
+
+
+def _rho_oracle(s, j):
+    tau, law = _law(s, j)
+    b = compute_distance_bounds(s)
+    return (
+        norm.cdf(tau - s.power_at(b.d_lower), *law),
+        norm.cdf(tau - s.power_at(b.d_upper), *law),
+    )
+
+
 def _floor_oracle(s, j, kappa):
     """lambda_j from its definition, with scipy's normal law throughout."""
-    sensor = s.sensor(j)
-    loc, scale = sensor.noise.location, sensor.noise.scale
-    b = compute_distance_bounds(s)
-    rho_l = norm.cdf(sensor.threshold - s.power_at(b.d_lower), loc, scale)
-    rho_u = norm.cdf(sensor.threshold - s.power_at(b.d_upper), loc, scale)
+    tau, (loc, scale) = _law(s, j)
+    rho_l, rho_u = _rho_oracle(s, j)
     x_l, x_u = norm.ppf(rho_l, loc, scale), norm.ppf(rho_u, loc, scale)
     if x_l <= loc <= x_u:
         sup_f = norm.pdf(loc, loc, scale)
     else:
         sup_f = max(norm.pdf(x_l, loc, scale), norm.pdf(x_u, loc, scale))
     numerator = kappa * s.d0 * s.p0 ** (1.0 / s.gamma)
-    return numerator * (sensor.threshold - x_l) ** (-(s.gamma + 1.0) / s.gamma) / sup_f
+    return numerator * (tau - x_l) ** (-(s.gamma + 1.0) / s.gamma) / sup_f
+
+
+def _xi_oracle(s, j):
+    """(eps_L, eps_U, Xi_j) from their definitions, with scipy's normal law."""
+    tau, law = _law(s, j)
+    rho_l, rho_u = _rho_oracle(s, j)
+    eps_l, eps_u = rho_l / 2.0, (rho_u + norm.cdf(tau, *law)) / 2.0
+    x_l, x_u = norm.ppf(eps_l, *law), norm.ppf(eps_u, *law)
+    inf_f = min(norm.pdf(x_l, *law), norm.pdf(x_u, *law))
+    numerator = s.d0 * s.p0 ** (1.0 / s.gamma)
+    return eps_l, eps_u, numerator * (tau - x_u) ** (-(s.gamma + 1.0) / s.gamma) / inf_f
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -69,20 +91,34 @@ def test_every_floor_matches_the_scipy_oracle(name, kappa):
     s = SCENARIOS[name]()
     if kappa is not None:
         s = replace(s, kappa=kappa)
-    floors = _unsecure_floors(s)
+    c = s.constants()
+    floors = [c.row(j).lam for j in s.unsecure_ids()]
     assert [type(v) for v in floors] == [float] * len(s.unsecure())
-    # the array pass and the one-sensor pass give the same doubles
-    assert floors == [lambda_j(s, j) for j in s.unsecure_ids()]
-    assert lambda_min(s) == min(floors)
+    assert lambda_min(s) == c.lam_min == min(floors)
     for j, value in zip(s.unsecure_ids(), floors):
         expected = _floor_oracle(s, j, s.kappa)
         assert value == pytest.approx(expected, rel=1e-15, abs=0.0), j
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("kappa", [None, 0.05])
+def test_every_bracket_and_xi_match_the_scipy_oracle(name, kappa):
+    s = SCENARIOS[name]()
+    if kappa is not None:
+        s = replace(s, kappa=kappa)
+    c = s.constants()
+    for j, eps_l, eps_u, xi in zip(c.ids, c.eps_l, c.eps_u, c.xi):
+        expected = _xi_oracle(s, j)
+        assert (eps_l, eps_u, xi) == pytest.approx(expected, rel=1e-15, abs=0.0), j
+
+
 def test_the_mixed_scenario_floors_differ():
-    """The oracle check above would miss a mix-up of sensors on equal floors."""
-    floors = _unsecure_floors(_mixed_scenario())
-    assert len(set(floors)) == len(floors)
+    """The oracle checks above would miss a mix-up of sensors on equal values."""
+    s = _mixed_scenario()
+    rows = [s.constants().row(j) for j in s.unsecure_ids()]
+    for name in ("lam", "xi", "eps_l", "eps_u"):
+        values = [getattr(row, name) for row in rows]
+        assert len(set(values)) == len(values)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1 / 25], ids=["full_scale", "scale_1_25"])
@@ -94,12 +130,50 @@ def test_benchmark_floor_literals(scale):
     assert lambda_min(replace(s, kappa=0.05)) == 9920.696862306802
 
 
+@pytest.mark.parametrize("scale", [1.0, 1 / 25], ids=["full_scale", "scale_1_25"])
+def test_benchmark_exponent_literals(scale):
+    """Exact doubles of the exponents and of Xi at both ends of the
+    unsecure sensors, which the bounds tables print to 6 digits only."""
+    s, assignment = build_paper_setup(scale=scale)
+    report = composite_exponents(s, assignment, DetectorConfig(delta=280.0))
+    assert report.fa_exponent == 3.7987445969752584e-08
+    assert report.miss_exponent == 3.7987445969752584e-08
+    first, last = s.unsecure_ids()[0], s.unsecure_ids()[-1]
+    assert s.constants().row(first).xi == 1015834.5664682217
+    assert s.constants().row(last).xi == 1015834.5664682217
+
+
 def test_unsecure_rho_bounds_match_rho_bounds():
+    """The rho columns are each sensor's own zero_prob at the powers from the
+    distance bracket's ends, double for double."""
     s = _mixed_scenario()
-    rho_l, rho_u = unsecure_rho_bounds(s)
-    assert list(zip(rho_l.tolist(), rho_u.tolist())) == [
-        rho_bounds(s, j) for j in s.unsecure_ids()
-    ]
+    c, b = s.constants(), s.distance_bounds()
+    for end, column in ((b.d_lower, c.rho_l), (b.d_upper, c.rho_u)):
+        power = s.power_at(end)
+        assert column.tolist() == [sensor.zero_prob(power) for sensor in s.sensors]
+
+
+def test_the_table_is_kept_read_only_and_outside_equality(toy_scenario):
+    s = toy_scenario
+    c = s.constants()
+    assert s.constants() is c
+    assert c.ids == tuple(sensor.id for sensor in s.sensors)
+    for column in c[1:-1]:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    with pytest.raises(AttributeError):
+        c.lam = c.xi
+    with pytest.raises(KeyError):
+        c.row(99)
+    # a replaced scenario builds its own table: kappa moves lambda alone
+    doubled = replace(s, kappa=2.0 * s.kappa).constants()
+    assert doubled is not c
+    assert doubled.lam.tolist() == [2.0 * v for v in c.lam.tolist()]
+    assert doubled.xi.tolist() == c.xi.tolist()
+    # the table is no part of the scenario's value
+    twin = replace(s)
+    assert twin == s and hash(twin) == hash(s)
+    assert twin.constants() is not c
 
 
 def _with_bad_sensors():
@@ -118,16 +192,26 @@ def _with_bad_sensors():
 
 def test_rho_ordering_names_the_first_failing_sensor():
     s = _with_bad_sensors()
-    message = "probability ordering failed for sensor {}: rho_L=1.0, rho_U=1.0, F(tau)=1.0"
+    message = "probability ordering failed for sensor 5: rho_L=1.0, rho_U=1.0, F(tau)=1.0"
     with pytest.raises(InvalidScenario) as first:
-        unsecure_rho_bounds(s)
-    assert str(first.value) == message.format(5)
+        s.constants()
+    assert str(first.value) == message
     for call in (lambda_min, delta_admissible):
         with pytest.raises(InvalidScenario, match="for sensor 5:"):
             call(s)
-    with pytest.raises(InvalidScenario) as single:
-        lambda_j(s, 6)
-    assert str(single.value) == message.format(6)
+    # one table serves every sensor, so a lookup of sensor 6 reports sensor 5
+    with pytest.raises(InvalidScenario, match="for sensor 5:"):
+        s.constants().row(6)
+
+
+def test_an_anchor_with_an_unordered_bracket_fails_the_floor(toy_scenario):
+    """The floor reads only unsecure sensors, but their table orders every row."""
+    s = toy_scenario
+    anchor = replace(s.sensor(4), noise=GaussianNoise(-50.0, 1.0))
+    s = replace(s, sensors=s.sensors[:3] + (anchor,))
+    for call in (lambda_min, delta_admissible):
+        with pytest.raises(InvalidScenario, match="for sensor 4:"):
+            call(s)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
@@ -136,17 +220,20 @@ def test_nonpositive_kappa_raises(toy_scenario, kappa, monkeypatch):
     s = toy_scenario
     with pytest.raises(InvalidScenario, match="kappa must be positive"):
         replace(s, kappa=kappa)
-    # the floor keeps its own check, reached by writing past the frozen field
+    # the table keeps its own check, reached by writing past the frozen field
     monkeypatch.setitem(vars(s), "kappa", kappa)
-    for call in (lambda: lambda_j(s, 1), lambda: lambda_min(s)):
+    for call in (s.constants, lambda: lambda_min(s)):
         with pytest.raises(DomainError, match="kappa must be positive"):
             call()
 
 
 def test_an_unordered_bracket_raises(toy_scenario, monkeypatch):
-    monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: (0.5, 0.5))
-    with pytest.raises(DomainError, match=r"need 0 < rho_l < rho_u < 1, got 0\.5, 0\.5"):
-        lambda_j(toy_scenario, 1)
+    """Distance ends swapped put rho_L above rho_U for every sensor."""
+    b = toy_scenario.distance_bounds()
+    swapped = DistanceBounds(b.d_upper, b.d_lower, b.d_secure)
+    monkeypatch.setattr(ScenarioConfig, "distance_bounds", lambda self: swapped)
+    with pytest.raises(InvalidScenario, match=r"^probability ordering failed for sensor 1: "):
+        toy_scenario.constants()
 
 
 def test_one_cold_delta_admissible_computes_the_distance_bounds_once(monkeypatch):
@@ -160,7 +247,6 @@ def test_one_cold_delta_admissible_computes_the_distance_bounds_once(monkeypatch
 
     monkeypatch.setattr(scenario_module, "compute_distance_bounds", counting)
     s, _ = build_paper_setup(scale=1.0)
-    delta_admissible.cache_clear()
     delta_admissible(s)
-    assert delta_admissible.cache_info().misses == 1
+    delta_admissible(s)
     assert len(calls) <= 1

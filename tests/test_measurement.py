@@ -23,7 +23,6 @@ from quantloc import (
     nmle_distance,
     prob_zero,
     quantize,
-    rho_bounds,
     sample_signal,
 )
 from quantloc.rng import NOISE_STREAM, make_generator
@@ -134,9 +133,9 @@ def test_prob_zero_value_and_roi_warning(toy_scenario):
 
 
 def test_empirical_frequency_lands_in_probability_bracket(ref_scenario):
-    rho_l, rho_u = rho_bounds(ref_scenario, 1)
+    row = ref_scenario.constants().row(1)
     bits = quantize(ref_scenario, 1, sample_signal(ref_scenario, 1, 100_000, seed=11))
-    assert rho_l < _freq(bits).xi < rho_u
+    assert row.rho_l < _freq(bits).xi < row.rho_u
 
 
 def test_nmle_known_quantiles(ref_scenario):

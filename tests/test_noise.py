@@ -9,30 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
+from scipy.stats import norm
 
-import quantloc.analysis as analysis_module
-import quantloc.detector as detector_module
 import quantloc.noise as noise_module
 from quantloc import (
     AdvisoryWarning,
     DetectorConfig,
+    DistanceBounds,
     DomainError,
     GaussianNoise,
     HalfSpace,
+    InvalidScenario,
     Mima,
     Point,
     PsiOffset,
     Ring,
     RoiDisc,
+    ScenarioConfig,
     SensorSpec,
     SpoofBias,
     circle_meets_region_analytic,
     circle_meets_region_discretized,
-    density_sup,
-    lambda_j,
     nmle_distance,
-    xi_factor,
 )
+
+from conftest import make_toy_scenario
 
 # Reference values computed with 30-digit arithmetic (mpmath), frozen here.
 PHI_M3 = 0.00134989803163009452665
@@ -112,70 +113,135 @@ def test_cdf_is_monotone(a, b):
     assert g.cdf(lo) <= g.cdf(hi)
 
 
-def test_density_extremum_sup_at_mode_when_interval_covers_it():
-    g = GaussianNoise()
-    assert g.density_extremum(-1.0, 2.0, "sup") == pytest.approx(PDF_0, abs=1e-15)
-    assert g.density_extremum(0.0, 0.0, "sup") == pytest.approx(PDF_0, abs=1e-15)
+# The density's extrema over an interval are taken in the scenario's
+# SensorConstants: lam divides by the sup over the quantiles of the rho
+# bracket, xi by the inf over those of the eps bracket.  The checks below
+# set the powers at the distance bracket's ends, so on the toy scenario
+# (tau = 1, standard normal noise) the rho bracket's quantiles are
+# [1 - near, 1 - far].
 
 
-def test_density_extremum_sup_at_nearest_endpoint_otherwise():
-    g = GaussianNoise()
-    assert g.density_extremum(0.5, 2.0, "sup") == pytest.approx(
-        g.density(0.5), abs=1e-15
+def _row_at_powers(monkeypatch, near, far):
+    s = make_toy_scenario()
+
+    def at(power):
+        return s.d0 * (s.p0 / power) ** (1.0 / s.gamma)
+
+    bounds = DistanceBounds(at(near), at(far), 200.0)
+    monkeypatch.setattr(ScenarioConfig, "distance_bounds", lambda self: bounds)
+    return s, s.constants().row(1)
+
+
+def _lam_over(s, row, f):
+    power = -(s.gamma + 1.0) / s.gamma
+    return s.kappa * s.d0 * s.p0 ** (1.0 / s.gamma) * (1.0 - norm.ppf(row.rho_l)) ** power / f
+
+
+def _xi_over(s, row, f):
+    power = -(s.gamma + 1.0) / s.gamma
+    return s.d0 * s.p0 ** (1.0 / s.gamma) * (1.0 - norm.ppf(row.eps_u)) ** power / f
+
+
+def test_density_extremum_sup_at_mode_when_interval_covers_it(monkeypatch):
+    # quantiles [-1, 0.5] and [-0.5, 0.8]
+    for near, far in ((2.0, 0.5), (1.5, 0.2)):
+        s, row = _row_at_powers(monkeypatch, near, far)
+        assert row.lam == pytest.approx(_lam_over(s, row, PDF_0), rel=1e-15)
+
+
+def test_density_extremum_sup_at_nearest_endpoint_otherwise(monkeypatch):
+    # quantiles [-2, -1]: the upper end is nearer the mode
+    s, row = _row_at_powers(monkeypatch, 3.0, 2.0)
+    f = norm.pdf(norm.ppf(row.rho_u))
+    assert f == pytest.approx(PDF_M1, rel=1e-14)
+    assert row.lam == pytest.approx(_lam_over(s, row, f), rel=1e-15)
+    # quantiles [0.5, 0.8]: the lower end is
+    s, row = _row_at_powers(monkeypatch, 0.5, 0.2)
+    assert row.lam == pytest.approx(_lam_over(s, row, norm.pdf(norm.ppf(row.rho_l))), rel=1e-15)
+
+
+def test_density_extremum_inf_is_endpoint_minimum(monkeypatch):
+    # eps quantiles about [-1.41, 0.73]: the lower end is farther from the mode
+    s, row = _row_at_powers(monkeypatch, 2.0, 0.5)
+    f = norm.pdf(norm.ppf(row.eps_l))
+    assert f < norm.pdf(norm.ppf(row.eps_u))
+    assert row.xi == pytest.approx(_xi_over(s, row, f), rel=1e-15)
+    # about [-0.23, 0.98]: the upper end is
+    s, row = _row_at_powers(monkeypatch, 0.1, 0.05)
+    f = norm.pdf(norm.ppf(row.eps_u))
+    assert f < norm.pdf(norm.ppf(row.eps_l))
+    assert row.xi == pytest.approx(_xi_over(s, row, f), rel=1e-15)
+
+
+def _tail_network(five, six):
+    """Every law's scale is 1e300 and p0 matches it, so each bracket spans
+    about half a scale below threshold.  Sensors 5 and 6 have thresholds
+    ``five`` and ``six`` scales above the mode; far below it the density,
+    divided by the scale, underflows to 0."""
+    s = make_toy_scenario()
+    wide = GaussianNoise(0.0, 1e300)
+    one, two, *anchors = (replace(x, noise=wide) for x in s.sensors)
+    sensors = (
+        one,
+        SensorSpec(5, Point(-10.0, 0.0), five * 1e300, wide),
+        two,
+        SensorSpec(6, Point(10.0, 0.0), six * 1e300, wide),
     )
-    assert g.density_extremum(-3.0, -1.0, "sup") == pytest.approx(
-        PDF_M1, abs=1e-15
-    )
+    return replace(s, sensors=sensors + tuple(anchors), p0=1e300)
 
 
-def test_density_extremum_inf_is_endpoint_minimum():
-    g = GaussianNoise()
-    assert g.density_extremum(-1.0, 2.0, "inf") == pytest.approx(
-        g.density(2.0), abs=1e-15
-    )
-    assert g.density_extremum(-2.0, 1.0, "inf") == pytest.approx(
-        g.density(-2.0), abs=1e-15
-    )
-
-
-def test_density_extremum_rejects_bad_input():
-    g = GaussianNoise()
-    with pytest.raises(DomainError):
-        g.density_extremum(1.0, 0.0, "sup")
-    with pytest.raises(DomainError):
-        g.density_extremum(-math.inf, 0.0, "sup")
-    with pytest.raises(DomainError):
-        g.density_extremum(0.0, 1.0, "max")
-    # exp(-0.5 x^2) underflows to exactly zero far in the tail
-    with pytest.raises(DomainError):
-        g.density_extremum(40.0, 41.0, "inf")
+def test_density_extremum_rejects_bad_input(monkeypatch):
+    # 9.3 scales down the rho bracket's sup stays positive, but the eps
+    # bracket's lower end, at half of rho_L, reaches the zero tail
+    s = _tail_network(1.0, -9.3)
+    with pytest.raises(DomainError, match="^the density of sensor 6's noise underflows to 0"):
+        s.constants()
+    # quantiles [1 - 0.5, 1 - 2]: the bracket is not ordered
+    with pytest.raises(InvalidScenario, match="probability ordering failed"):
+        _row_at_powers(monkeypatch, 0.5, 2.0)
 
 
 def test_density_sup_over_arrays_follows_the_scalar_rule():
-    """Per-element location and scale give the doubles of one noise law at a
-    time: the density at the mode if the interval holds it, else the larger
-    endpoint density."""
+    """Per-sensor location and scale give the doubles of one noise law at a
+    time: lam divides by the density at the mode if the rho bracket's
+    quantiles hold it, else by the larger end density, and xi by the
+    smaller end density of the eps bracket's quantiles."""
     rng = np.random.default_rng(3)
-    lo = rng.normal(0.0, 2.0, 400)
-    hi = lo + rng.exponential(1.5, 400)
-    loc = rng.normal(0.0, 1.0, 400)
-    scale = rng.uniform(0.2, 3.0, 400)
-    sup = density_sup(lo, hi, loc, scale)
-    for i in range(400):
-        g = GaussianNoise(float(loc[i]), float(scale[i]))
-        f_lo, f_hi = g.density(float(lo[i])), g.density(float(hi[i]))
-        inside = lo[i] <= g.location <= hi[i]
-        assert _same_bits(sup[i], g.density(g.location) if inside else max(f_lo, f_hi))
-        assert _same_bits(sup[i], g.density_extremum(float(lo[i]), float(hi[i]), "sup"))
+    toy = make_toy_scenario()
+    loc = rng.normal(0.0, 1.0, 400).tolist()
+    scale = rng.uniform(0.2, 3.0, 400).tolist()
+    gap = rng.uniform(0.2, 1.5, 400).tolist()
+    x = rng.uniform(-60.0, 60.0, 400).tolist()
+    sensors = tuple(
+        SensorSpec(10 + i, Point(x[i], 0.0), loc[i] + gap[i], GaussianNoise(loc[i], scale[i]))
+        for i in range(400)
+    )
+    s = replace(toy, sensors=sensors + toy.secure_pair())
+    c = s.constants()
+    head = s.d0 * s.p0 ** (1.0 / s.gamma)
+    power = -(s.gamma + 1.0) / s.gamma
+    inside = 0
+    for sensor in sensors:
+        g, tau, row = sensor.noise, sensor.threshold, c.row(sensor.id)
+        x_l, x_u = g.inv_cdf(row.rho_l), g.inv_cdf(row.rho_u)
+        if x_l <= g.location <= x_u:
+            inside += 1
+            sup = g.density(g.location)
+        else:
+            sup = max(g.density(x_l), g.density(x_u))
+        lam = s.kappa * s.d0 * s.p0 ** (1.0 / s.gamma) * (tau - x_l) ** power / sup
+        assert _same_bits(row.lam, lam)
+        e_l, e_u = g.inv_cdf(row.eps_l), g.inv_cdf(row.eps_u)
+        inf = min(g.density(e_l), g.density(e_u))
+        assert _same_bits(row.xi, head * (tau - e_u) ** power / inf)
     # both branches occur
-    assert 0 < int(((lo <= loc) & (loc <= hi)).sum()) < 400
+    assert 0 < inside < 400
 
 
 def test_density_sup_errors_name_the_first_bad_interval():
-    with pytest.raises(DomainError, match=r"^invalid interval \[3\.0, 1\.0\]$"):
-        density_sup([-1.0, 3.0, 5.0], [2.0, 1.0, math.inf], 0.0, 1.0)
-    with pytest.raises(DomainError, match=r"^interval \[40\.0, 41\.0\] leaves"):
-        density_sup([0.0, 40.0, 50.0], [1.0, 41.0, 51.0], 0.0, 1.0)
+    with pytest.raises(DomainError) as err:
+        _tail_network(-29.0, -29.0).constants()
+    assert str(err.value) == "the density of sensor 5's noise underflows to 0 on its bracket"
 
 
 def test_numpy_scalar_constants_are_stored_as_floats(ref_scenario):
@@ -186,7 +252,8 @@ def test_numpy_scalar_constants_are_stored_as_floats(ref_scenario):
         ref_scenario,
         sensors=tuple(replace(sensor, noise=g) for sensor in ref_scenario.sensors),
     )
-    values = [g.inv_cdf(0.3), lambda_j(s, 1), xi_factor(s, 1)]
+    row = s.constants().row(1)
+    values = [g.inv_cdf(0.3), row.lam, row.xi]
     assert [type(v) for v in values] == [float] * len(values)
 
 
@@ -218,9 +285,10 @@ def test_scalar_and_array_calls_are_scipy_bit_for_bit():
         assert type(out) is float and _same_bits(out, ndtr((xi - -0.7) / 3.3))
 
 
-def test_scalar_callers_return_python_floats(toy_scenario, ref_scenario, monkeypatch):
+def test_scalar_callers_return_python_floats(toy_scenario, ref_scenario):
     """The per-sensor scalar callers of cdf/inv_cdf hand on Python floats,
-    also from numpy scalar arguments, without wrapping the results."""
+    also from numpy scalar arguments, without wrapping the results, and a
+    table row holds Python floats."""
     sensor = toy_scenario.sensor(1)
     g = GaussianNoise()
     values = [
@@ -229,11 +297,7 @@ def test_scalar_callers_return_python_floats(toy_scenario, ref_scenario, monkeyp
         SpoofBias(0.5).shift(0.3, g),
         SpoofBias(0.5).shift(np.float64(0.3), g),
     ]
-    phi_m1 = g.cdf(-1.0)
-    for bracket in ((phi_m1, 0.5), (np.float64(phi_m1), np.float64(0.5))):
-        monkeypatch.setattr(detector_module, "rho_bounds", lambda s, j: bracket)
-        monkeypatch.setattr(analysis_module, "epsilon_bracket", lambda s, j: bracket)
-        values += [lambda_j(ref_scenario, 1), xi_factor(ref_scenario, 1)]
+    values += list(ref_scenario.constants().row(1)[1:])
     assert [type(v) for v in values] == [float] * len(values)
 
 @pytest.mark.parametrize("huge", [2**2000, -(2**2000)])
@@ -251,9 +315,8 @@ def test_constructor_names_an_integer_past_the_float_range(huge):
         (lambda g, big: g.cdf(big), r"^x must be finite"),
         (lambda g, big: g.inv_cdf(big), r"^quantile argument must lie in \(0, 1\)"),
         (lambda g, big: g.density(big), r"^x must be finite"),
-        (lambda g, big: g.density_extremum(0.0, big, "sup"), r"^invalid interval"),
     ],
-    ids=["cdf", "inv_cdf", "density", "density_extremum"],
+    ids=["cdf", "inv_cdf", "density"],
 )
 def test_an_integer_past_the_float_range_is_caught(call, message, huge):
     """Ints past the float range raise DomainError naming the argument, not
@@ -268,12 +331,8 @@ def test_an_integer_past_the_float_range_is_caught(call, message, huge):
     [
         (noise_module.ndtr, r"^a holds an integer past the float range"),
         (noise_module.ndtri, r"^y holds an integer past the float range"),
-        (
-            lambda big: density_sup([0.0], [big], 0.0, 1.0),
-            r"^hi holds an integer past the float range",
-        ),
     ],
-    ids=["ndtr", "ndtri", "density_sup"],
+    ids=["ndtr", "ndtri"],
 )
 def test_an_integer_past_the_float_range_is_caught_by_the_module_functions(call, message, huge):
     with pytest.raises(DomainError, match=message):
@@ -290,10 +349,6 @@ _TOO_LONG_TO_PRINT = {
     "inv_cdf.list": (lambda s, big: GaussianNoise().inv_cdf([0.5, big]), "quantile argument"),
     "density": (lambda s, big: GaussianNoise().density(big), "x"),
     "density.list": (lambda s, big: GaussianNoise().density([0.5, big]), "x"),
-    "density_extremum": (
-        lambda s, big: GaussianNoise().density_extremum(0.0, big, "sup"),
-        "invalid interval",
-    ),
     "GaussianNoise.location": (lambda s, big: GaussianNoise(location=big), "location"),
     "GaussianNoise.scale": (lambda s, big: GaussianNoise(scale=big), "scale"),
     "Point.x": (lambda s, big: Point(big, 0.0), "point x"),

@@ -44,6 +44,7 @@ PUBLIC_NAMES = [
     "SCHEMA_VERSION",
     "ScenarioConfig",
     "SensorArrays",
+    "SensorConstants",
     "SensorDecision",
     "SensorRates",
     "SensorSpec",
@@ -64,14 +65,11 @@ PUBLIC_NAMES = [
     "compute_distance_bounds",
     "containment_oracle",
     "delta_admissible",
-    "density_sup",
     "detect_all",
     "detect_from_probabilities",
     "distance",
-    "epsilon_bracket",
     "estimate_error_probs",
     "generate_dataset",
-    "lambda_j",
     "lambda_min",
     "load_dataset",
     "load_scenario",
@@ -88,23 +86,24 @@ PUBLIC_NAMES = [
     "psi_of",
     "quantize",
     "render_scenario",
-    "rho_bounds",
     "roi_side",
     "sample_signal",
     "save_dataset",
     "save_scenario",
     "sweep_delta",
-    "unsecure_rho_bounds",
     "validate_assumptions",
-    "xi_factor",
 ]
 
-# Retired exports whose work another name does: lambda_j, delta_admissible
-# and xi_factor take a scenario; GaussianNoise() is the standard normal;
-# QuantizedDataset.freq counts a record's zeros, and EmpiricalFreq raises
-# DomainError for an empty one; epsilon_bracket fixes the bracket ends at
-# the midpoints of their gaps, which ExponentParams used to weight;
-# estimate_error_probs returns Metrics, whose slope is fitted from its rows.
+# Retired exports whose work another name does: delta_admissible and the
+# scenario's SensorConstants table take a scenario, not loose constants;
+# GaussianNoise() is the standard normal; QuantizedDataset.freq counts a
+# record's zeros, and EmpiricalFreq raises DomainError for an empty one; the
+# table's frequency bracket sits at the midpoints of the gaps that
+# ExponentParams used to weight; estimate_error_probs returns Metrics, whose
+# slope is fitted from its rows; and SensorConstants holds, one column each,
+# the probability bracket, the frequency bracket, Xi and the floor that
+# rho_bounds, unsecure_rho_bounds, epsilon_bracket, xi_factor and lambda_j
+# gave, with the density's extrema that density_sup took.
 RETIRED = [
     "lambda_from",
     "delta_admissible_from",
@@ -114,6 +113,12 @@ RETIRED = [
     "EmptyData",
     "ExponentParams",
     "sweep_K",
+    "rho_bounds",
+    "unsecure_rho_bounds",
+    "epsilon_bracket",
+    "xi_factor",
+    "lambda_j",
+    "density_sup",
 ]
 
 

@@ -19,7 +19,6 @@ from quantloc import (
     build_paper_setup,
     compute_distance_bounds,
     distance,
-    rho_bounds,
     roi_side,
     validate_assumptions,
 )
@@ -190,7 +189,8 @@ def test_rho_bounds_are_cdf_images_of_distance_bounds():
     s, _ = build_paper_setup(scale=0.004)
     b = compute_distance_bounds(s)
     noise = s.sensor(1).noise
-    rho_l, rho_u = rho_bounds(s, 1)
+    row = s.constants().row(1)
+    rho_l, rho_u = row.rho_l, row.rho_u
     assert rho_l == pytest.approx(
         noise.cdf(1.0 - (s.d0 / b.d_lower) ** 2), rel=1e-15
     )
@@ -219,7 +219,7 @@ def test_rho_bounds_reject_underflowed_lower_probability():
         2.0,
     )
     with pytest.raises(InvalidScenario):
-        rho_bounds(s, 1)
+        s.constants()
 
 
 def test_distance_bracket_covers_actual_distances(rng):
@@ -277,28 +277,3 @@ def test_roi_side(toy_scenario):
         kappa=1.0,
     )
     assert roi_side(mirrored) == -1
-
-
-def test_scenario_hash_is_computed_once_at_construction(toy_scenario, monkeypatch):
-    twin = replace(toy_scenario)
-    assert twin == toy_scenario and hash(twin) == hash(toy_scenario)
-    moved = replace(toy_scenario, kappa=0.5)
-    assert hash(moved) != hash(toy_scenario)
-    assert hash(moved) == hash(ScenarioConfig(**{
-        f.name: getattr(moved, f.name) for f in fields(moved) if f.init
-    }))
-
-    calls = []
-    sensor_hash = SensorSpec.__hash__
-
-    def counting_hash(self):
-        calls.append(self.id)
-        return sensor_hash(self)
-
-    monkeypatch.setattr(SensorSpec, "__hash__", counting_hash)
-    s = replace(toy_scenario)
-    assert len(calls) == len(s.sensors)
-    calls.clear()
-    hash(s)
-    hash(s)
-    assert calls == []
