@@ -62,7 +62,7 @@ def _rho_oracle(s, j):
 
 
 def _floor_oracle(s, j, kappa):
-    """lambda_j from its definition, with scipy's normal law throughout."""
+    """Sensor j's floor lambda from its definition, with scipy's normal law throughout."""
     tau, (loc, scale) = _law(s, j)
     rho_l, rho_u = _rho_oracle(s, j)
     x_l, x_u = norm.ppf(rho_l, loc, scale), norm.ppf(rho_u, loc, scale)
