@@ -27,9 +27,7 @@ from quantloc import (
     detect_all,
     detect_from_probabilities,
     generate_dataset,
-    post_attack_prob,
     prob_zero,
-    psi_of,
 )
 
 # -- step 1: the network and the attacker ------------------------------------
@@ -65,8 +63,8 @@ assignment = AttackAssignment(specs={1: attack})
 # real deployment might use, on a copy of the scenario.
 
 p_clean = prob_zero(scenario, 1)
-p_tampered = post_attack_prob(attack, p_clean)
-offset = psi_of(attack, p_clean)
+p_tampered = attack.shift(p_clean)
+offset = attack.psi(p_clean)
 print(f"clean zero-bit probability:    {p_clean:.6f}")
 print(f"tampered zero-bit probability: {p_tampered:.6f}  (offset {offset:+.6f})")
 print(f"significant at kappa={scenario.kappa:g}:    {check_significant(scenario, 1, attack)}")

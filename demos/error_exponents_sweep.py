@@ -23,7 +23,6 @@ from quantloc import (
     delta_admissible,
     estimate_error_probs,
     no_attacks,
-    post_attack_prob,
     prob_zero,
     validate_assumptions,
 )
@@ -107,7 +106,7 @@ for row in clean.rows:
 attack = Mima(psi0=0.0, psi1=0.33)
 assignment = AttackAssignment(specs={1: attack})
 p_clean = prob_zero(scenario, 1)
-p_tampered = post_attack_prob(attack, p_clean)
+p_tampered = attack.shift(p_clean)
 drift = attacked_distance(scenario, 1, p_tampered) - attacked_distance(scenario, 1, p_clean)
 print(f"\nattack drifts the distance by {drift:.2f} against delta = {cfg.delta:g}")
 

@@ -18,7 +18,6 @@ from quantloc import (
     RoiDisc,
     ScenarioConfig,
     SensorSpec,
-    compute_distance_bounds,
     nmle_distance,
     prob_zero,
     quantize,
@@ -58,7 +57,7 @@ print(f"sensor {sensor_id} true distance to target: {true_distance:.4f}")
 
 p = prob_zero(scenario, sensor_id)
 row = scenario.constants().row(sensor_id)
-bounds = compute_distance_bounds(scenario)
+bounds = scenario.distance_bounds()
 print(f"zero-bit probability at the target: {p:.6f}")
 print(f"probability bracket from the ROI:   [{row.rho_l:.6f}, {row.rho_u:.6f}]")
 print(f"distance bracket from the ROI:      [{bounds.d_lower:.3f}, {bounds.d_upper:.3f}]")

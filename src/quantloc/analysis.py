@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
-from .attacks import AttackAssignment, post_attack_prob
+from .attacks import AttackAssignment
 from .detector import DetectorConfig
 from .errors import DomainError
 from .measurement import prob_zero
-from .noise import is_finite, shown
+from .noise import _index, is_finite, shown
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -88,22 +88,16 @@ def _phi(x: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class SensorRates:
-    """The four escape rates for one sensor at one zero-probability."""
+class SensorRates(NamedTuple):
+    """The four escape rates for one sensor at one zero-probability.
+
+    The tuple is the bound's four terms; ``min(rates)`` is the least.
+    """
 
     eta1: float
     eta2: float
     eta_eps_lower: float
     eta_eps_upper: float
-
-    @property
-    def minimum(self) -> float:
-        return min(self.eta1, self.eta2, self.eta_eps_lower, self.eta_eps_upper)
-
-    @property
-    def terms(self) -> tuple[float, float, float, float]:
-        return (self.eta1, self.eta2, self.eta_eps_lower, self.eta_eps_upper)
 
 
 def _sensor_rates(
@@ -194,24 +188,16 @@ class RateReport:
 
     def raw_fa_bound(self, j: int, k: int) -> float:
         """Exact 12-term sum bounding sensor j's false-alarm probability."""
-        terms = self.plain[j].terms
-        for sid in self.secure_ids:
-            terms = terms + self.plain[sid].terms
-        return _sum_exp(terms, k)
+        s1, s2 = self.secure_ids
+        return _sum_exp(self.plain[j] + self.plain[s1] + self.plain[s2], k)
 
     def raw_miss_bound(self, j: int, k: int) -> float:
         """Exact 12-term sum bounding sensor j's miss probability."""
-        terms = self.tilde[j].terms
-        for sid in self.secure_ids:
-            terms = terms + self.plain[sid].terms
-        return _sum_exp(terms, k)
+        s1, s2 = self.secure_ids
+        return _sum_exp(self.tilde[j] + self.plain[s1] + self.plain[s2], k)
 
-    def to_table(self, k_grid: tuple[int, ...]) -> str:
-        for i, k in enumerate(k_grid):
-            if not is_finite(k):
-                raise DomainError(f"k_grid[{i}] must be finite, got {shown(k)}")
-            if k < 1:
-                raise DomainError(f"k_grid[{i}] must be >= 1, got {k}")
+    def to_table(self, k_grid: Sequence[int]) -> str:
+        k_grid = _k_grid(k_grid)
         header = ["sensor_id", "eta0", "eta1"]
         header += [f"fa_bound_K{k}" for k in k_grid]
         header += [f"miss_bound_K{k}" for k in k_grid]
@@ -228,6 +214,24 @@ class RateReport:
             ]
             lines.append("\t".join(cells))
         return "\n".join(lines) + "\n"
+
+
+def _k_grid(k_grid: Sequence[int]) -> tuple[int, ...]:
+    """Record lengths as Python ints, each an integer, finite and >= 1; a bad
+    entry raises DomainError naming ``k_grid[i]``."""
+    try:
+        entries = tuple(k_grid)
+    except TypeError:
+        raise DomainError(f"k_grid must be a sequence, got {k_grid!r}") from None
+    out = []
+    for i, k in enumerate(entries):
+        k = _index(k, f"k_grid[{i}]")
+        if not is_finite(k):
+            raise DomainError(f"k_grid[{i}] must be finite, got {shown(k)}")
+        if k < 1:
+            raise DomainError(f"k_grid entries must be >= 1: k_grid[{i}] must be >= 1, got {k}")
+        out.append(k)
+    return tuple(out)
 
 
 def _fmt(value: float) -> str:
@@ -261,18 +265,14 @@ def composite_exponents(
         t = delta / (2.0 * xi)
         plain[j] = _sensor_rates(p, t, eps_l, eps_u)
         if not sensor.secure:
-            tp = post_attack_prob(assignment.spec_for(j), p, noise=sensor.noise)
+            tp = assignment.spec_for(j).shift(p, sensor.noise)
             tilde[j] = (
                 plain[j] if tp == p else _sensor_rates(tp, t, eps_l, eps_u)
             )
 
-    secure_min = min(plain[s1.id].minimum, plain[s2.id].minimum)
-    fa_exponents = {
-        j: min(plain[j].minimum, secure_min) for j in tilde
-    }
-    miss_exponents = {
-        j: min(tilde[j].minimum, secure_min) for j in tilde
-    }
+    secure_min = min(*plain[s1.id], *plain[s2.id])
+    fa_exponents = {j: min(*plain[j], secure_min) for j in tilde}
+    miss_exponents = {j: min(*tilde[j], secure_min) for j in tilde}
     return RateReport(
         delta=delta,
         plain=plain,

@@ -11,7 +11,8 @@ F(F^{-1}(p) - b).  The offset variant prescribes Psi directly, which also
 covers quantizer-tampering attacks: whatever the tampered quantizer does,
 the fusion center only ever sees the resulting p_tilde.
 
-Each variant carries its behaviour: ``shift`` maps p to p_tilde, and
+Each variant carries its behaviour: ``shift`` maps p to p_tilde and
+``psi`` gives Psi, both raising DomainError for p outside [0, 1], and
 ``bit_record`` turns a sensor's raw samples into its post-attack bits.
 """
 
@@ -37,11 +38,16 @@ __all__ = [
     "AttackAssignment",
     "no_attacks",
     "apply_attack",
-    "post_attack_prob",
-    "psi_of",
     "check_subtle",
     "check_significant",
 ]
+
+
+def _checked(p: float) -> float:
+    """p itself, once it is known to be a probability; DomainError otherwise."""
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"p = {shown(p)} outside [0, 1]")
+    return p
 
 
 @dataclass(frozen=True)
@@ -59,11 +65,15 @@ class AttackSpec:
         return self.variant != "none"
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
-        """Zero-probability after the attack, from the clean zero-probability p."""
-        return p
+        """Zero-probability after the attack, from the clean zero-probability p.
+
+        The spoofing variant needs the sensor's noise model to relocate the
+        threshold crossing.
+        """
+        return _checked(p)
 
     def psi(self, p: float, noise: GaussianNoise | None = None) -> float:
-        """The offset Psi = p_tilde - p."""
+        """The offset Psi = p_tilde - p; raises DomainError wherever ``shift`` does."""
         return self.shift(p, noise) - p
 
     def flip_probs(self) -> tuple[float, float]:
@@ -102,7 +112,7 @@ class Mima(AttackSpec):
                 raise DomainError(f"{name} must lie in [0, 1], got {shown(value)}")
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
-        tp = (1.0 - self.psi0 - self.psi1) * p + self.psi1
+        tp = (1.0 - self.psi0 - self.psi1) * _checked(p) + self.psi1
         return min(max(tp, 0.0), 1.0)
 
     def flip_probs(self) -> tuple[float, float]:
@@ -131,7 +141,7 @@ class PsiOffset(AttackSpec):
             raise DomainError(f"offset must be finite, got {shown(self.offset)}")
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
-        tp = p + self.offset
+        tp = _checked(p) + self.offset
         if not (0.0 <= tp <= 1.0):
             raise DomainError(
                 f"offset {self.offset} pushes p = {p} to {tp}, outside [0, 1]"
@@ -167,6 +177,7 @@ class SpoofBias(AttackSpec):
 
     def shift(self, p: float, noise: GaussianNoise | None = None) -> float:
         """Moves the threshold crossing, so it needs the sensor's noise model."""
+        _checked(p)
         if noise is None:
             raise DomainError("spoofing bias needs the sensor's noise model")
         if p <= 0.0 or p >= 1.0:
@@ -200,29 +211,6 @@ def apply_attack(spec: AttackSpec, bits: np.ndarray, seed: Entropy) -> np.ndarra
     return arr ^ flips.view(np.uint8)
 
 
-def post_attack_prob(
-    spec: AttackSpec, p: float, noise: GaussianNoise | None = None
-) -> float:
-    """Zero-probability after the attack acts on Bernoulli bits with Pr(0) = p.
-
-    The spoofing variant needs the sensor's noise model to relocate the
-    threshold crossing.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p = {p} outside [0, 1]")
-    return spec.shift(p, noise)
-
-
-def psi_of(spec: AttackSpec, p: float, noise: GaussianNoise | None = None) -> float:
-    """Probability offset Psi = p_tilde - p induced at zero-probability p.
-
-    Raises DomainError wherever post_attack_prob does.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p = {p} outside [0, 1]")
-    return spec.psi(p, noise)
-
-
 def check_subtle(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:
     """Whether the attacked zero-probability stays inside [rho_L, rho_U].
 
@@ -230,7 +218,7 @@ def check_subtle(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:
     bracket every unattacked in-ROI sensor obeys, so the fusion center
     cannot screen it out by frequency alone.
     """
-    tp = post_attack_prob(spec, prob_zero(s, j), noise=s.sensor(j).noise)
+    tp = spec.shift(prob_zero(s, j), s.sensor(j).noise)
     row = s.constants().row(j)
     return row.rho_l <= tp <= row.rho_u
 
@@ -238,7 +226,7 @@ def check_subtle(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:
 def check_significant(s: ScenarioConfig, j: int, spec: AttackSpec) -> bool:
     """Whether the attack moves sensor j's zero-probability at the target by
     more than the scenario's kappa, the one significance floor."""
-    return abs(psi_of(spec, prob_zero(s, j), s.sensor(j).noise)) > s.kappa
+    return abs(spec.psi(prob_zero(s, j), s.sensor(j).noise)) > s.kappa
 
 
 @dataclass(frozen=True)

@@ -119,12 +119,6 @@ class DetectionReport:
     def rows(self) -> tuple[SensorDecision, ...]:
         return tuple(map(SensorDecision, self.ids, self.flags, self.d_hat, self.clamped))
 
-    def decision_for(self, sensor_id: int) -> int:
-        try:
-            return self.flags[self.ids.index(sensor_id)]
-        except ValueError:
-            raise MissingSensorData(f"no decision for sensor {sensor_id}") from None
-
     @property
     def decisions(self) -> dict[int, int]:
         return dict(zip(self.ids, self.flags))

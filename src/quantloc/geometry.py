@@ -29,7 +29,6 @@ ties break toward "intersects".
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoIntersection, TangentDegenerate
-from .noise import is_finite, shown
+from .noise import _index, is_finite, shown
 from .scenario import DistanceBounds, Point
 
 __all__ = [
@@ -194,10 +193,7 @@ _CHUNK = 1 << 14
 def check_m_points(m_points) -> int:
     """M as a Python int: an integer (numpy integers included) of at least 3,
     within the float range."""
-    try:
-        m = operator.index(m_points)
-    except TypeError:
-        raise DomainError(f"m_points must be an integer, got {m_points!r}") from None
+    m = _index(m_points, "m_points")
     if m < 3:
         raise DomainError(f"m_points must be >= 3, got {shown(m)}")
     if m > sys.float_info.max:

@@ -23,7 +23,7 @@ from collections.abc import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .noise import is_finite, ndtri, shown
+from .noise import _index, is_finite, ndtri, shown
 from .rng import NOISE_STREAM, Entropy, _normalize, make_generator
 from .scenario import ScenarioConfig, SensorSpec
 
@@ -140,6 +140,7 @@ def sample_signal(
     independent, a given (seed, j) always reproduces the same sequence, and
     shorter records are prefixes of longer ones.
     """
+    k = _index(k, "k")
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     noise = s.sensor(j).noise
@@ -248,6 +249,8 @@ def nmle_distances(
     per element: numpy's vectorized power can differ from it in the last
     bit (about 5 % of inputs on an AVX-512 host).
     """
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
     arrays = s.unsecure_arrays()
     used, clamped = _clamp(np.asarray(zeros) / k, 1.0 / (2.0 * k), arrays.f_tau)
     x = ndtri(used) * arrays.scale + arrays.location

@@ -20,7 +20,6 @@ metrics.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -28,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import RateReport, composite_exponents
+from .analysis import RateReport, _k_grid, composite_exponents
 from .attacks import AttackAssignment
 from .detector import (
     DetectorConfig,
@@ -38,7 +37,7 @@ from .detector import (
 )
 from .errors import DomainError
 from .measurement import QuantizedDataset, sample_signal
-from .noise import is_finite, shown
+from .noise import _index
 from .rng import ATTACK_STREAM
 from .scenario import ScenarioConfig
 
@@ -50,14 +49,6 @@ __all__ = [
     "estimate_error_probs",
     "sweep_delta",
 ]
-
-
-def _index(value, name: str) -> int:
-    """An integer, numpy integers included, as a Python int; else DomainError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -77,20 +68,11 @@ class ExperimentPlan:
     threads: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            k_grid = tuple(_index(k, f"k_grid[{i}]") for i, k in enumerate(self.k_grid))
-        except TypeError:
-            raise DomainError(f"k_grid must be a sequence, got {self.k_grid!r}") from None
-        object.__setattr__(self, "k_grid", k_grid)
+        object.__setattr__(self, "k_grid", _k_grid(self.k_grid))
         for name in ("trials", "base_seed", "threads"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
         if not self.k_grid:
             raise DomainError("k_grid must be nonempty")
-        for i, k in enumerate(self.k_grid):
-            if not is_finite(k):
-                raise DomainError(f"k_grid[{i}] must be finite, got {shown(k)}")
-        if any(k < 1 for k in self.k_grid):
-            raise DomainError(f"k_grid entries must be >= 1, got {self.k_grid}")
         if list(self.k_grid) != sorted(self.k_grid) or len(set(self.k_grid)) != len(
             self.k_grid
         ):

@@ -26,6 +26,7 @@ numpy is the only runtime dependency.  Two rules keep them bit-exact:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +254,15 @@ def is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _index(value, name: str) -> int:
+    """An integer, numpy integers included, as a Python int; else DomainError
+    naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def shown(value) -> str:

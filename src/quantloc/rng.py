@@ -14,9 +14,12 @@ numpy 2.4.6, 2-core x86-64 host).
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = ["make_generator", "NOISE_STREAM", "ATTACK_STREAM"]
 
@@ -30,9 +33,15 @@ Entropy = int | Sequence[int]
 
 
 def _normalize(entropy: Entropy) -> tuple[int, ...]:
-    if isinstance(entropy, (int, np.integer)):
-        return (int(entropy) & 0xFFFFFFFFFFFFFFFF,)
-    return tuple(int(e) & 0xFFFFFFFFFFFFFFFF for e in entropy)
+    """The entropy as a tuple of Python ints mod 2^64; DomainError unless it
+    is an integer or a sequence of integers (numpy integers included)."""
+    items = (entropy,) if isinstance(entropy, (int, np.integer)) else entropy
+    try:
+        return tuple(operator.index(e) & 0xFFFFFFFFFFFFFFFF for e in items)
+    except TypeError:
+        raise DomainError(
+            f"entropy must be an integer or a sequence of integers, got {entropy!r}"
+        ) from None
 
 
 def make_generator(entropy: Entropy) -> np.random.Generator:

@@ -33,7 +33,6 @@ __all__ = [
     "DistanceBounds",
     "AssumptionReport",
     "distance",
-    "compute_distance_bounds",
     "validate_assumptions",
     "roi_side",
 ]
@@ -160,9 +159,9 @@ class ScenarioConfig:
     _unsecure_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Resolved once: detect_all estimates every unsecure sensor in one array pass.
     _unsecure_arrays: SensorArrays = field(init=False, repr=False, compare=False)
-    # Filled on first use, not here: compute_distance_bounds raises
-    # InvalidScenario for a sensor inside the ROI, and the constants for an
-    # unordered bracket, both of which construction allows.
+    # Filled on first use, not here: distance_bounds raises InvalidScenario
+    # for a sensor inside the ROI, and the constants for an unordered
+    # bracket, both of which construction allows.
     _bounds: DistanceBounds | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -214,9 +213,25 @@ class ScenarioConfig:
         return self._unsecure_arrays
 
     def distance_bounds(self) -> DistanceBounds:
-        """``compute_distance_bounds(self)``, computed on first use and kept."""
+        """Distance bracket and anchor separation, closed form for a disc
+        region, computed on first use and kept.
+
+        d_lower = min_j (||sensor_j - center|| - radius) and
+        d_upper = max_j (||sensor_j - center|| + radius): the extremes of the
+        sensor-target distance over all sensors and all target positions in
+        the disc.
+        """
         if self._bounds is None:
-            object.__setattr__(self, "_bounds", compute_distance_bounds(self))
+            center_d = [distance(x.position, self.roi.center) for x in self.sensors]
+            d_lower = min(center_d) - self.roi.radius
+            d_upper = max(center_d) + self.roi.radius
+            if d_lower <= 0.0:
+                raise InvalidScenario(
+                    "a sensor lies inside the ROI disc (lower distance bound <= 0)"
+                )
+            a, b = self._secure
+            bounds = DistanceBounds(d_lower, d_upper, distance(a.position, b.position))
+            object.__setattr__(self, "_bounds", bounds)
         return self._bounds
 
     def constants(self) -> SensorConstants:
@@ -239,25 +254,6 @@ class ScenarioConfig:
     def power_at(self, d: float) -> float:
         """Noise-free received power at distance d: p0 * (d0 / d)^gamma."""
         return self.p0 * (self.d0 / d) ** self.gamma
-
-
-def compute_distance_bounds(s: ScenarioConfig) -> DistanceBounds:
-    """Distance bracket and anchor separation, closed form for a disc region.
-
-    d_lower = min_j (||sensor_j - center|| - radius) and
-    d_upper = max_j (||sensor_j - center|| + radius): the extremes of the
-    sensor-target distance over all sensors and all target positions in the
-    disc.
-    """
-    center_d = [distance(s0.position, s.roi.center) for s0 in s.sensors]
-    d_lower = min(center_d) - s.roi.radius
-    d_upper = max(center_d) + s.roi.radius
-    if d_lower <= 0.0:
-        raise InvalidScenario(
-            "a sensor lies inside the ROI disc (lower distance bound <= 0)"
-        )
-    a, b = s.secure_pair()
-    return DistanceBounds(d_lower, d_upper, distance(a.position, b.position))
 
 
 class SensorConstants(NamedTuple):

@@ -34,7 +34,6 @@ from quantloc import (
     circle_meets_region_analytic,
     circle_meets_region_discretized,
     composite_exponents,
-    compute_distance_bounds,
     containment_oracle,
     delta_admissible,
     detect_from_probabilities,
@@ -169,7 +168,7 @@ def test_criterion_03_ring_intersection_containment():
     violations = 0
     for i in range(1000):
         s = random_scenario(rng)
-        bounds = compute_distance_bounds(s)
+        bounds = s.distance_bounds()
         delta = 0.5 * s.upsilon
         anchor1, anchor2 = s.secure_pair()
         clip = HalfSpace(anchor1.position, anchor2.position, roi_side(s))

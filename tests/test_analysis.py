@@ -11,6 +11,7 @@ from quantloc import (
     DetectorConfig,
     DomainError,
     AttackAssignment,
+    ExperimentPlan,
     GaussianNoise,
     InvalidScenario,
     Mima,
@@ -21,7 +22,6 @@ from quantloc import (
     build_paper_setup,
     composite_exponents,
     no_attacks,
-    post_attack_prob,
     prob_zero,
 )
 from quantloc.analysis import _sensor_rates
@@ -130,11 +130,11 @@ def test_bernoulli_kl_matches_decimal_oracle_on_the_benchmark(scale):
             t = delta / (2.0 * row.xi)
             probs = [(p, report.plain[j])]
             if not sensor.secure:
-                tp = post_attack_prob(assignment.spec_for(j), p, noise=sensor.noise)
+                tp = assignment.spec_for(j).shift(p, sensor.noise)
                 probs.append((tp, report.tilde[j]))
             for pp, rates in probs:
                 qs = (pp + t, pp - t, eps_l, eps_u)
-                for q, rate in zip(qs, rates.terms):
+                for q, rate in zip(qs, rates):
                     assert rate == bernoulli_kl(q, pp)
                     exact = _kl_decimal(q, pp)
                     worst = max(worst, float(abs(Decimal(rate) - exact) / exact))
@@ -290,3 +290,25 @@ def test_rate_table_rendering(toy_scenario):
     ]
     assert len(lines) == 3
     assert lines[1].startswith("1\t")
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ((10.5,), r"^k_grid\[0\] must be an integer, got 10\.5$"),
+        ((100, "200"), r"^k_grid\[1\] must be an integer, got '200'$"),
+        ((100, 0), r"^k_grid entries must be >= 1: k_grid\[1\] must be >= 1, got 0$"),
+        ((10**400,), r"^k_grid\[0\] must be finite, got an integer past the float range$"),
+        (100, r"^k_grid must be a sequence, got 100$"),
+    ],
+    ids=["float", "str", "zero", "huge", "scalar"],
+)
+def test_the_rate_table_and_the_plan_check_a_k_grid_alike(toy_scenario, grid, message):
+    report = composite_exponents(toy_scenario, no_attacks(), DetectorConfig(delta=5.0))
+    with pytest.raises(DomainError, match=message):
+        report.to_table(grid)
+    with pytest.raises(DomainError, match=message):
+        ExperimentPlan(
+            toy_scenario, no_attacks(), DetectorConfig(delta=5.0), grid, trials=1, base_seed=0
+        )
+    assert report.to_table(np.array([100, 1000])) == report.to_table((100, 1000))

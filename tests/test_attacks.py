@@ -9,6 +9,7 @@ import pytest
 
 from quantloc import (
     AttackAssignment,
+    AttackSpec,
     DomainError,
     GaussianNoise,
     InvalidScenario,
@@ -24,8 +25,6 @@ from quantloc import (
     check_subtle,
     nmle_distance,
     no_attacks,
-    post_attack_prob,
-    psi_of,
 )
 from quantloc.rng import make_generator
 
@@ -51,35 +50,36 @@ def test_spec_validation():
 
 
 def test_flip_channel_probability_law():
-    assert post_attack_prob(Mima(0.0, 0.0105), 0.5) == pytest.approx(
-        0.50525, abs=1e-15
-    )
-    assert psi_of(Mima(0.0, 0.0105), 0.5) == pytest.approx(0.00525, abs=1e-15)
+    assert Mima(0.0, 0.0105).shift(0.5) == pytest.approx(0.50525, abs=1e-15)
+    assert Mima(0.0, 0.0105).psi(0.5) == pytest.approx(0.00525, abs=1e-15)
     # symmetric flips cancel at p = 1/2
-    assert psi_of(Mima(0.2, 0.2), 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert Mima(0.2, 0.2).psi(0.5) == pytest.approx(0.0, abs=1e-15)
     # always-flip channels land on the opposite constant
-    assert post_attack_prob(Mima(1.0, 0.0), 0.5) == 0.0
-    assert post_attack_prob(Mima(0.0, 1.0), 0.5) == 1.0
-    assert post_attack_prob(NoAttack(), 0.37) == 0.37
-    assert psi_of(NoAttack(), 0.37) == 0.0
+    assert Mima(1.0, 0.0).shift(0.5) == 0.0
+    assert Mima(0.0, 1.0).shift(0.5) == 1.0
+    assert NoAttack().shift(0.37) == 0.37
+    assert NoAttack().psi(0.37) == 0.0
 
 
-def test_post_attack_prob_domain_checks():
+def test_shift_and_psi_domain_checks():
+    """Every variant's shift and psi take only a probability p in [0, 1]."""
+    specs = (AttackSpec(), NoAttack(), Mima(0.0, 0.1), PsiOffset(0.0), SpoofBias(0.5))
+    for spec in specs:
+        for method in (spec.shift, spec.psi):
+            for p in (-0.01, 1.01, math.nan):
+                with pytest.raises(DomainError, match=rf"^p = {p} outside \[0, 1\]$"):
+                    method(p, GaussianNoise())
     with pytest.raises(DomainError):
-        post_attack_prob(NoAttack(), -0.01)
-    with pytest.raises(DomainError):
-        post_attack_prob(NoAttack(), 1.01)
-    with pytest.raises(DomainError):
-        post_attack_prob(PsiOffset(0.6), 0.5)
-    assert post_attack_prob(PsiOffset(-0.2), 0.5) == pytest.approx(0.3)
-    assert psi_of(PsiOffset(-0.2), 0.5) == -0.2
+        PsiOffset(0.6).shift(0.5)
+    assert PsiOffset(-0.2).shift(0.5) == pytest.approx(0.3)
+    assert PsiOffset(-0.2).psi(0.5) == -0.2
 
 
 def test_impossible_offset_is_neither_psi_nor_significant(toy_scenario):
-    # p + offset = 1.1 cannot happen: psi_of and check_significant raise,
-    # as post_attack_prob does, instead of reporting a distortion of 0.6
+    # p + offset = 1.1 cannot happen: psi and check_significant raise, as
+    # shift does, instead of reporting a distortion of 0.6
     with pytest.raises(DomainError):
-        psi_of(PsiOffset(0.6), 0.5)
+        PsiOffset(0.6).psi(0.5)
     # sensor 1's p is 0.533 at the target, so an offset of 0.6 leaves [0, 1]
     s = replace(toy_scenario, kappa=0.01)
     with pytest.raises(DomainError):
@@ -89,16 +89,14 @@ def test_impossible_offset_is_neither_psi_nor_significant(toy_scenario):
 
 def test_spoof_bias_probability_chain():
     noise = GaussianNoise()
-    tp = post_attack_prob(SpoofBias(1.5), PHI_05, noise=noise)
+    tp = SpoofBias(1.5).shift(PHI_05, noise)
     assert tp == pytest.approx(PHI_M1, abs=1e-14)
-    assert psi_of(SpoofBias(1.5), PHI_05, noise=noise) == pytest.approx(
-        PHI_M1 - PHI_05, abs=1e-14
-    )
+    assert SpoofBias(1.5).psi(PHI_05, noise) == pytest.approx(PHI_M1 - PHI_05, abs=1e-14)
     with pytest.raises(DomainError):
-        post_attack_prob(SpoofBias(1.5), 0.5)
+        SpoofBias(1.5).shift(0.5)
     # a saturated quantizer is immune to any finite bias
-    assert post_attack_prob(SpoofBias(100.0), 0.0, noise=noise) == 0.0
-    assert post_attack_prob(SpoofBias(100.0), 1.0, noise=noise) == 1.0
+    assert SpoofBias(100.0).shift(0.0, noise) == 0.0
+    assert SpoofBias(100.0).shift(1.0, noise) == 1.0
 
 
 def test_apply_attack_variants_and_determinism():

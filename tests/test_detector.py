@@ -118,9 +118,9 @@ def test_exact_feed_flags_shifted_sensor(toy_scenario):
     probs[1] += 0.2
     report = detect_from_probabilities(s, DetectorConfig(delta=5.0), probs)
     assert report.decisions == {1: 1, 2: 0}
-    assert report.decision_for(1) == 1
-    with pytest.raises(MissingSensorData):
-        report.decision_for(3)
+    assert report.decisions[1] == 1
+    with pytest.raises(KeyError):
+        report.decisions[3]
 
 
 def test_exact_feed_requires_all_probabilities(toy_scenario):
@@ -334,8 +334,8 @@ def test_report_columns_and_their_rows_view(toy_scenario):
     assert report == again and "rows" not in vars(again)
     assert report != replace(again, flags=(0, 0))
     assert report.decisions == {1: 1, 2: 0}
-    with pytest.raises(MissingSensorData, match="sensor 99"):
-        report.decision_for(99)
+    with pytest.raises(KeyError, match="99"):
+        report.decisions[99]
 
 
 def test_scenario_without_unsecure_sensors_gives_an_empty_report(toy_scenario, tmp_path):

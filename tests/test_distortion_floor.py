@@ -19,7 +19,6 @@ from quantloc import (
     SensorSpec,
     build_paper_setup,
     composite_exponents,
-    compute_distance_bounds,
     delta_admissible,
     lambda_min,
 )
@@ -54,7 +53,7 @@ def _law(s, j):
 
 def _rho_oracle(s, j):
     tau, law = _law(s, j)
-    b = compute_distance_bounds(s)
+    b = s.distance_bounds()
     return (
         norm.cdf(tau - s.power_at(b.d_lower), *law),
         norm.cdf(tau - s.power_at(b.d_upper), *law),
@@ -237,16 +236,22 @@ def test_an_unordered_bracket_raises(toy_scenario, monkeypatch):
 
 
 def test_one_cold_delta_admissible_computes_the_distance_bounds_once(monkeypatch):
-    """A scaling guard: the floor pass must not recompute the bounds per sensor."""
-    real = scenario_module.compute_distance_bounds
+    """A scaling guard: the floor pass must not recompute the bounds per sensor.
+
+    One computation measures each sensor's distance to the ROI center and the
+    anchor separation: a distance per sensor plus one, counted from a
+    scenario built just before, so nothing is cached yet.
+    """
+    built, _ = build_paper_setup(scale=1.0)
+    s = replace(built)
+    real = scenario_module.distance
     calls = []
 
-    def counting(s):
-        calls.append(s)
-        return real(s)
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
 
-    monkeypatch.setattr(scenario_module, "compute_distance_bounds", counting)
-    s, _ = build_paper_setup(scale=1.0)
+    monkeypatch.setattr(scenario_module, "distance", counting)
     delta_admissible(s)
     delta_admissible(s)
-    assert len(calls) <= 1
+    assert 0 < len(calls) <= len(s.sensors) + 1

@@ -18,9 +18,10 @@ from quantloc import (
     QuantizedDataset,
     attacked_distance,
     build_paper_setup,
-    compute_distance_bounds,
     distance,
+    generate_dataset,
     nmle_distance,
+    no_attacks,
     prob_zero,
     quantize,
     sample_signal,
@@ -101,6 +102,17 @@ def test_sample_signal_accepts_numpy_integer_seed(toy_scenario):
     )
 
 
+def test_sample_signal_takes_only_an_integer_record_length(toy_scenario):
+    for bad in (3.0, "3", None):
+        with pytest.raises(DomainError, match=rf"^k must be an integer, got {bad!r}$"):
+            sample_signal(toy_scenario, 1, bad, seed=7)
+    with pytest.raises(DomainError, match=r"^k must be an integer, got 3\.0$"):
+        generate_dataset(toy_scenario, no_attacks(), 3.0, base_seed=7, trial_index=0)
+    np.testing.assert_array_equal(
+        sample_signal(toy_scenario, 1, np.int16(3), seed=7), sample_signal(toy_scenario, 1, 3, seed=7)
+    )
+
+
 def test_sample_signal_mean_and_spread(toy_scenario):
     k = 200_000
     x = sample_signal(toy_scenario, 1, k, seed=3)
@@ -149,7 +161,7 @@ def test_nmle_known_quantiles(ref_scenario):
 
 
 def test_nmle_round_trip_on_random_distances(ref_scenario, rng):
-    b = compute_distance_bounds(ref_scenario)
+    b = ref_scenario.distance_bounds()
     noise = ref_scenario.sensor(1).noise
     for d in rng.uniform(b.d_lower, b.d_upper, size=1000):
         p = float(noise.cdf(1.0 - (ref_scenario.d0 / d) ** 2))
@@ -321,6 +333,14 @@ def test_array_estimates_raise_where_nmle_distance_does():
         nmle_distance(s, s.unsecure()[3].id, EmpiricalFreq(0, 100))
     with pytest.raises(DomainError, match="for sensor 13$"):
         nmle_distances(s, np.zeros(6, dtype=np.int64), 100)
+
+
+def test_array_estimates_need_a_record():
+    from quantloc import nmle_distances
+
+    s = _mixed_scenario()
+    with pytest.raises(DomainError, match=r"^need k >= 1, got 0$"):
+        nmle_distances(s, np.zeros(6, dtype=np.int64), 0)
 
 
 def test_scenario_resolves_unsecure_estimator_constants_once():

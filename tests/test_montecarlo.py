@@ -23,7 +23,6 @@ from quantloc import (
     estimate_error_probs,
     generate_dataset,
     no_attacks,
-    post_attack_prob,
     prob_zero,
     sweep_delta,
 )
@@ -148,7 +147,7 @@ def test_attack_routes_hit_their_target_probability(toy_scenario, spec):
     s = toy_scenario
     k = 100_000
     p = prob_zero(s, 1)
-    tp = post_attack_prob(spec, p, noise=s.sensor(1).noise)
+    tp = spec.shift(p, s.sensor(1).noise)
     data = generate_dataset(
         s, AttackAssignment(specs={1: spec}), k, base_seed=3, trial_index=0
     )
@@ -414,3 +413,16 @@ def test_plan_integer_fields_take_numpy_integers(toy_scenario):
         assert type(value) is int
     same = _plan(toy_scenario, no_attacks(), k_grid=(200, 400), trials=3, base_seed=7)
     assert sweep_delta(plan, [5.0]) == sweep_delta(same, [5.0])
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [dict(base_seed=7.9), dict(base_seed="7"), dict(trial_index=0.5)],
+    ids=["float-seed", "str-seed", "float-trial"],
+)
+def test_generate_dataset_rejects_a_seed_that_is_not_an_integer(toy_scenario, seeds):
+    """A seed is read as an integer, never truncated to one."""
+    keys = dict(base_seed=7, trial_index=0) | seeds
+    bad = next(iter(seeds.values()))
+    with pytest.raises(DomainError, match=f"integers, got .*{bad!r}"):
+        generate_dataset(toy_scenario, no_attacks(), 64, **keys)

@@ -1,7 +1,10 @@
 """The package's public names, pinned: adding or retiring an export is an
-edit here, made on purpose and reviewed."""
+edit here, made on purpose and reviewed.  A retired name must also be gone
+from the README and the demos, whose prose no other check reads."""
 
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -62,7 +65,6 @@ PUBLIC_NAMES = [
     "circle_meets_region_analytic",
     "circle_meets_region_discretized",
     "composite_exponents",
-    "compute_distance_bounds",
     "containment_oracle",
     "delta_admissible",
     "detect_all",
@@ -81,9 +83,7 @@ PUBLIC_NAMES = [
     "no_attacks",
     "parse_scenario",
     "phi_bound",
-    "post_attack_prob",
     "prob_zero",
-    "psi_of",
     "quantize",
     "render_scenario",
     "roi_side",
@@ -103,7 +103,9 @@ PUBLIC_NAMES = [
 # slope is fitted from its rows; and SensorConstants holds, one column each,
 # the probability bracket, the frequency bracket, Xi and the floor that
 # rho_bounds, unsecure_rho_bounds, epsilon_bracket, xi_factor and lambda_j
-# gave, with the density's extrema that density_sup took.
+# gave, with the density's extrema that density_sup took.  An attack spec's
+# shift and psi check p themselves, as post_attack_prob and psi_of did, and
+# ScenarioConfig.distance_bounds() computes what compute_distance_bounds did.
 RETIRED = [
     "lambda_from",
     "delta_admissible_from",
@@ -119,7 +121,26 @@ RETIRED = [
     "xi_factor",
     "lambda_j",
     "density_sup",
+    "post_attack_prob",
+    "psi_of",
+    "compute_distance_bounds",
 ]
+
+# Retired attributes of public classes: report.decisions[j] is one sensor's
+# verdict, and SensorRates is a tuple of its four rates, so min(rates) is the
+# least of them.
+RETIRED_ATTRIBUTES = [
+    ("DetectionReport", "decision_for"),
+    ("SensorRates", "terms"),
+    ("SensorRates", "minimum"),
+]
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))]
+
+
+def _docs_naming(pattern: str) -> list[str]:
+    return [doc.name for doc in DOCS if re.search(pattern, doc.read_text())]
 
 
 def test_the_public_names_are_pinned():
@@ -134,3 +155,10 @@ def test_a_retired_name_is_gone(name):
     assert not hasattr(quantloc, name)
     modules = [m for m in vars(quantloc).values() if isinstance(m, types.ModuleType)]
     assert modules and not any(hasattr(m, name) for m in modules)
+    assert len(DOCS) > 1 and _docs_naming(rf"\b{name}\b") == []
+
+
+@pytest.mark.parametrize("owner, name", RETIRED_ATTRIBUTES)
+def test_a_retired_attribute_is_gone(owner, name):
+    assert not hasattr(getattr(quantloc, owner), name)
+    assert _docs_naming(rf"\.{name}\b") == []

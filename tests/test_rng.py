@@ -8,6 +8,7 @@ draws are independent of its noise draws.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from scipy.stats import binom, chi2
 
 from quantloc import (
     AttackAssignment,
+    DomainError,
     Mima,
     NoAttack,
     PsiOffset,
     SpoofBias,
     generate_dataset,
+    make_generator,
     no_attacks,
     prob_zero,
     sample_signal,
@@ -110,3 +113,16 @@ def test_attack_draws_are_independent_of_the_noise_draws(toy_scenario):
     for feature in (z, np.abs(z)):
         r = np.corrcoef(feature, f)[0, 1]
         assert abs(r) < bound, r
+
+
+@pytest.mark.parametrize("entropy", [7.5, "7", (7, 0.5), (7, None)])
+def test_an_entropy_that_is_not_integers_is_named(entropy):
+    with pytest.raises(DomainError, match=f"sequence of integers, got {re.escape(repr(entropy))}$"):
+        make_generator(entropy)
+
+
+def test_an_integer_entropy_is_taken_mod_two_to_the_64():
+    draw = make_generator((2**64 - 1, 3)).random(4)
+    for same in ((-1, 3), (np.uint64(2**64 - 1), np.int8(3)), np.array([-1, 3])):
+        np.testing.assert_array_equal(make_generator(same).random(4), draw)
+    np.testing.assert_array_equal(make_generator(np.int64(5)).random(4), make_generator(5).random(4))

@@ -17,7 +17,6 @@ from quantloc import (
     ScenarioConfig,
     SensorSpec,
     build_paper_setup,
-    compute_distance_bounds,
     distance,
     roi_side,
     validate_assumptions,
@@ -156,7 +155,7 @@ def test_signal_mean(toy_scenario):
 
 
 def test_distance_bounds_toy(toy_scenario):
-    b = compute_distance_bounds(toy_scenario)
+    b = toy_scenario.distance_bounds()
     assert b.d_lower == pytest.approx(math.sqrt(10900.0) - 5.0, rel=1e-15)
     assert b.d_upper == pytest.approx(math.sqrt(20000.0) + 5.0, rel=1e-15)
     assert b.d_secure == 200.0
@@ -174,12 +173,12 @@ def test_distance_bounds_reject_sensor_inside_roi():
         2.0,
     )
     with pytest.raises(InvalidScenario):
-        compute_distance_bounds(s)
+        s.distance_bounds()
 
 
 def test_distance_bounds_reference_network():
     s, _ = build_paper_setup(scale=0.004)
-    b = compute_distance_bounds(s)
+    b = s.distance_bounds()
     assert b.d_lower == pytest.approx(REF_D_LOWER, rel=1e-14)
     assert b.d_upper == pytest.approx(REF_D_UPPER, rel=1e-14)
     assert b.d_secure == 2000.0
@@ -187,7 +186,7 @@ def test_distance_bounds_reference_network():
 
 def test_rho_bounds_are_cdf_images_of_distance_bounds():
     s, _ = build_paper_setup(scale=0.004)
-    b = compute_distance_bounds(s)
+    b = s.distance_bounds()
     noise = s.sensor(1).noise
     row = s.constants().row(1)
     rho_l, rho_u = row.rho_l, row.rho_u
@@ -225,7 +224,7 @@ def test_rho_bounds_reject_underflowed_lower_probability():
 def test_distance_bracket_covers_actual_distances(rng):
     for _ in range(20):
         s = random_scenario(rng)
-        b = compute_distance_bounds(s)
+        b = s.distance_bounds()
         for sensor in s.sensors:
             d = distance(sensor.position, s.target)
             assert b.d_lower <= d <= b.d_upper
