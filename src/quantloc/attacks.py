@@ -203,8 +203,7 @@ def apply_attack(spec: AttackSpec, bits: np.ndarray, seed: Entropy) -> np.ndarra
     arr = np.asarray(bits, dtype=np.uint8)
     if not spec.is_attack:
         return arr.copy()
-    entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    rng = make_generator(entropy)
+    rng = make_generator(seed)
     u = rng.random(arr.size)
     ones = arr.view(np.bool_)
     flips = (ones & (u < psi1)) | (~ones & (u < psi0))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from .analysis import composite_exponents
@@ -57,11 +56,19 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     return DetectorConfig(delta=args.delta, method=args.method, m_points=args.M)
 
 
+def _advise(delta: float, limit: float | None) -> None:
+    """One stderr line when delta lies beyond the admissible limit."""
+    if limit is not None and delta > limit:
+        print(
+            f"advisory: delta = {delta:g} exceeds the provably safe limit {limit:.6g}; "
+            "correctness guarantees no longer apply (detection may still work)",
+            file=sys.stderr,
+        )
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     scenario, assignment = load_scenario(args.scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = validate_assumptions(scenario)
+    report = validate_assumptions(scenario)
     bounds = scenario.distance_bounds()
     lines = [
         f"sensors: {len(scenario.unsecure())} unsecure + 2 secure",
@@ -85,6 +92,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _detector_config(args)
     data = generate_dataset(scenario, assignment, args.K, args.seed, trial_index=0)
     report = detect_all(scenario, cfg, data)
+    _advise(report.delta, report.delta_admissible)
     _emit(report.to_table(), args.out)
     return 0
 
@@ -118,6 +126,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         threads=args.threads,
     )
     metrics = estimate_error_probs(plan)
+    _advise(plan.detector.delta, metrics.delta_admissible)
     text = metrics.to_table()
     slope = metrics.slope
     if slope is not None:

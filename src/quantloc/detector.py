@@ -10,8 +10,9 @@ The module also carries the network-wide distortion floor (``lambda_min``,
 the least of the unsecure sensors' ``lam`` in the scenario's
 ``SensorConstants``) and the admissible delta (``delta_admissible``), below
 which the floor provably exceeds the geometric slack.  Practical runs
-routinely use larger delta; exceeding the admissible value therefore only
-triggers an advisory warning.
+routinely use larger delta, so exceeding the admissible value stops
+nothing: every report records it (``delta_admissible``, None when the
+scenario's constants table cannot be built) for the caller to compare.
 
 A ``DetectionReport`` is columnar: tuples ``ids``, ``flags`` (1 = attacked),
 ``d_hat`` and ``clamped`` in ``s.unsecure()`` order, so reports compare by
@@ -21,14 +22,13 @@ value.  ``rows`` views them as ``SensorDecision``s, built on first read.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AdvisoryWarning, DomainError, InvalidScenario, MissingSensorData
+from .errors import DomainError, InvalidScenario, MissingSensorData
 from .geometry import (
     HalfSpace,
     Ring,
@@ -104,7 +104,8 @@ class SensorDecision:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Per-sensor columns in ``s.unsecure()`` order plus the shared secure radii."""
+    """Per-sensor columns in ``s.unsecure()`` order plus the shared secure
+    radii, and the scenario's admissible delta (None when undefined)."""
 
     ids: tuple[int, ...]
     flags: tuple[int, ...]
@@ -114,6 +115,7 @@ class DetectionReport:
     method: str
     delta: float
     k: int | None = None
+    delta_admissible: float | None = None
 
     @cached_property
     def rows(self) -> tuple[SensorDecision, ...]:
@@ -181,6 +183,7 @@ def _classify(
         method=cfg.method,
         delta=cfg.delta,
         k=k,
+        delta_admissible=_admissible(s),
     )
 
 
@@ -197,7 +200,6 @@ def detect_all(
     without a record raises MissingSensorData naming it, the anchors first.
     The region test is picked once, then runs once per sensor.
     """
-    _warn_if_inadmissible(s, cfg.delta)
     s1, s2 = s.secure_pair()
     secure = ((s1.id, _estimate(s, data, s1.id)), (s2.id, _estimate(s, data, s2.id)))
     try:
@@ -256,15 +258,9 @@ def delta_admissible(s: ScenarioConfig) -> float:
     return min(upsilon, (lam / bracket) ** 2)
 
 
-def _warn_if_inadmissible(s: ScenarioConfig, delta: float) -> None:
+def _admissible(s: ScenarioConfig) -> float | None:
+    """``delta_admissible(s)``, or None where the constants table cannot be built."""
     try:
-        limit = delta_admissible(s)
+        return delta_admissible(s)
     except (DomainError, InvalidScenario):
-        return
-    if delta > limit:
-        warnings.warn(
-            f"delta = {delta:g} exceeds the provably safe limit {limit:.6g}; "
-            "correctness guarantees no longer apply (detection may still work)",
-            AdvisoryWarning,
-            stacklevel=3,
-        )
+        return None

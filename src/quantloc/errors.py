@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ __all__ = [
     "ParseError",
     "VariantMismatch",
     "MissingSensorData",
-    "TangentDegenerate",
-    "AssumptionWarning",
-    "AdvisoryWarning",
 ]
 
 
@@ -43,14 +40,3 @@ class MissingSensorData(QuantLocError, KeyError):
 class ParseError(QuantLocError, ValueError):
     """A scenario or dataset file could not be parsed; message carries location."""
 
-
-class TangentDegenerate(UserWarning):
-    """Circle pair is tangent: the two intersection points coincide."""
-
-
-class AssumptionWarning(UserWarning):
-    """A standing scenario assumption is violated; results may lose guarantees."""
-
-
-class AdvisoryWarning(UserWarning):
-    """A configured value exceeds an advisory limit (detection still runs)."""

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoIntersection, TangentDegenerate
+from .errors import DomainError, NoIntersection
 from .noise import _index, is_finite, shown
 from .scenario import DistanceBounds, Point
 
@@ -140,8 +139,8 @@ def circle_circle_intersection(
     y' = sqrt(r1^2 - x'^2), mapped back to the original frame.  Of the two
     mirror-image solutions the one deeper in the clip half-space is returned.
 
-    Raises NoIntersection when |r1 - r2| <= d <= r1 + r2 fails; warns with
-    TangentDegenerate when the two solutions coincide (y' = 0).
+    Raises NoIntersection when |r1 - r2| <= d <= r1 + r2 fails.  A tangent
+    pair (y' = 0) returns its one crossing, where the two solutions coincide.
     """
     d = math.hypot(c2.x - c1.x, c2.y - c1.y)
     if d == 0.0:
@@ -151,13 +150,6 @@ def circle_circle_intersection(
             f"circles do not intersect: d={d}, r1={r1}, r2={r2}"
         )
     x, y = _crossing(r1, r2, d)
-    if y == 0.0:
-        # Tangent (or a hair past it from rounding): the solutions coincide.
-        warnings.warn(
-            "circle pair is tangent; intersection points coincide",
-            TangentDegenerate,
-            stacklevel=2,
-        )
     px, py = _clip_side(c1, c2, d, x, y, clip)
     return Point(float(px), float(py))
 

@@ -144,8 +144,7 @@ def sample_signal(
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     noise = s.sensor(j).noise
-    entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    rng = make_generator((*entropy, NOISE_STREAM, j))
+    rng = make_generator((*_normalize(seed), NOISE_STREAM, j))
     z = rng.standard_normal(k)
     z *= noise.scale
     z += s.signal_mean(j) + noise.location

@@ -29,12 +29,7 @@ import numpy as np
 
 from .analysis import RateReport, _k_grid, composite_exponents
 from .attacks import AttackAssignment
-from .detector import (
-    DetectorConfig,
-    _classify,
-    _warn_if_inadmissible,
-    detect_all,
-)
+from .detector import DetectorConfig, _admissible, _classify, detect_all
 from .errors import DomainError
 from .measurement import QuantizedDataset, sample_signal
 from .noise import _index
@@ -137,9 +132,11 @@ def _fmt_opt(value: float | None) -> str:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Rows over the K grid, and the decay slope fitted from them."""
+    """Rows over the K grid, the decay slope fitted from them, and the
+    scenario's admissible delta (None when undefined)."""
 
     rows: tuple[MetricsRow, ...]
+    delta_admissible: float | None = None
 
     HEADER = (
         "K\tdelta\tfa_hat\tfa_se\tmiss_hat\tmiss_se\tavg_err\tavg_err_se"
@@ -277,10 +274,6 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
         cfg.delta: composite_exponents(scenario, assignment, cfg)
         for cfg in configs
     }
-    # detect_all runs at the first delta only and raises its advisory there;
-    # the other deltas are checked here, once per sweep.
-    for cfg in configs[1:]:
-        _warn_if_inadmissible(scenario, cfg.delta)
 
     def run_trial_counts(trial: int) -> np.ndarray:
         return _count_trial(plan, configs, trial, attacked)
@@ -296,6 +289,7 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
             pool.shutdown()
     totals = sum(results).tolist()
 
+    limit = _admissible(scenario)
     out: dict[float, Metrics] = {}
     for d, delta in enumerate(deltas):
         rows = []
@@ -329,7 +323,7 @@ def sweep_delta(plan: ExperimentPlan, deltas: Sequence[float]) -> dict[float, Me
                     trials=plan.trials,
                 )
             )
-        out[delta] = Metrics(rows=tuple(rows))
+        out[delta] = Metrics(rows=tuple(rows), delta_admissible=limit)
     return out
 
 

@@ -14,13 +14,12 @@ geometric assumptions.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AssumptionWarning, DomainError, InvalidScenario
+from .errors import DomainError, InvalidScenario
 from .noise import GaussianNoise, _density, is_finite, ndtr, ndtri, shown
 
 __all__ = [
@@ -381,7 +380,7 @@ class AssumptionReport:
     (c) the region lies strictly inside one half-space of the anchor line.
 
     Violations downgrade guarantees but do not stop the detector, so they
-    are reported (and warned about), never raised.
+    are reported, each with a note on the report, never raised.
     """
 
     condition_a: bool
@@ -423,7 +422,7 @@ def _line_side_distance(a: Point, b: Point, p: Point) -> float:
 
 
 def validate_assumptions(s: ScenarioConfig) -> AssumptionReport:
-    """Check the standing assumptions; warn (never raise) on violations.
+    """Check the standing assumptions; report (never raise) violations.
 
     The two-focus infimum in (b) is evaluated numerically on
     TWO_FOCUS_BOUNDARY_POINTS points of the disc boundary plus the center;
@@ -466,8 +465,6 @@ def validate_assumptions(s: ScenarioConfig) -> AssumptionReport:
         )
     if not condition_c:
         notes.append("region is not strictly inside one half-space of the anchor line")
-    for note in notes:
-        warnings.warn(note, AssumptionWarning, stacklevel=2)
 
     return AssumptionReport(
         condition_a=condition_a,

@@ -10,7 +10,6 @@ scenarios call the factory directly with their own generator.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -70,10 +69,8 @@ def random_scenario(
             upsilon2=upsilon,
             kappa=kappa,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if validate_assumptions(scenario).all_satisfied:
-                return scenario
+        if validate_assumptions(scenario).all_satisfied:
+            return scenario
     raise AssertionError("scenario sampler failed 50 times; margins miscalibrated")
 
 

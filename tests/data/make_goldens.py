@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import sys
 import tempfile
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,12 +77,10 @@ def write_detect_tables() -> None:
             scenario = str(Path(tmp) / f"paper{scale}.json")
             out = DATA / f"detect_scale{scale}_seed7_K10000_delta280{suffix}.tsv"
             assert main(["paper-setup", "--scale", scale, "--out", scenario]) == 0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # delta is above the admissible limit
-                code = main(
-                    ["detect", scenario, "--delta", "280", "--K", "10000",
-                     "--seed", "7", *method, "--out", str(out)]
-                )
+            code = main(
+                ["detect", scenario, "--delta", "280", "--K", "10000",
+                 "--seed", "7", *method, "--out", str(out)]
+            )
             assert code == 0
             print(f"wrote {out.relative_to(DATA.parent.parent)}")
 
@@ -93,12 +90,10 @@ def write_sweep_table() -> None:
         scenario = str(Path(tmp) / "paper0.04.json")
         out = DATA / "sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv"
         assert main(["paper-setup", "--scale", "0.04", "--out", scenario]) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # delta is above the admissible limit
-            code = main(
-                ["sweep", scenario, "--K-grid", "2000,4000", "--trials", "6",
-                 "--delta", "280", "--seed", "7", "--out", str(out)]
-            )
+        code = main(
+            ["sweep", scenario, "--K-grid", "2000,4000", "--trials", "6",
+             "--delta", "280", "--seed", "7", "--out", str(out)]
+        )
         assert code == 0
         print(f"wrote {out.relative_to(DATA.parent.parent)}")
 

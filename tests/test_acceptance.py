@@ -10,7 +10,6 @@ parameters.
 
 import math
 import time
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +19,6 @@ import pytest
 
 from conftest import random_region_trial, random_scenario
 from quantloc import (
-    AdvisoryWarning,
     DetectorConfig,
     ExperimentPlan,
     HalfSpace,
@@ -86,9 +84,7 @@ def benchmark_delta_curves():
         base_seed=BASE_SEED,
         threads=0,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AdvisoryWarning)
-        curves = sweep_delta(plan, DELTAS)
+    curves = sweep_delta(plan, DELTAS)
     return curves, time.perf_counter() - t0
 
 
@@ -108,9 +104,7 @@ def attack_strength_rows(benchmark_delta_curves):
             base_seed=BASE_SEED,
             threads=0,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AdvisoryWarning)
-            rows[psi1] = estimate_error_probs(plan).row_for(100_000, 280.0)
+        rows[psi1] = estimate_error_probs(plan).row_for(100_000, 280.0)
     return rows
 
 

@@ -120,6 +120,13 @@ def test_apply_attack_accepts_numpy_integer_seed():
     )
 
 
+def test_apply_attack_rejects_a_seed_that_is_not_an_integer():
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    for seed in (7.5, (7, 0.5), "7"):
+        with pytest.raises(DomainError, match="integers, got"):
+            apply_attack(Mima(0.3, 0.4), bits, seed=seed)
+
+
 def test_apply_attack_flip_rate_matches_probability():
     k = 100_000
     ones = np.ones(k, dtype=np.uint8)

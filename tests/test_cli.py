@@ -2,14 +2,24 @@
 
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import quantloc
-from quantloc import AttackAssignment, Mima, build_paper_setup, load_scenario, save_scenario
+from quantloc import (
+    AttackAssignment,
+    ExperimentPlan,
+    Mima,
+    build_paper_setup,
+    delta_admissible,
+    detect_all,
+    estimate_error_probs,
+    generate_dataset,
+    load_scenario,
+    save_scenario,
+)
 from quantloc.cli import _build_parser, main
 from quantloc.detector import DEFAULT_M, METHODS, DetectorConfig
 
@@ -133,12 +143,10 @@ def test_detect_matches_golden_table(scale, method, tmp_path):
     scenario = tmp_path / "paper.json"
     out = tmp_path / "detect.tsv"
     assert main(["paper-setup", "--scale", scale, "--out", str(scenario)]) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # delta is above the admissible limit
-        code = main(
-            ["detect", str(scenario), "--delta", "280", "--K", "10000",
-             "--seed", "7", *method, "--out", str(out)]
-        )
+    code = main(
+        ["detect", str(scenario), "--delta", "280", "--K", "10000",
+         "--seed", "7", *method, "--out", str(out)]
+    )
     assert code == 0
     suffix = ""
     if method:
@@ -209,12 +217,10 @@ def test_sweep_matches_golden_table(threads, tmp_path):
     scenario = tmp_path / "paper.json"
     out = tmp_path / "sweep.tsv"
     assert main(["paper-setup", "--scale", "0.04", "--out", str(scenario)]) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # delta is above the admissible limit
-        code = main(
-            ["sweep", str(scenario), "--K-grid", "2000,4000", "--trials", "6",
-             "--delta", "280", "--seed", "7", "--threads", threads, "--out", str(out)]
-        )
+    code = main(
+        ["sweep", str(scenario), "--K-grid", "2000,4000", "--trials", "6",
+         "--delta", "280", "--seed", "7", "--threads", threads, "--out", str(out)]
+    )
     assert code == 0
     golden = (
         Path(__file__).parent / "data" / "sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv"
@@ -235,14 +241,13 @@ def test_flag_defaults_come_from_the_library():
 
 
 WITHOUT_SCIPY = """
-import sys, warnings
+import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 sys.path.insert(0, sys.argv[1])
 import quantloc
 from quantloc.cli import main
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
 assert not loaded, loaded
-warnings.simplefilter("ignore")
 scenario, out = sys.argv[2], sys.argv[3]
 assert main(["paper-setup", "--scale", "0.04", "--out", scenario]) == 0
 sys.exit(main(["detect", scenario, "--delta", "280", "--K", "10000", "--seed", "7", "--out", out]))
@@ -279,6 +284,61 @@ def test_detect_writes_out_file(toy_file, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert out.read_text().startswith("sensor_id\tdecision")
+
+
+def _advisory(paper) -> str:
+    """The one stderr line for delta = 280 on a scenario file."""
+    limit = delta_admissible(load_scenario(paper)[0])
+    return (
+        f"advisory: delta = 280 exceeds the provably safe limit {limit:.6g}; "
+        "correctness guarantees no longer apply (detection may still work)\n"
+    )
+
+
+def test_detect_advises_on_stderr_above_the_admissible_delta(toy_file, tmp_path, capsys):
+    """Above the limit, one advisory line goes to stderr and stdout is the
+    golden table; at an admissible delta, stderr stays empty."""
+    paper = tmp_path / "paper.json"
+    assert main(["paper-setup", "--scale", "0.04", "--out", str(paper)]) == 0
+    capsys.readouterr()
+    assert main(["detect", str(paper), "--delta", "280", "--K", "10000", "--seed", "7"]) == 0
+    out, err = capsys.readouterr()
+    golden = Path(__file__).parent / "data" / "detect_scale0.04_seed7_K10000_delta280.tsv"
+    assert out == golden.read_text()
+    assert err == _advisory(paper)
+
+    assert main(["detect", toy_file, "--delta", "5", "--K", "2000", "--seed", "3"]) == 0
+    out, err = capsys.readouterr()
+    scenario, assignment = load_scenario(toy_file)
+    data = generate_dataset(scenario, assignment, 2000, 3, trial_index=0)
+    assert out == detect_all(scenario, DetectorConfig(delta=5.0), data).to_table()
+    assert err == ""
+
+
+def test_sweep_advises_on_stderr_above_the_admissible_delta(toy_file, tmp_path, capsys):
+    paper = tmp_path / "paper.json"
+    assert main(["paper-setup", "--scale", "0.04", "--out", str(paper)]) == 0
+    capsys.readouterr()
+    assert main(
+        ["sweep", str(paper), "--K-grid", "2000,4000", "--trials", "6",
+         "--delta", "280", "--seed", "7", "--threads", "2"]
+    ) == 0
+    out, err = capsys.readouterr()
+    golden = (
+        Path(__file__).parent / "data" / "sweep_scale0.04_seed7_K2000-4000_trials6_delta280.tsv"
+    )
+    assert out == golden.read_text()
+    assert err == _advisory(paper)
+
+    args = ["--K-grid", "100,200", "--trials", "2", "--delta", "5", "--seed", "3"]
+    assert main(["sweep", toy_file, *args]) == 0
+    out, err = capsys.readouterr()
+    scenario, assignment = load_scenario(toy_file)
+    plan = ExperimentPlan(
+        scenario, assignment, DetectorConfig(delta=5.0), (100, 200), trials=2, base_seed=3
+    )
+    assert out.startswith(estimate_error_probs(plan).to_table())
+    assert err == ""
 
 
 def test_bounds_clean_scenario(toy_file, capsys):

@@ -9,7 +9,6 @@ import pytest
 
 import quantloc.detector as detector_module
 from quantloc import (
-    AdvisoryWarning,
     AttackAssignment,
     DetectorConfig,
     DistanceBounds,
@@ -17,6 +16,7 @@ from quantloc import (
     InvalidScenario,
     Mima,
     MissingSensorData,
+    Point,
     QuantizedDataset,
     ScenarioConfig,
     SensorDecision,
@@ -135,7 +135,7 @@ def test_detect_all_on_clean_data(toy_scenario):
     data = generate_dataset(s, no_attacks(), 200_000, base_seed=1, trial_index=0)
     cfg = DetectorConfig(delta=5.0)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", AdvisoryWarning)
+        warnings.simplefilter("error")
         report = detect_all(s, cfg, data)
     assert [row.sensor_id for row in report.rows] == [1, 2]
     assert report.decisions == {1: 0, 2: 0}
@@ -155,13 +155,23 @@ def test_detect_all_flags_attacked_sensor(toy_scenario):
     assert report.decisions == {1: 1, 2: 0}
 
 
-def test_advisory_warning_above_admissible_delta(toy_scenario):
+def test_report_carries_delta_admissible(toy_scenario):
     s = toy_scenario
     data = generate_dataset(s, no_attacks(), 10_000, base_seed=2, trial_index=0)
     limit = delta_admissible(s)
     assert limit == pytest.approx(20.0)  # capped by upsilon here
-    with pytest.warns(AdvisoryWarning):
-        detect_all(s, DetectorConfig(delta=limit * 1.25), data)
+    # a delta above the limit is recorded on the report, not warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = detect_all(s, DetectorConfig(delta=limit * 1.25), data)
+    assert report.delta_admissible == limit
+    exact = detect_from_probabilities(s, DetectorConfig(delta=5.0), _exact_probs(s))
+    assert exact.delta_admissible == limit
+    # a sensor inside the ROI leaves the constants table, and so the limit, undefined
+    extra = replace(s.sensors[0], id=5, position=Point(0.0, 99.0))
+    inside = replace(s, sensors=(*s.sensors, extra))
+    data = generate_dataset(inside, no_attacks(), 1_000, base_seed=2, trial_index=0)
+    assert detect_all(inside, DetectorConfig(delta=5.0), data).delta_admissible is None
 
 
 def _floor(s, j):
@@ -279,9 +289,7 @@ def test_detect_all_rows_equal_per_sensor_nmle_distance(k):
     for _ in range(5):
         zeros = {x.id: int(rng.integers(0, k, endpoint=True)) for x in s.sensors}
         data = QuantizedDataset(bits=_records_with_zero_counts(zeros, k), k=k, rng_seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AdvisoryWarning)
-            report = detect_all(s, DetectorConfig(delta=1.0), data)
+        report = detect_all(s, DetectorConfig(delta=1.0), data)
         assert [row.sensor_id for row in report.rows] == [x.id for x in s.unsecure()]
         for row in report.rows:
             est = nmle_distance(s, row.sensor_id, data.freq(row.sensor_id))
@@ -314,10 +322,8 @@ def test_report_columns_and_their_rows_view(toy_scenario):
     s = toy_scenario
     assignment = AttackAssignment(specs={1: Mima(0.0, 0.2)})
     data = generate_dataset(s, assignment, 20_000, base_seed=1, trial_index=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AdvisoryWarning)
-        report = detect_all(s, DetectorConfig(delta=5.0), data)
-        again = detect_all(s, DetectorConfig(delta=5.0), data)
+    report = detect_all(s, DetectorConfig(delta=5.0), data)
+    again = detect_all(s, DetectorConfig(delta=5.0), data)
     assert report.ids == tuple(x.id for x in s.unsecure())
     assert report.flags == (1, 0)
     assert all(type(c) is tuple for c in (report.ids, report.flags, report.d_hat, report.clamped))

@@ -4,7 +4,6 @@ import re
 import json
 import math
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -963,13 +962,11 @@ def test_golden_detect_tables_survive_the_container(scale, tmp_path):
     path = tmp_path / "trial.bits"
     save_dataset(data, path)
     loaded = load_dataset(path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # delta is above the admissible limit
-        report = detect_all(scenario, DetectorConfig(delta=280.0), loaded)
-        # the packed records decide as the in-memory ones do, by either method
-        discretized = DetectorConfig(delta=280.0, method="discretized", m_points=4096)
-        for cfg in (DetectorConfig(delta=280.0), discretized):
-            assert detect_all(scenario, cfg, loaded) == detect_all(scenario, cfg, data)
+    report = detect_all(scenario, DetectorConfig(delta=280.0), loaded)
+    # the packed records decide as the in-memory ones do, by either method
+    discretized = DetectorConfig(delta=280.0, method="discretized", m_points=4096)
+    for cfg in (DetectorConfig(delta=280.0), discretized):
+        assert detect_all(scenario, cfg, loaded) == detect_all(scenario, cfg, data)
     golden = Path(__file__).parent / "data" / f"detect_scale{scale}_seed7_K10000_delta280.tsv"
     assert report.to_table().encode() == golden.read_bytes()
 
@@ -985,9 +982,7 @@ def test_committed_trial_detects_as_pinned():
     scenario, _ = build_paper_setup(scale=0.04)
     loaded = load_dataset(data_dir / "trial_scale0.04_seed7_K10000_philox.bits")
     assert (loaded.k, loaded.rng_seed, loaded.trial_index) == (10000, 7, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # delta is above the admissible limit
-        report = detect_all(scenario, DetectorConfig(delta=280.0), loaded)
+    report = detect_all(scenario, DetectorConfig(delta=280.0), loaded)
     expected = data_dir / "trial_scale0.04_seed7_K10000_philox_delta280.tsv"
     assert report.to_table().encode() == expected.read_bytes()
 
@@ -999,8 +994,6 @@ def test_committed_trial_detects_as_pinned_by_the_discretized_walk():
     scenario, _ = build_paper_setup(scale=0.04)
     loaded = load_dataset(data_dir / "trial_scale0.04_seed7_K10000_philox.bits")
     cfg = DetectorConfig(delta=280.0, method="discretized", m_points=200_000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # delta is above the admissible limit
-        report = detect_all(scenario, cfg, loaded)
+    report = detect_all(scenario, cfg, loaded)
     expected = data_dir / "trial_scale0.04_seed7_K10000_philox_delta280_discretized.tsv"
     assert report.to_table().encode() == expected.read_bytes()

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from conftest import random_region_trial
 from quantloc import (
-    AdvisoryWarning,
     DetectorConfig,
     DistanceBounds,
     DomainError,
@@ -24,7 +23,6 @@ from quantloc import (
     NoIntersection,
     Point,
     Ring,
-    TangentDegenerate,
     build_paper_setup,
     circle_circle_intersection,
     circle_meets_region_analytic,
@@ -93,8 +91,9 @@ def test_circle_intersection_rejects_infeasible_pairs():
         circle_circle_intersection(Point(0.0, 0.0), 5.0, Point(1.0, 0.0), 1.0, UPPER)
 
 
-def test_circle_intersection_tangent_warns():
-    with pytest.warns(TangentDegenerate):
+def test_circle_intersection_tangent_is_the_one_crossing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         p = circle_circle_intersection(
             Point(0.0, 0.0), 2.0, Point(5.0, 0.0), 3.0, UPPER
         )
@@ -593,8 +592,7 @@ def paper_queries():
         queries.append((center, radius, r1, r2))
         return True
 
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", AdvisoryWarning)  # delta above the admissible limit
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(detector, "circle_meets_region_discretized", record)
         for trial in (0, 1):
             data = generate_dataset(s, assignment, 20_000, 20261020, trial)

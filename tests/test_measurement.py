@@ -1,7 +1,6 @@
 """Sampling, quantization, and the naive-MLE distance estimator."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +99,12 @@ def test_sample_signal_accepts_numpy_integer_seed(toy_scenario):
         sample_signal(toy_scenario, 1, 100, seed=np.int64(7)),
         sample_signal(toy_scenario, 1, 100, seed=7),
     )
+
+
+def test_sample_signal_rejects_a_seed_that_is_not_an_integer(toy_scenario):
+    for seed in (7.5, (7, 0.5), "7"):
+        with pytest.raises(DomainError, match="integers, got"):
+            sample_signal(toy_scenario, 1, 100, seed=seed)
 
 
 def test_sample_signal_takes_only_an_integer_record_length(toy_scenario):

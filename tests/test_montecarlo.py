@@ -2,13 +2,13 @@
 
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from quantloc import (
-    AdvisoryWarning,
     AttackAssignment,
     DetectorConfig,
     DomainError,
@@ -19,6 +19,7 @@ from quantloc import (
     PsiOffset,
     SpoofBias,
     composite_exponents,
+    delta_admissible,
     detect_all,
     estimate_error_probs,
     generate_dataset,
@@ -221,11 +222,15 @@ def test_sweep_delta_validation(toy_scenario):
         sweep_delta(_plan(bare, no_attacks()), [5.0])
 
 
-def test_sweep_delta_warns_for_an_inadmissible_later_delta(toy_scenario):
-    # the toy scenario's admissible limit is 20; only the second delta exceeds it
-    plan = _plan(toy_scenario, no_attacks(), trials=2)
-    with pytest.warns(AdvisoryWarning, match="delta = 25 exceeds"):
-        sweep_delta(plan, [5.0, 25.0])
+def test_sweep_metrics_carry_delta_admissible(toy_scenario):
+    # the toy scenario's admissible limit is 20; only the second delta exceeds
+    # it, and no worker thread warns about that
+    plan = _plan(toy_scenario, no_attacks(), trials=2, threads=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sweep_delta(plan, [5.0, 25.0])
+    limit = delta_admissible(toy_scenario)
+    assert [m.delta_admissible for m in out.values()] == [limit, limit]
 
 
 def test_metrics_rows_and_rendering(toy_scenario):

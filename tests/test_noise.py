@@ -1,7 +1,6 @@
 """Noise model: frozen quantile values, interval extrema, validation."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,6 @@ from scipy.stats import norm
 
 import quantloc.noise as noise_module
 from quantloc import (
-    AdvisoryWarning,
     DetectorConfig,
     DistanceBounds,
     DomainError,
@@ -392,10 +390,8 @@ _TOO_LONG_TO_PRINT = {
 def test_an_integer_past_the_float_range_is_named_not_printed(toy_scenario, call, field, big):
     """The package's error names the field; it does not print the integer,
     which past 4,300 digits Python refuses to convert to a string."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AdvisoryWarning)  # delta above the admissible limit
-        with pytest.raises(DomainError, match=f"^{field} ") as err:
-            call(toy_scenario, big)
+    with pytest.raises(DomainError, match=f"^{field} ") as err:
+        call(toy_scenario, big)
     assert "an integer past the float range" in str(err.value)
     assert "0000" not in str(err.value)
 

@@ -12,9 +12,7 @@ import quantloc
 
 PUBLIC_NAMES = [
     "ATTACK_STREAM",
-    "AdvisoryWarning",
     "AssumptionReport",
-    "AssumptionWarning",
     "AttackAssignment",
     "AttackSpec",
     "DEFAULT_M",
@@ -52,7 +50,6 @@ PUBLIC_NAMES = [
     "SensorRates",
     "SensorSpec",
     "SpoofBias",
-    "TangentDegenerate",
     "VariantMismatch",
     "__version__",
     "apply_attack",
@@ -106,6 +103,9 @@ PUBLIC_NAMES = [
 # gave, with the density's extrema that density_sup took.  An attack spec's
 # shift and psi check p themselves, as post_attack_prob and psi_of did, and
 # ScenarioConfig.distance_bounds() computes what compute_distance_bounds did.
+# The package warns of nothing: a report and a sweep's metrics carry the
+# admissible delta, an AssumptionReport carries its notes, and a tangent
+# circle pair simply has one crossing.
 RETIRED = [
     "lambda_from",
     "delta_admissible_from",
@@ -124,6 +124,9 @@ RETIRED = [
     "post_attack_prob",
     "psi_of",
     "compute_distance_bounds",
+    "AdvisoryWarning",
+    "AssumptionWarning",
+    "TangentDegenerate",
 ]
 
 # Retired attributes of public classes: report.decisions[j] is one sensor's

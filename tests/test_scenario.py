@@ -4,11 +4,9 @@ import math
 import warnings
 from dataclasses import fields, replace
 
-import numpy as np
 import pytest
 
 from quantloc import (
-    AssumptionWarning,
     DomainError,
     GaussianNoise,
     InvalidScenario,
@@ -232,7 +230,7 @@ def test_distance_bracket_covers_actual_distances(rng):
 
 def test_validate_assumptions_all_ok(toy_scenario):
     with warnings.catch_warnings():
-        warnings.simplefilter("error", AssumptionWarning)
+        warnings.simplefilter("error")
         report = validate_assumptions(toy_scenario)
     assert report.all_satisfied
     assert report.margin_a == pytest.approx(
@@ -251,8 +249,12 @@ def test_validate_assumptions_all_ok(toy_scenario):
 
 def test_validate_assumptions_reference_network_violates_a():
     s, _ = build_paper_setup(scale=0.02)
-    with pytest.warns(AssumptionWarning):
+    # a violation is a note on the report, never a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = validate_assumptions(s)
+    assert len(report.warnings) == 1
+    assert report.warnings[0].startswith("anchor separation does not exceed")
     assert not report.condition_a
     assert report.condition_b and report.condition_c
     assert report.margin_a == pytest.approx(-13002.9, abs=0.1)
