@@ -203,7 +203,7 @@ class RateReport:
         header += [f"miss_bound_K{k}" for k in k_grid]
         lines = ["\t".join(header)]
         for j in self.unsecure_ids:
-            cells = [str(j), _fmt(self.fa_exponents[j]), _fmt(self.miss_exponents[j])]
+            cells = [str(j), f"{self.fa_exponents[j]:.6e}", f"{self.miss_exponents[j]:.6e}"]
             cells += [
                 f"{PREFACTOR * math.exp(-self.fa_exponents[j] * k):.6e}"
                 for k in k_grid
@@ -232,10 +232,6 @@ def _k_grid(k_grid: Sequence[int]) -> tuple[int, ...]:
             raise DomainError(f"k_grid entries must be >= 1: k_grid[{i}] must be >= 1, got {k}")
         out.append(k)
     return tuple(out)
-
-
-def _fmt(value: float) -> str:
-    return "inf" if value == INF else f"{value:.6e}"
 
 
 def composite_exponents(

@@ -18,8 +18,8 @@ Each variant carries its behaviour: ``shift`` maps p to p_tilde and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import ClassVar, Iterator, Mapping
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class AttackSpec:
     is the plain threshold test of the raw samples.
     """
 
-    variant: str = field(default="none", init=False)
+    variant: ClassVar[str] = "none"
 
     @property
     def is_attack(self) -> bool:
@@ -92,8 +92,6 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class NoAttack(AttackSpec):
-    variant: str = field(default="none", init=False)
-
     def flip_probs(self) -> tuple[float, float]:
         return 0.0, 0.0
 
@@ -102,9 +100,9 @@ class NoAttack(AttackSpec):
 class Mima(AttackSpec):
     """Independent bit-flip channel: 0 -> 1 w.p. psi0, 1 -> 0 w.p. psi1."""
 
+    variant: ClassVar[str] = "mima"
     psi0: float
     psi1: float
-    variant: str = field(default="mima", init=False)
 
     def __post_init__(self) -> None:
         for name, value in (("psi0", self.psi0), ("psi1", self.psi1)):
@@ -133,8 +131,8 @@ class PsiOffset(AttackSpec):
     offset.
     """
 
+    variant: ClassVar[str] = "psi_offset"
     offset: float
-    variant: str = field(default="psi_offset", init=False)
 
     def __post_init__(self) -> None:
         if not is_finite(self.offset):
@@ -168,8 +166,8 @@ class PsiOffset(AttackSpec):
 class SpoofBias(AttackSpec):
     """Additive bias on the raw samples before quantization."""
 
+    variant: ClassVar[str] = "spoof_bias"
     bias: float
-    variant: str = field(default="spoof_bias", init=False)
 
     def __post_init__(self) -> None:
         if not is_finite(self.bias):

@@ -23,7 +23,7 @@ from .detector import (
     lambda_min,
 )
 from .errors import ParseError, QuantLocError
-from .fileio import build_paper_setup, load_scenario, save_scenario, render_scenario
+from .fileio import build_paper_setup, load_scenario, render_scenario
 from .montecarlo import ExperimentPlan, _fmt_opt, estimate_error_probs, generate_dataset
 from .scenario import validate_assumptions
 
@@ -137,10 +137,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_paper_setup(args: argparse.Namespace) -> int:
     scenario, assignment = build_paper_setup(scale=args.scale)
-    if args.out:
-        save_scenario(scenario, args.out, assignment)
-    else:
-        sys.stdout.write(render_scenario(scenario, assignment))
+    _emit(render_scenario(scenario, assignment), args.out)
     return 0
 
 
@@ -236,10 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (QuantLocError, ValueError, OSError) as exc:

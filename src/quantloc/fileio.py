@@ -230,7 +230,7 @@ _VARIANTS: dict[str, type[AttackSpec]] = {
 
 def _param_names(variant: str) -> list[str]:
     """A variant's JSON params: its dataclass fields, in declaration order."""
-    return [f.name for f in fields(_VARIANTS[variant]) if f.init]
+    return [f.name for f in fields(_VARIANTS[variant])]
 
 
 def _attack_spec(variant: Any, params: Any, path: str) -> AttackSpec:

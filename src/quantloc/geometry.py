@@ -316,11 +316,7 @@ def circle_meets_region_discretized(
     floats with the float operations of a walk over the whole circle, so
     the verdict is that of an unpruned walk.
     """
-    try:
-        finite = math.isfinite(radius)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not (radius >= 0.0 and finite):
+    if not (radius >= 0.0 and is_finite(radius)):
         raise DomainError(f"radius must be finite and >= 0, got {shown(radius)}")
     m_points = check_m_points(m_points)
     cx, cy, r0 = center.x, center.y, radius
@@ -444,11 +440,7 @@ def circle_meets_region_analytic(center: Point, radius: float, r1: Ring, r2: Rin
     corners.  So a radius that clears the corners' distances by the slack
     is decided right after the test of c, with no other candidate.
     """
-    try:
-        finite = math.isfinite(radius)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not (radius >= 0.0 and finite):
+    if not (radius >= 0.0 and is_finite(radius)):
         raise DomainError(f"radius must be finite and >= 0, got {shown(radius)}")
     global _last_frame
     last_r1, last_r2, f = _last_frame

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -158,15 +159,6 @@ class ScenarioConfig:
     _unsecure_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # Resolved once: detect_all estimates every unsecure sensor in one array pass.
     _unsecure_arrays: SensorArrays = field(init=False, repr=False, compare=False)
-    # Filled on first use, not here: distance_bounds raises InvalidScenario
-    # for a sensor inside the ROI, and the constants for an unordered
-    # bracket, both of which construction allows.
-    _bounds: DistanceBounds | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _constants: SensorConstants | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -220,24 +212,29 @@ class ScenarioConfig:
         sensor-target distance over all sensors and all target positions in
         the disc.
         """
-        if self._bounds is None:
-            center_d = [distance(x.position, self.roi.center) for x in self.sensors]
-            d_lower = min(center_d) - self.roi.radius
-            d_upper = max(center_d) + self.roi.radius
-            if d_lower <= 0.0:
-                raise InvalidScenario(
-                    "a sensor lies inside the ROI disc (lower distance bound <= 0)"
-                )
-            a, b = self._secure
-            bounds = DistanceBounds(d_lower, d_upper, distance(a.position, b.position))
-            object.__setattr__(self, "_bounds", bounds)
         return self._bounds
 
     def constants(self) -> SensorConstants:
         """The ``SensorConstants`` table of every sensor, built on first use and kept."""
-        if self._constants is None:
-            object.__setattr__(self, "_constants", _sensor_constants(self))
         return self._constants
+
+    # Built on first use, since construction allows what they reject (a sensor
+    # inside the ROI, an unordered bracket); a build that raises is not kept.
+    @cached_property
+    def _bounds(self) -> DistanceBounds:
+        center_d = [distance(x.position, self.roi.center) for x in self.sensors]
+        d_lower = min(center_d) - self.roi.radius
+        d_upper = max(center_d) + self.roi.radius
+        if d_lower <= 0.0:
+            raise InvalidScenario(
+                "a sensor lies inside the ROI disc (lower distance bound <= 0)"
+            )
+        a, b = self._secure
+        return DistanceBounds(d_lower, d_upper, distance(a.position, b.position))
+
+    @cached_property
+    def _constants(self) -> SensorConstants:
+        return _sensor_constants(self)
 
     @property
     def upsilon(self) -> float:
@@ -391,7 +388,6 @@ class AssumptionReport:
     roi_line_clearance: float
     two_focus_inf: float
     two_focus_tolerance: float
-    boundary_points: int
     warnings: tuple[str, ...] = field(default=())
 
     @property
@@ -475,7 +471,6 @@ def validate_assumptions(s: ScenarioConfig) -> AssumptionReport:
         roi_line_clearance=clearance,
         two_focus_inf=two_focus_inf,
         two_focus_tolerance=tolerance,
-        boundary_points=m,
         warnings=tuple(notes),
     )
 
