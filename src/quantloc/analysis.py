@@ -261,10 +261,12 @@ def composite_exponents(
         t = delta / (2.0 * xi)
         plain[j] = _sensor_rates(p, t, eps_l, eps_u)
         if not sensor.secure:
-            tp = assignment.spec_for(j).shift(p, sensor.noise)
-            tilde[j] = (
-                plain[j] if tp == p else _sensor_rates(tp, t, eps_l, eps_u)
-            )
+            spec = assignment.spec_for(j)
+            tp = spec.shift(p, sensor.noise)
+            try:
+                tilde[j] = plain[j] if tp == p else _sensor_rates(tp, t, eps_l, eps_u)
+            except DomainError as exc:
+                raise DomainError(f"sensor {j} under {spec!r}: {exc}") from None
 
     secure_min = min(*plain[s1.id], *plain[s2.id])
     fa_exponents = {j: min(*plain[j], secure_min) for j in tilde}

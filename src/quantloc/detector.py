@@ -255,7 +255,10 @@ def delta_admissible(s: ScenarioConfig) -> float:
         * (upsilon / d_secure + 1.0)
         + 3.0
     ) + 0.5 * math.sqrt(upsilon)
-    return min(upsilon, (lam / bracket) ** 2)
+    try:
+        return min(upsilon, (lam / bracket) ** 2)
+    except OverflowError:  # a square past the float range exceeds upsilon
+        return upsilon
 
 
 def _admissible(s: ScenarioConfig) -> float | None:

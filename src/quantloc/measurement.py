@@ -199,7 +199,16 @@ def _clamp(xi, xi_min: float, f_tau):
 
 def _distance(s: ScenarioConfig, base: float) -> float:
     """d0 * (p0 / base)^(1/gamma), base = tau - F^{-1}(xi): the inversion's last step."""
-    return s.d0 * (s.p0 / base) ** (1.0 / s.gamma)
+    try:
+        return s.d0 * (s.p0 / base) ** (1.0 / s.gamma)
+    except OverflowError:
+        raise _overflow(s) from None
+
+
+def _overflow(s: ScenarioConfig) -> DomainError:
+    return DomainError(
+        f"distance estimate d0 * (p0 / base)^(1/gamma) overflows at gamma = {s.gamma}"
+    )
 
 
 def _invert(s: ScenarioConfig, sensor: SensorSpec, prob: float) -> float:
@@ -260,7 +269,11 @@ def nmle_distances(
             f"for sensor {s.unsecure()[bad].id}"
         )
     d0, p0, power = s.d0, s.p0, 1.0 / s.gamma
-    return [d0 * (p0 / base) ** power for base in (arrays.threshold - x).tolist()], clamped.tolist()
+    try:
+        distances = [d0 * (p0 / base) ** power for base in (arrays.threshold - x).tolist()]
+    except OverflowError:
+        raise _overflow(s) from None
+    return distances, clamped.tolist()
 
 
 def attacked_distance(s: ScenarioConfig, j: int, tp: float) -> float:

@@ -170,6 +170,9 @@ class ScenarioConfig:
         index = {s.id: s for s in self.sensors}
         if len(index) != len(self.sensors):
             raise InvalidScenario("sensor ids must be unique")
+        a, b = secure
+        if a.position == b.position:
+            raise InvalidScenario(f"secure sensors {a.id} and {b.id} share one position")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_secure", tuple(secure))
         unsecure = tuple(s for s in self.sensors if not s.secure)
@@ -249,7 +252,12 @@ class ScenarioConfig:
 
     def power_at(self, d: float) -> float:
         """Noise-free received power at distance d: p0 * (d0 / d)^gamma."""
-        return self.p0 * (self.d0 / d) ** self.gamma
+        try:
+            return self.p0 * (self.d0 / d) ** self.gamma
+        except OverflowError:
+            raise DomainError(
+                f"received power p0 * (d0 / d)^gamma overflows at d = {d}"
+            ) from None
 
 
 class SensorConstants(NamedTuple):
@@ -411,10 +419,7 @@ class AssumptionReport:
 def _line_side_distance(a: Point, b: Point, p: Point) -> float:
     """Signed distance of p from line ab (positive on the left of a->b)."""
     ux, uy = b.x - a.x, b.y - a.y
-    norm = math.hypot(ux, uy)
-    if norm == 0.0:
-        raise DomainError("half-space anchors coincide")
-    return (ux * (p.y - a.y) - uy * (p.x - a.x)) / norm
+    return (ux * (p.y - a.y) - uy * (p.x - a.x)) / math.hypot(ux, uy)
 
 
 def validate_assumptions(s: ScenarioConfig) -> AssumptionReport:

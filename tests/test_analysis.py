@@ -154,6 +154,16 @@ def test_composite_exponents_reject_attacks_leaving_the_bracket(toy_scenario):
     assert composite_exponents(s, inside, cfg).miss_exponents[1] > 0.0
 
 
+def test_an_attack_leaving_the_bracket_is_named_with_its_sensor(toy_scenario):
+    spec = Mima(0.0, 0.9)
+    assignment = AttackAssignment(specs={1: spec})
+    with pytest.raises(
+        DomainError,
+        match=r"^sensor 1 under Mima\(psi0=0\.0, psi1=0\.9\): need 0 < eps_l < p < eps_u < 1, got ",
+    ):
+        composite_exponents(toy_scenario, assignment, DetectorConfig(delta=5.0))
+
+
 def test_epsilon_bracket_interpolates(toy_scenario):
     s = toy_scenario
     row = s.constants().row(1)

@@ -1,7 +1,7 @@
 """Attack channels: probability law, bit-domain action, classification."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +47,23 @@ def test_spec_validation():
     assert Mima(0.0, 0.0105).is_attack
     assert PsiOffset(0.01).is_attack
     assert SpoofBias(1.0).is_attack
+
+
+@pytest.mark.parametrize(
+    ("cls", "params", "variant"),
+    [
+        (AttackSpec, (), "none"),
+        (NoAttack, (), "none"),
+        (Mima, ("psi0", "psi1"), "mima"),
+        (PsiOffset, ("offset",), "psi_offset"),
+        (SpoofBias, ("bias",), "spoof_bias"),
+    ],
+)
+def test_a_variant_is_a_class_constant_not_a_field(cls, params, variant):
+    assert tuple(f.name for f in fields(cls)) == params
+    spec = cls(*(0.1 for _ in params))
+    assert cls.variant == spec.variant == variant
+    assert repr(spec) == f"{cls.__name__}({', '.join(f'{p}=0.1' for p in params)})"
 
 
 def test_flip_channel_probability_law():

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, file output."""
 
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -73,6 +74,88 @@ def test_runtime_error_exits_one(toy_file, capsys):
     code = main(["detect", toy_file, "--K", "100", "--delta", "-1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _coincide_anchors(doc):
+    first, second = (x for x in doc["sensors"] if x.get("secure"))
+    second["position"] = list(first["position"])
+
+
+_RUN_ARGS = {
+    "validate": [],
+    "bounds": ["--delta", "280", "--K-grid", "20000"],
+    "detect": ["--delta", "280", "--K", "1000", "--seed", "7"],
+    "sweep": ["--delta", "280", "--K-grid", "200", "--trials", "2", "--threads", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    ("edit", "outcomes"),
+    [
+        (
+            lambda doc: doc["constants"].update(d0=1e200),
+            {
+                "validate": (0, None),
+                "bounds": (1, "received power p0 * (d0 / d)^gamma overflows at d = "),
+                "detect": (1, "received power p0 * (d0 / d)^gamma overflows at d = "),
+                "sweep": (1, "received power p0 * (d0 / d)^gamma overflows at d = "),
+            },
+        ),
+        (
+            lambda doc: doc["constants"].update(gamma=1e-300),
+            {
+                "validate": (0, None),
+                "bounds": (1, "probability ordering failed for sensor 1: "),
+                "detect": (1, "distance estimate d0 * (p0 / base)^(1/gamma) overflows at "),
+                "sweep": (1, "probability ordering failed for sensor 1: "),
+            },
+        ),
+        (
+            # the admissible delta's square overflows, so it is upsilon = 1
+            lambda doc: doc["constants"].update(kappa=1e300),
+            {
+                "validate": (0, None),
+                "bounds": (0, None),
+                "detect": (0, "advisory: delta = 280 exceeds the provably safe limit 1; "),
+                "sweep": (0, "advisory: delta = 280 exceeds the provably safe limit 1; "),
+            },
+        ),
+        (
+            _coincide_anchors,
+            dict.fromkeys(
+                _RUN_ARGS, (2, "scenario invalid: secure sensors 21 and 22 share one position")
+            ),
+        ),
+    ],
+    ids=["d0", "gamma", "kappa", "coincident-anchors"],
+)
+def test_a_scenario_edit_ends_in_one_error_line_not_a_traceback(edit, outcomes, tmp_path, capsys):
+    """Edits of the 1/25-scale file that once raised OverflowError or
+    ZeroDivisionError out of main: each command now runs or exits with one
+    line on stderr."""
+    paper = tmp_path / "paper.json"
+    assert main(["paper-setup", "--scale", "0.04", "--out", str(paper)]) == 0
+    doc = json.loads(paper.read_text())
+    edit(doc)
+    paper.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command, (code, line) in outcomes.items():
+        assert main([command, str(paper), *_RUN_ARGS[command]]) == code, command
+        err = capsys.readouterr().err
+        if line is None:
+            assert err == "", command
+        else:
+            prefix = "" if line.startswith("advisory:") else "error: "
+            assert err.startswith(prefix + line) and err.count("\n") == 1, (command, err)
+
+
+def test_bounds_names_the_sensor_whose_attack_leaves_the_bracket(toy_scenario, tmp_path, capsys):
+    path = tmp_path / "strong.json"
+    save_scenario(toy_scenario, path, AttackAssignment(specs={1: Mima(0.0, 0.9)}))
+    assert main(["bounds", str(path), "--delta", "5"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: sensor 1 under Mima(psi0=0.0, psi1=0.9): need 0 < eps_l < p < eps_u < 1, got "
+    )
 
 
 def test_bad_scale_exits_one(capsys):

@@ -727,7 +727,7 @@ def _reference_load(path):
     Kept as the oracle: it walks the records in file order and reports the
     first fault it meets.
     """
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     if raw[:4] != b"QDS1":
         raise ParseError(f"{path}: not a dataset file (bad magic {raw[:4]!r})")
     if len(raw) < _HEADER_BYTES:

@@ -96,6 +96,15 @@ def test_scenario_validation():
         ScenarioConfig(_sensors(noise), roi, Point(0.0, 200.0), 1.0, 100.0, 2.0)
 
 
+@pytest.mark.parametrize("y", [0.0, -0.0])
+def test_coincident_anchors_are_rejected(y):
+    noise = GaussianNoise()
+    sensors = _sensors(noise)[:3] + (SensorSpec(4, Point(-100.0, y), 1.0, noise, secure=True),)
+    roi = RoiDisc(Point(0.0, 100.0), 5.0)
+    with pytest.raises(InvalidScenario, match=r"^secure sensors 3 and 4 share one position$"):
+        ScenarioConfig(sensors, roi, Point(0.0, 100.0), 1.0, 100.0, 2.0)
+
+
 @pytest.mark.parametrize("name", ["kappa", "p0", "upsilon2"])
 def test_a_constant_past_the_float_range_is_named(toy_scenario, name):
     with pytest.raises(InvalidScenario, match=f"{name} must be positive and finite"):
@@ -129,6 +138,14 @@ def test_sensor_lookups_are_built_once_and_stay_out_of_eq_and_repr(toy_scenario)
     assert "_index" not in repr(s)
     init_names = {f.name for f in fields(ScenarioConfig) if f.init}
     assert not init_names & {"_index", "_secure", "_unsecure", "_unsecure_ids"}
+    # the lazy tables are no fields: out of repr, eq and hash, built or not
+    assert not {f.name for f in fields(ScenarioConfig)} & {"_bounds", "_constants"}
+    fresh = replace(s)
+    before = (repr(fresh), hash(fresh))
+    assert fresh.distance_bounds() is fresh.distance_bounds()
+    assert fresh.constants() is fresh.constants()
+    assert (repr(fresh), hash(fresh)) == before
+    assert fresh == replace(s) and hash(fresh) == hash(replace(s))
 
 
 def test_zero_prob_and_power_at(toy_scenario):
@@ -170,8 +187,12 @@ def test_distance_bounds_reject_sensor_inside_roi():
         100.0,
         2.0,
     )
-    with pytest.raises(InvalidScenario):
-        s.distance_bounds()
+    # a build that raises is not kept, so every call raises again
+    for _ in range(2):
+        with pytest.raises(InvalidScenario, match="a sensor lies inside the ROI disc"):
+            s.distance_bounds()
+        with pytest.raises(InvalidScenario, match="a sensor lies inside the ROI disc"):
+            s.constants()
 
 
 def test_distance_bounds_reference_network():
