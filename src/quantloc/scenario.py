@@ -371,8 +371,13 @@ def _over_density(s: ScenarioConfig, head: float, base: np.ndarray, f: np.ndarra
     The shape Xi (head 1) and lambda (head kappa) share.  The power is
     Python's, per element, as the scalar formula computes it.
     """
-    head, power = head * s.d0 * s.p0 ** (1.0 / s.gamma), -(s.gamma + 1.0) / s.gamma
-    return np.array([head * x**power / y for x, y in zip(base.tolist(), f.tolist())])
+    try:
+        head, power = head * s.d0 * s.p0 ** (1.0 / s.gamma), -(s.gamma + 1.0) / s.gamma
+        return np.array([head * x**power / y for x, y in zip(base.tolist(), f.tolist())])
+    except OverflowError:
+        raise DomainError(
+            f"d0 p0^(1/gamma) base^(-(gamma+1)/gamma) overflows at gamma = {s.gamma}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -96,18 +96,27 @@ _RUN_ARGS = {
             lambda doc: doc["constants"].update(d0=1e200),
             {
                 "validate": (0, None),
-                "bounds": (1, "received power p0 * (d0 / d)^gamma overflows at d = "),
-                "detect": (1, "received power p0 * (d0 / d)^gamma overflows at d = "),
-                "sweep": (1, "received power p0 * (d0 / d)^gamma overflows at d = "),
+                "bounds": (1, "error: received power p0 * (d0 / d)^gamma overflows at d = "),
+                "detect": (1, "error: received power p0 * (d0 / d)^gamma overflows at d = "),
+                "sweep": (1, "error: received power p0 * (d0 / d)^gamma overflows at d = "),
             },
         ),
         (
             lambda doc: doc["constants"].update(gamma=1e-300),
             {
                 "validate": (0, None),
-                "bounds": (1, "probability ordering failed for sensor 1: "),
-                "detect": (1, "distance estimate d0 * (p0 / base)^(1/gamma) overflows at "),
-                "sweep": (1, "probability ordering failed for sensor 1: "),
+                "bounds": (1, "error: probability ordering failed for sensor 1: "),
+                "detect": (1, "error: distance estimate d0 * (p0 / base)^(1/gamma) overflows at "),
+                "sweep": (1, "error: probability ordering failed for sensor 1: "),
+            },
+        ),
+        (
+            lambda doc: doc["constants"].update(gamma=1e-5),
+            {
+                "validate": (0, None),
+                "bounds": (1, "error: d0 p0^(1/gamma) base^(-(gamma+1)/gamma) overflows at "),
+                "detect": (1, "error: distance estimate d0 * (p0 / base)^(1/gamma) overflows at "),
+                "sweep": (1, "error: d0 p0^(1/gamma) base^(-(gamma+1)/gamma) overflows at "),
             },
         ),
         (
@@ -123,11 +132,12 @@ _RUN_ARGS = {
         (
             _coincide_anchors,
             dict.fromkeys(
-                _RUN_ARGS, (2, "scenario invalid: secure sensors 21 and 22 share one position")
+                _RUN_ARGS,
+                (2, "error: scenario invalid: secure sensors 21 and 22 share one position"),
             ),
         ),
     ],
-    ids=["d0", "gamma", "kappa", "coincident-anchors"],
+    ids=["d0", "gamma", "gamma-xi", "kappa", "coincident-anchors"],
 )
 def test_a_scenario_edit_ends_in_one_error_line_not_a_traceback(edit, outcomes, tmp_path, capsys):
     """Edits of the 1/25-scale file that once raised OverflowError or
@@ -145,17 +155,7 @@ def test_a_scenario_edit_ends_in_one_error_line_not_a_traceback(edit, outcomes, 
         if line is None:
             assert err == "", command
         else:
-            prefix = "" if line.startswith("advisory:") else "error: "
-            assert err.startswith(prefix + line) and err.count("\n") == 1, (command, err)
-
-
-def test_bounds_names_the_sensor_whose_attack_leaves_the_bracket(toy_scenario, tmp_path, capsys):
-    path = tmp_path / "strong.json"
-    save_scenario(toy_scenario, path, AttackAssignment(specs={1: Mima(0.0, 0.9)}))
-    assert main(["bounds", str(path), "--delta", "5"]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: sensor 1 under Mima(psi0=0.0, psi1=0.9): need 0 < eps_l < p < eps_u < 1, got "
-    )
+            assert err.startswith(line) and err.count("\n") == 1, (command, err)
 
 
 def test_bad_scale_exits_one(capsys):
